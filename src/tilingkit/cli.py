@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--range", required=True, type=_parse_range,
                        metavar="LO..HI", help="inclusive index range for n")
     p_seq.add_argument("--format", choices=SEQ_FORMATS, default="bfile")
-    for p in ("r", "s", "k", "m", "p", "j", "l"):
+    for p in ("r", "s", "k", "m", "p", "j"):
         p_seq.add_argument(f"--{p}", type=int, default=None)
 
     p_table = sub.add_parser("table", help="rebuild a reference table")
@@ -268,6 +268,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace, id_filter: str | None) -> int:
     report = identities.run_registry(args.scale, id_filter)
+    if not report.results:
+        print(f"tilingkit verify: no record id matches {id_filter!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     payload = json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -286,7 +290,12 @@ def _oracle_ceiling() -> int | None:
     raw = os.environ.get("TILINGKIT_ORACLE_CEILING", "").strip()
     if not raw:
         return oracle.DEFAULT_CEILING
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"TILINGKIT_ORACLE_CEILING must be an integer, got {raw!r}"
+        ) from None
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -318,7 +327,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_OK
     allowed = None
     if args.allowed:
-        allowed = tuple(int(p) for p in args.allowed.split(","))
+        try:
+            allowed = tuple(int(p) for p in args.allowed.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--allowed must be comma separated integers, got {args.allowed!r}"
+            ) from None
     kwargs = dict(
         max_part=args.max,
         forbidden_part=args.forbid,
@@ -346,7 +360,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "conjecture":
             return _cmd_verify(args, "conjecture*")
         if args.command == "oracle":
-            return _cmd_oracle(args)
+            try:
+                return _cmd_oracle(args)
+            except ValueError as exc:
+                # Raised while validating, before anything is printed.
+                print(f"tilingkit oracle: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     except oracle.OracleScaleError as exc:
         print(f"tilingkit: {exc}", file=sys.stderr)
         return EXIT_ORACLE_SCALE

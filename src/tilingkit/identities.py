@@ -104,10 +104,12 @@ def _safe(fn: Evaluator, point: tuple) -> object:
 
 @dataclass(frozen=True)
 class CorrectedForm:
+    """Corrected statement; each side or domain left out is the record's own."""
+
     citation: str
-    lhs: Evaluator
-    rhs: Evaluator
-    domain: Domain | None = None  # defaults to the record's own domain
+    lhs: Evaluator | None = None
+    rhs: Evaluator | None = None
+    domain: Domain | None = None
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,14 @@ class ProbeCandidate:
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Erratum probe: candidates compared against a brute-force value."""
+    """Erratum probe: candidates compared against a brute-force value.
 
-    oracle: Evaluator
+    ``oracle`` defaults to the record's own ``lhs``.
+    """
+
     oracle_label: str
     candidates: tuple[ProbeCandidate, ...]
+    oracle: Evaluator | None = None
 
 
 @dataclass(frozen=True)
@@ -232,34 +237,24 @@ def _sweep(lhs: Evaluator, rhs: Evaluator, points: Iterable[tuple]) -> SweepOutc
 def evaluate_record(record: IdentityRecord, grid: GridScale) -> RecordResult:
     start = time.perf_counter()
     outcome = _sweep(record.lhs, record.rhs, record.domain(grid))
-    corrected_citation = None
-    corrected_points = 0
-    corrected_cx = None
+    # A corrected form is validated even when the printed form unexpectedly
+    # passes, so drift in either direction is caught.
+    corr = None if record.expected == "conjecture" else record.corrected
+    corr_outcome = None
+    if corr is not None:
+        corr_outcome = _sweep(
+            corr.lhs or record.lhs,
+            corr.rhs or record.rhs,
+            (corr.domain or record.domain)(grid),
+        )
     if record.expected == "conjecture":
         status = "conjecture"
     elif outcome.counterexample is None:
         status = "verified"
-    elif record.corrected is not None:
-        corr = record.corrected
-        corr_outcome = _sweep(
-            corr.lhs, corr.rhs, (corr.domain or record.domain)(grid)
-        )
-        corrected_citation = corr.citation
-        corrected_points = corr_outcome.points
-        corrected_cx = corr_outcome.counterexample
-        status = "fails-as-printed" if corr_outcome.counterexample is None else "mismatch"
+    elif corr_outcome is not None and corr_outcome.counterexample is None:
+        status = "fails-as-printed"
     else:
         status = "mismatch"
-    # A corrected form is validated even when the printed form unexpectedly
-    # passes, so drift in either direction is caught.
-    if status == "verified" and record.corrected is not None:
-        corr = record.corrected
-        corr_outcome = _sweep(
-            corr.lhs, corr.rhs, (corr.domain or record.domain)(grid)
-        )
-        corrected_citation = corr.citation
-        corrected_points = corr_outcome.points
-        corrected_cx = corr_outcome.counterexample
     return RecordResult(
         id=record.id,
         citation=record.citation,
@@ -267,9 +262,9 @@ def evaluate_record(record: IdentityRecord, grid: GridScale) -> RecordResult:
         status=status,
         points=outcome.points,
         counterexample=outcome.counterexample,
-        corrected_citation=corrected_citation,
-        corrected_points=corrected_points,
-        corrected_counterexample=corrected_cx,
+        corrected_citation=corr.citation if corr else None,
+        corrected_points=corr_outcome.points if corr_outcome else 0,
+        corrected_counterexample=corr_outcome.counterexample if corr_outcome else None,
         bound=record.bound_doc(grid) if record.bound_doc else None,
         notes=record.notes,
         seconds=time.perf_counter() - start,
@@ -290,11 +285,16 @@ def run_registry(
     return VerificationReport(scale=scale, results=results)
 
 
-def erratum_probe(record_id: str, scale: str = "default") -> dict:
-    """Compare every registered candidate form of a flagged record to its oracle."""
+def _record(record_id: str) -> IdentityRecord:
     record = next((r for r in registry() if r.id == record_id), None)
     if record is None:
         raise ValueError(f"no record with id {record_id!r}")
+    return record
+
+
+def erratum_probe(record_id: str, scale: str = "default") -> dict:
+    """Compare every registered candidate form of a flagged record to its oracle."""
+    record = _record(record_id)
     if record.probe is None:
         raise ValueError(f"record {record_id!r} has no probe")
     grid = SCALES[scale]
@@ -304,7 +304,9 @@ def erratum_probe(record_id: str, scale: str = "default") -> dict:
         "candidates": [],
     }
     for cand in record.probe.candidates:
-        outcome = _sweep(record.probe.oracle, cand.fn, record.domain(grid))
+        outcome = _sweep(
+            record.probe.oracle or record.lhs, cand.fn, record.domain(grid)
+        )
         entry: dict = {
             "label": cand.label,
             "matches": outcome.counterexample is None,
@@ -367,12 +369,12 @@ def _oracle_exactly(n: int, m: int, k: int | None, p: int) -> int:
 # Domain builders.
 # ---------------------------------------------------------------------------
 
-def _points_rn(limit_of, r_from=0, n_from=0):
+def _pairs(limit_of, first_from=0, second_from=0):
     def gen(grid: GridScale) -> Iterator[tuple]:
         bound = limit_of(grid)
-        for r in range(r_from, bound + 1):
-            for n in range(n_from, bound + 1):
-                yield (r, n)
+        for x in range(first_from, bound + 1):
+            for y in range(second_from, bound + 1):
+                yield (x, y)
 
     return gen
 
@@ -397,33 +399,109 @@ def _rows(limit_of, start=0):
     return gen
 
 
+def _triangle(limit_of, strict=False):
+    """(n, k) with 1 <= k <= n <= limit, or k < n when ``strict``."""
+
+    def gen(grid: GridScale) -> Iterator[tuple]:
+        for n in range(1, limit_of(grid) + 1):
+            for k in range(1, n + (not strict)):
+                yield (n, k)
+
+    return gen
+
+
+def _parts(limit_of, p_from=None):
+    """(n, m, k) with 1 <= m <= k <= n <= limit, then a multiplicity p
+    from ``p_from`` up to n // m + 1 when ``p_from`` is given."""
+
+    def gen(grid: GridScale) -> Iterator[tuple]:
+        for n, k in _triangle(limit_of)(grid):
+            for m in range(1, k + 1):
+                if p_from is None:
+                    yield (n, m, k)
+                else:
+                    for p in range(p_from, n // m + 2):
+                        yield (n, m, k, p)
+
+    return gen
+
+
+# The conjecture scans walk these two shapes with their own bounds, so they
+# take plain bounds instead of a grid.
+
+def _multiples(max_n: int) -> Iterator[tuple]:
+    """(n, k, l) with 1 <= k, l and k * l <= n <= max_n."""
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            for l in range(1, n // k + 1):
+                yield (n, k, l)
+
+
+def _conj1_points(max_s: int, max_r: int, max_n: int) -> Iterator[tuple]:
+    """(s, r, n) in the box with s <= r + 1, where the binomial range is nonempty."""
+    for s in range(1, max_s + 1):
+        for r in range(max(1, s - 1), max_r + 1):
+            for n in range(1, max_n + 1):
+                yield (s, r, n)
+
+
+def _fib_points(grid: GridScale) -> Iterator[tuple]:
+    """(n, k) with 1 <= k <= limit and 1 <= n <= 2 * limit, k outermost."""
+    for k in range(1, grid.limit + 1):
+        for n in range(1, 2 * grid.limit + 1):
+            yield (n, k)
+
+
+def _pal_points(grid: GridScale) -> Iterator[tuple]:
+    """(n, k) with 0 <= n <= oracle_limit + 2 and 1 <= k <= n + 1."""
+    for n in range(0, grid.oracle_limit + 3):
+        for k in range(1, n + 2):
+            yield (n, k)
+
+
+def _with_order(inner: Domain) -> Domain:
+    """Append the series order 2 * limit to every point of ``inner``."""
+
+    def gen(grid: GridScale) -> Iterator[tuple]:
+        for point in inner(grid):
+            yield point + (2 * grid.limit,)
+
+    return gen
+
+
 def _fmt_limit(g: GridScale) -> int:
     return g.limit
+
+
+def _twice_limit(g: GridScale) -> int:
+    return 2 * g.limit
 
 
 def _orc_limit(g: GridScale) -> int:
     return g.oracle_limit
 
 
-def _series_row_check(gf_of, seq_of, order_of=lambda g: 2 * g.limit):
-    """(lhs, rhs) pair comparing a GF expansion row with sequence values."""
+# ---------------------------------------------------------------------------
+# Evaluator helpers.
+# ---------------------------------------------------------------------------
 
-    def lhs(*params):
-        return tuple(ser.expand(gf_of(*params[:-1]), params[-1]).coeffs)
+def _integral(v: Fraction) -> object:
+    return v.numerator if v.denominator == 1 else Defect(str(v))
 
-    def rhs(*params):
-        f = seq_of(*params[:-1])
-        return tuple(Fraction(f(i)) for i in range(params[-1] + 1))
 
-    def domain_wrap(inner: Domain) -> Domain:
-        def gen(grid: GridScale) -> Iterator[tuple]:
-            order = order_of(grid)
-            for point in inner(grid):
-                yield point + (order,)
+def _gf_row(gf_of: Callable[..., ser.RationalGF]) -> Evaluator:
+    """(*params, order) -> coefficients 0..order of gf_of(*params)."""
+    return lambda *point: tuple(ser.expand(gf_of(*point[:-1]), point[-1]).coeffs)
 
-        return gen
 
-    return lhs, rhs, domain_wrap
+def _seq_row(term: Evaluator) -> Evaluator:
+    """(*params, order) -> (term(*params, i) for i = 0..order) as a series row."""
+
+    def row(*point):
+        *params, order = point
+        return tuple(ser.series_of_sequence(lambda i: term(*params, i), order).coeffs)
+
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +564,42 @@ def _negfib_tiling_sum(n: int, k: int, shift: int) -> int:
         total += sign * a_s(j, j, arg)
         t += 1
     return total
+
+
+def _tilings_max_white(r: int, n: int, k: int) -> int:
+    return orc.count_tilings(r, n, orc.TilingFilter(max_white_len=k))
+
+
+def _bounded_white_stated(r: int, n: int, k: int) -> int:
+    return sum(a_k(r, n - j, k) for j in range(1, k + 1))
+
+
+def _stated_headline(n: int, k: int) -> object:
+    return _integral(Fraction(2) ** (n - 2) * (n + 1))
+
+
+def _replaced_compositions_stated(n: int) -> int:
+    return sum(a_s(1, 1, n - j) * a(0, j) for j in range(1, n + 1))
+
+
+def _replaced_compositions_corrected(n: int) -> int:
+    return sum(a(1, n - j) * a(0, j) for j in range(1, n + 1))
+
+
+def _replaced_compositions_total(n: int) -> int:
+    return a_s(1, 2, n - 1)
+
+
+def _replaced_parts_stated(n: int) -> int:
+    return sum(a(1, n - j) * a_s(1, 1, n - j) for j in range(1, n + 1))
+
+
+def _replaced_parts_corrected(n: int) -> int:
+    return sum(a(1, n - j) * a_s(1, 1, j - 1) for j in range(1, n + 1))
+
+
+def _replaced_parts_total(n: int) -> int:
+    return a_s(1, 3, n - 1)
 
 
 def _pell_tiling_sum(n: int) -> int:
@@ -620,53 +734,45 @@ def _conjecture1_formula(s: int, r: int, n: int) -> object:
     return value.numerator
 
 
+def _scan(record_id: str, points: Iterable[tuple]) -> tuple[int, list[dict]]:
+    """Every point where a conjecture record's two sides disagree."""
+    record = _record(record_id)
+    checked = 0
+    counterexamples = []
+    for point in points:
+        checked += 1
+        formula, value = record.rhs(*point), record.lhs(*point)
+        if formula != value:
+            counterexamples.append(
+                {"point": list(point), "formula": formula, "value": value}
+            )
+    return checked, counterexamples
+
+
 def check_conjecture_1(max_s: int, max_r: int, max_n: int) -> dict:
     """Grid scan of the closed-form conjecture for the cumulative sums.
 
     The binomial upper limit ``r + 1 - s`` makes the statement vacuous for
     ``s > r + 1``; those points are skipped and counted separately.
     """
-    counterexamples = []
-    points = 0
-    skipped = 0
-    for s in range(1, max_s + 1):
-        for r in range(1, max_r + 1):
-            if s > r + 1:
-                skipped += max_n
-                continue
-            for n in range(1, max_n + 1):
-                points += 1
-                claimed = _conjecture1_formula(s, r, n)
-                actual = a_s(s, r, n)
-                if claimed != actual:
-                    counterexamples.append(
-                        {"point": [s, r, n], "formula": str(claimed), "value": actual}
-                    )
+    points, counterexamples = _scan(
+        "conjecture-cumulative-closed-form", _conj1_points(max_s, max_r, max_n)
+    )
     return {
         "conjecture": "cumulative-closed-form",
         "bounds": {"s": max_s, "r": max_r, "n": max_n},
         "domain": "1 <= s <= r + 1",
         "points": points,
-        "skipped_out_of_domain": skipped,
-        "counterexamples": counterexamples,
+        "skipped_out_of_domain": max_s * max_r * max_n - points,
+        "counterexamples": [
+            {**cx, "formula": str(cx["formula"])} for cx in counterexamples
+        ],
     }
 
 
 def check_runs_conjecture(max_n: int) -> dict:
     """Compare the run-length formula against exhaustive run censuses."""
-    counterexamples = []
-    points = 0
-    for n in range(1, max_n + 1):
-        census = _census_runs(n, None)
-        for k in range(1, n + 1):
-            for length in range(1, n // k + 1):
-                points += 1
-                formula = cs.R_length_formula(n, k, length)
-                actual = census.get((k, length), 0)
-                if formula != actual:
-                    counterexamples.append(
-                        {"point": [n, k, length], "formula": formula, "value": actual}
-                    )
+    points, counterexamples = _scan("conjecture-runs-by-length", _multiples(max_n))
     return {
         "conjecture": "runs-by-length",
         "bounds": {"n": max_n},
@@ -704,15 +810,12 @@ def _build_registry() -> list[IdentityRecord]:
         expected="verified",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda r: ser.gf_geometric_two_tone(r), lambda r: (lambda i: a(r, i))
-    )
     add(IdentityRecord(
         id="gf-two-tone",
         citation="sum_n a(r,n) x^n = ((1-x)/(1-2x))^(r+1)",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(_rows(_fmt_limit)),
+        lhs=_gf_row(ser.gf_geometric_two_tone),
+        rhs=_seq_row(a),
+        domain=_with_order(_rows(_fmt_limit)),
         expected="verified",
     ))
 
@@ -732,7 +835,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="a(r,n) = sum_{j=0..n} a(r-1,n-j) a(0,j)",
         lhs=lambda r, n: a(r, n),
         rhs=lambda r, n: sum(a(r - 1, n - j) * a(0, j) for j in range(n + 1)),
-        domain=_points_rn_sum(lambda g: 2 * g.limit, r_from=1),
+        domain=_points_rn_sum(_twice_limit, r_from=1),
         expected="verified",
     ))
 
@@ -741,7 +844,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="a(r,n) = 2^(n-r-1) sum_{j=0..r} C(r+1,j) C(n+r-j,n)",
         lhs=lambda r, n: a(r, n),
         rhs=lambda r, n: a_explicit(r, n),
-        domain=_points_rn(_fmt_limit, n_from=1),
+        domain=_pairs(_fmt_limit, second_from=1),
         expected="verified",
         notes="the 2^(n-r-1) factor leaves the integers at n = 0, so the"
               " registry domain starts at n = 1",
@@ -752,7 +855,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="a(r,n) = a_1(r,n-1) + a(r-1,n)",
         lhs=lambda r, n: a(r, n),
         rhs=lambda r, n: a_s(1, r, n - 1) + a(r - 1, n),
-        domain=_points_rn(_fmt_limit, r_from=1, n_from=1),
+        domain=_pairs(_fmt_limit, 1, 1),
         expected="verified",
     ))
 
@@ -775,30 +878,21 @@ def _build_registry() -> list[IdentityRecord]:
         expected="verified",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda s, r: ser.gf_suffix_white(s, r),
-        lambda s, r: (lambda i: a_s(s, r, i)),
-    )
     add(IdentityRecord(
         id="gf-suffix-white",
         citation="sum_n a_s(r,n) x^n = (1/(1-x))^s ((1-x)/(1-2x))^(r+1)",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(lambda g: (
-            (s, r) for s in range(g.limit // 2 + 1) for r in range(g.limit // 2 + 1)
-        )),
+        lhs=_gf_row(ser.gf_suffix_white),
+        rhs=_seq_row(a_s),
+        domain=_with_order(_pairs(lambda g: g.limit // 2)),
         expected="verified",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda r: ser.gf_suffix_white(r, r), lambda r: (lambda i: a_s(r, r, i))
-    )
     add(IdentityRecord(
         id="gf-diagonal",
         citation="sum_n a_r(r,n) x^n = (1-x)/(1-2x)^(r+1)",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(_rows(_fmt_limit)),
+        lhs=_gf_row(lambda r: ser.gf_suffix_white(r, r)),
+        rhs=_seq_row(lambda r, i: a_s(r, r, i)),
+        domain=_with_order(_rows(_fmt_limit)),
         expected="verified",
     ))
 
@@ -818,16 +912,12 @@ def _build_registry() -> list[IdentityRecord]:
               " domain requires r + n >= 1",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda r: ser.gf_suffix_white(r + 1, r),
-        lambda r: (lambda i: a_s(r + 1, r, i)),
-    )
     add(IdentityRecord(
         id="gf-superdiagonal",
         citation="sum_n a_{r+1}(r,n) x^n = 1/(1-2x)^(r+1)",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(_rows(_fmt_limit)),
+        lhs=_gf_row(lambda r: ser.gf_suffix_white(r + 1, r)),
+        rhs=_seq_row(lambda r, i: a_s(r + 1, r, i)),
+        domain=_with_order(_rows(_fmt_limit)),
         expected="verified",
     ))
 
@@ -836,7 +926,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="a_{r+1}(r,n) = 2^n C(n+r,r)",
         lhs=lambda r, n: a_s(r + 1, r, n),
         rhs=lambda r, n: a_diag_plus(r, n),
-        domain=_points_rn(_fmt_limit),
+        domain=_pairs(_fmt_limit),
         expected="verified",
     ))
 
@@ -863,13 +953,7 @@ def _build_registry() -> list[IdentityRecord]:
                  " for s,r,n >= 1",
         lhs=lambda s, r, n: a_s(s, r, n),
         rhs=_conjecture1_formula,
-        domain=lambda g: (
-            (s, r, n)
-            for s in range(1, g.conj1_bound + 1)
-            for r in range(max(1, s - 1), g.conj1_bound + 1)
-            if s <= r + 1
-            for n in range(1, g.conj1_bound + 1)
-        ),
+        domain=lambda g: _conj1_points(*(g.conj1_bound,) * 3),
         expected="conjecture",
         bound_doc=lambda g: {
             "s": g.conj1_bound, "r": g.conj1_bound, "n": g.conj1_bound,
@@ -884,7 +968,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="a_r(r,n) = 2 a_r(r,n-1) + a_{r-1}(r-1,n)",
         lhs=lambda r, n: a_s(r, r, n),
         rhs=lambda r, n: 2 * a_s(r, r, n - 1) + a_s(r - 1, r - 1, n),
-        domain=_points_rn(_fmt_limit, r_from=1, n_from=1),
+        domain=_pairs(_fmt_limit, 1, 1),
         expected="verified",
     ))
 
@@ -915,15 +999,12 @@ def _build_registry() -> list[IdentityRecord]:
         expected="verified",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda k: ser.gf_step_sum(k), lambda k: (lambda i: fibonacci_k(i + 1, k))
-    )
     add(IdentityRecord(
         id="gf-step-fib",
         citation="sum_n F(n+1,k) x^n = 1/(1 - x - x^2 - ... - x^k)",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(_rows(_fmt_limit, start=1)),
+        lhs=_gf_row(ser.gf_step_sum),
+        rhs=_seq_row(lambda k, i: fibonacci_k(i + 1, k)),
+        domain=_with_order(_rows(_fmt_limit, start=1)),
         expected="verified",
     ))
 
@@ -933,25 +1014,19 @@ def _build_registry() -> list[IdentityRecord]:
                  " for n,k >= 1",
         lhs=lambda n, k: fibonacci_k(n + 1, k),
         rhs=_fib_explicit_sum,
-        domain=lambda g: (
-            (n, k) for k in range(1, g.limit + 1) for n in range(1, 2 * g.limit + 1)
-        ),
+        domain=_fib_points,
         expected="verified",
     ))
 
-    gf_lhs_n, gf_rhs_n, gf_dom_n = _series_row_check(
-        lambda k: ser.RationalGF.of(
-            (1,) + (0,) * (k - 1) + (-1,),
-            (1,) + (0,) * (k - 1) + (-2,) + (1,),
-        ),
-        lambda k: (lambda i: neg_fibonacci_k(1 - i, k)),
-    )
     add(IdentityRecord(
         id="gf-negative-step-fib",
         citation="sum_i negF(1-i,k) x^i = (1-x^k)/(1-2x^k+x^(k+1))",
-        lhs=gf_lhs_n,
-        rhs=gf_rhs_n,
-        domain=gf_dom_n(lambda g: ((k,) for k in range(2, 7))),
+        lhs=_gf_row(lambda k: ser.RationalGF.of(
+            (1,) + (0,) * (k - 1) + (-1,),
+            (1,) + (0,) * (k - 1) + (-2,) + (1,),
+        )),
+        rhs=_seq_row(lambda k, i: neg_fibonacci_k(1 - i, k)),
+        domain=_with_order(lambda g: ((k,) for k in range(2, 7))),
         expected="verified",
         notes="the substitution negF(n,k) = b(1-n) pins b(0) = negF(1) = 1;"
               " the seed list printed alongside the proof says b(0) = 0 but"
@@ -971,7 +1046,6 @@ def _build_registry() -> list[IdentityRecord]:
         corrected=CorrectedForm(
             citation="negF(-(n+1),k) = sum_{j>=0} (-1)^(r-jk)"
                      " a_{r+jk}(r+jk, m-r-j(k+1)) with n+2 = km+r, 0 <= r < k",
-            lhs=lambda n, k: neg_fibonacci_k(-(n + 1), k),
             rhs=lambda n, k: _negfib_tiling_sum(n, k, shift=2),
         ),
         notes="the quotient-remainder split belongs to n+2, not n+1; the"
@@ -985,7 +1059,7 @@ def _build_registry() -> list[IdentityRecord]:
         rhs=lambda n: sum(
             (-1) ** i * a_s(i, i, n - 3 * i) for i in range(n // 3 + 1)
         ),
-        domain=lambda g: ((n,) for n in range(0, 2 * g.limit + 1)),
+        domain=_rows(_twice_limit),
         expected="verified",
     ))
 
@@ -996,14 +1070,11 @@ def _build_registry() -> list[IdentityRecord]:
         rhs=lambda m: sum(
             a_s(2 * i, 2 * i, m - 3 * i) for i in range(m // 3 + 1)
         ),
-        domain=lambda g: ((m,) for m in range(1, g.limit + 1)),
+        domain=_rows(_fmt_limit, start=1),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(-(2m-1),2) = sum_i a_{2i}(2i, m-3i)",
             lhs=lambda m: neg_fibonacci_k(-(2 * m - 1), 2),
-            rhs=lambda m: sum(
-                a_s(2 * i, 2 * i, m - 3 * i) for i in range(m // 3 + 1)
-            ),
         ),
         notes="the index on the left is off by one",
     ))
@@ -1017,7 +1088,7 @@ def _build_registry() -> list[IdentityRecord]:
             (-1) ** (i + 1) * a_s(2 * i + 1, 2 * i + 1, m - (3 * i + 1))
             for i in range((m - 1) // 3 + 1)
         ),
-        domain=lambda g: ((m,) for m in range(1, g.limit + 1)),
+        domain=_rows(_fmt_limit, start=1),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(-2m,2) = - sum_i a_{2i+1}(2i+1, m-(3i+1))",
@@ -1039,7 +1110,6 @@ def _build_registry() -> list[IdentityRecord]:
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(n,2) = (-1)^(n+1) F(-n,2) for n < 0",
-            lhs=lambda n: neg_fibonacci_k(n, 2),
             rhs=lambda n: (-1) ** (n + 1) * fibonacci_k(-n, 2),
         ),
         notes="negatively indexed classical Fibonacci numbers alternate in"
@@ -1078,7 +1148,6 @@ def _build_registry() -> list[IdentityRecord]:
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="F(n,k,r) = sum_{j=1..n} F(n+1-j,k,r-1) F(j,k)",
-            lhs=lambda n, k, r: fibonacci_k_conv(n, k, r),
             rhs=lambda n, k, r: sum(
                 fibonacci_k_conv(n + 1 - j, k, r - 1) * fibonacci_k(j, k)
                 for j in range(1, n + 1)
@@ -1091,8 +1160,8 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="bounded-white-recurrence",
         citation="a(r,n,k) = sum_{j=1..k} a(r,n-j,k) for all n,k,r >= 0",
-        lhs=lambda r, n, k: a_k(r, n, k),
-        rhs=lambda r, n, k: sum(a_k(r, n - j, k) for j in range(1, k + 1)),
+        lhs=a_k,
+        rhs=_bounded_white_stated,
         domain=lambda g: (
             (r, n, k)
             for k in range(1, 5)
@@ -1103,22 +1172,14 @@ def _build_registry() -> list[IdentityRecord]:
         corrected=CorrectedForm(
             citation="a(0,n,k) = sum_{j=1..k} a(0,n-j,k) for n >= 1",
             lhs=lambda r, n, k: a_k(0, n, k),
-            rhs=lambda r, n, k: sum(a_k(0, n - j, k) for j in range(1, k + 1)),
+            rhs=lambda r, n, k: _bounded_white_stated(0, n, k),
         ),
         probe=ProbeSpec(
-            oracle=lambda r, n, k: orc.count_tilings(
-                r, n, orc.TilingFilter(max_white_len=k)
-            ),
+            oracle=_tilings_max_white,
             oracle_label="exhaustive tiling enumeration with white lengths <= k",
             candidates=(
-                ProbeCandidate(
-                    "stated recurrence",
-                    lambda r, n, k: sum(a_k(r, n - j, k) for j in range(1, k + 1)),
-                ),
-                ProbeCandidate(
-                    "convolution of bounded-part counts",
-                    lambda r, n, k: a_k(r, n, k),
-                ),
+                ProbeCandidate("stated recurrence", _bounded_white_stated),
+                ProbeCandidate("convolution of bounded-part counts", a_k),
             ),
         ),
         notes="a red placed first is not reachable by removing a white tile;"
@@ -1129,9 +1190,7 @@ def _build_registry() -> list[IdentityRecord]:
         id="bounded-white-tilings",
         citation="a(r,n,k) = #{(n+r)-tilings with white lengths 1..k}"
                  " = F(n+1,k,r)",
-        lhs=lambda r, n, k: orc.count_tilings(
-            r, n, orc.TilingFilter(max_white_len=k)
-        ),
+        lhs=_tilings_max_white,
         rhs=lambda r, n, k: a_k(r, n, k),
         domain=lambda g: (
             (r, total - r, k)
@@ -1142,16 +1201,12 @@ def _build_registry() -> list[IdentityRecord]:
         expected="verified",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda r, k: ser.gf_bounded_two_tone(r, k),
-        lambda r, k: (lambda i: a_k(r, i, k)),
-    )
     add(IdentityRecord(
         id="gf-bounded-white",
         citation="sum_n a(r,n,k) x^n = ((1-x)/(1-2x+x^(k+1)))^(r+1)",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(lambda g: (
+        lhs=_gf_row(ser.gf_bounded_two_tone),
+        rhs=_seq_row(lambda r, k, i: a_k(r, i, k)),
+        domain=_with_order(lambda g: (
             (r, k) for r in range(g.limit // 2 + 1) for k in range(1, 7)
         )),
         expected="verified",
@@ -1194,11 +1249,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="L(n,k) = sum_{j>=1} (-1)^(j-1) a(j, n-jk)",
         lhs=lambda n, k: _oracle_at_least(n, k, None, 1),
         rhs=lambda n, k: cs.L(n, k),
-        domain=lambda g: (
-            (n, k)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-        ),
+        domain=_triangle(_orc_limit),
         expected="verified",
     ))
 
@@ -1207,12 +1258,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="L(n,m,k) = sum_{j>=1} (-1)^(j-1) F(n+1-jm, k, j)",
         lhs=lambda n, m, k: _oracle_at_least(n, m, k, 1),
         rhs=lambda n, m, k: cs.L_restricted(n, m, k),
-        domain=lambda g: (
-            (n, m, k)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-            for m in range(1, k + 1)
-        ),
+        domain=_parts(_orc_limit),
         expected="verified",
     ))
 
@@ -1221,13 +1267,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="L_p(n,m,k) = sum_{j>=p} (-1)^(j-p) C(j-1,p-1) F(n+1-jm, k, j)",
         lhs=lambda n, m, k, p: _oracle_at_least(n, m, k, p),
         rhs=lambda n, m, k, p: cs.L_p(n, m, k, p),
-        domain=lambda g: (
-            (n, m, k, p)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-            for m in range(1, k + 1)
-            for p in range(1, n // m + 2)
-        ),
+        domain=_parts(_orc_limit, p_from=1),
         expected="verified",
     ))
 
@@ -1236,13 +1276,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="E_p(n,m,k) = sum_{j>=p} (-1)^(j-p) C(j,p) F(n+1-jm, k, j)",
         lhs=lambda n, m, k, p: _oracle_exactly(n, m, k, p),
         rhs=lambda n, m, k, p: cs.E_p(n, m, k, p),
-        domain=lambda g: (
-            (n, m, k, p)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-            for m in range(1, k + 1)
-            for p in range(0, n // m + 2)
-        ),
+        domain=_parts(_orc_limit, p_from=0),
         expected="verified",
     ))
 
@@ -1251,13 +1285,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="E_p(n,m,k) = L_p(n,m,k) - L_{p+1}(n,m,k)",
         lhs=lambda n, m, k, p: cs.E_p(n, m, k, p),
         rhs=lambda n, m, k, p: cs.L_p(n, m, k, p) - cs.L_p(n, m, k, p + 1),
-        domain=lambda g: (
-            (n, m, k, p)
-            for n in range(1, g.limit + 1)
-            for k in range(1, n + 1)
-            for m in range(1, k + 1)
-            for p in range(1, n // m + 2)
-        ),
+        domain=_parts(_fmt_limit, p_from=1),
         expected="verified",
     ))
 
@@ -1265,28 +1293,17 @@ def _build_registry() -> list[IdentityRecord]:
         id="part-occurrences-headline",
         citation="S(n,k) = 2^(n-2) (n+1) for 1 <= k < n",
         lhs=lambda n, k: orc.part_occurrences(n, k),
-        rhs=lambda n, k: (
-            lambda v: v.numerator if v.denominator == 1 else Defect(str(v))
-        )(Fraction(2) ** (n - 2) * (n + 1)),
-        domain=lambda g: (
-            (n, k) for n in range(2, g.oracle_limit + 1) for k in range(1, n)
-        ),
+        rhs=_stated_headline,
+        domain=_triangle(_orc_limit, strict=True),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="S(n,k) = a(1, n-k)",
-            lhs=lambda n, k: orc.part_occurrences(n, k),
             rhs=lambda n, k: cs.S(n, k),
         ),
         probe=ProbeSpec(
-            oracle=lambda n, k: orc.part_occurrences(n, k),
             oracle_label="occurrences of k counted over every composition of n",
             candidates=(
-                ProbeCandidate(
-                    "stated headline 2^(n-2)(n+1)",
-                    lambda n, k: (
-                        lambda v: v.numerator if v.denominator == 1 else Defect(str(v))
-                    )(Fraction(2) ** (n - 2) * (n + 1)),
-                ),
+                ProbeCandidate("stated headline 2^(n-2)(n+1)", _stated_headline),
                 ProbeCandidate("a(1, n-k)", lambda n, k: a(1, n - k)),
                 ProbeCandidate(
                     "total parts over all compositions (what the headline"
@@ -1303,12 +1320,8 @@ def _build_registry() -> list[IdentityRecord]:
         id="part-occurrences-shifted-power",
         citation="S(n,k) = 2^(n-k-2) (n-k+3) for 1 <= k < n",
         lhs=lambda n, k: orc.part_occurrences(n, k),
-        rhs=lambda n, k: (
-            lambda v: v.numerator if v.denominator == 1 else Defect(str(v))
-        )(Fraction(2) ** (n - k - 2) * (n - k + 3)),
-        domain=lambda g: (
-            (n, k) for n in range(2, g.oracle_limit + 1) for k in range(1, n)
-        ),
+        rhs=lambda n, k: _integral(Fraction(2) ** (n - k - 2) * (n - k + 3)),
+        domain=_triangle(_orc_limit, strict=True),
         expected="verified",
     ))
 
@@ -1317,9 +1330,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="S(n,k) = a(1, n-k)",
         lhs=lambda n, k: orc.part_occurrences(n, k),
         rhs=lambda n, k: cs.S(n, k),
-        domain=lambda g: (
-            (n, k) for n in range(1, g.oracle_limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_orc_limit),
         expected="verified",
     ))
 
@@ -1328,12 +1339,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="r(n,j,{k}) = F(n+1-j,k,1) - F(n+1-2j,k,1)",
         lhs=lambda n, j, k: _oracle_runs_of_value(n, j, k),
         rhs=lambda n, j, k: cs.runs_restricted(n, j, k),
-        domain=lambda g: (
-            (n, j, k)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-            for j in range(1, k + 1)
-        ),
+        domain=_parts(_orc_limit),
         expected="verified",
     ))
 
@@ -1344,15 +1350,10 @@ def _build_registry() -> list[IdentityRecord]:
         rhs=lambda n, k: sum(
             fibonacci_k_conv(n - 2 * j, k, 1) for j in range((n - 1) // 2 + 1)
         ),
-        domain=lambda g: (
-            (n, k)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-        ),
+        domain=_triangle(_orc_limit),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="r(n,{k}) = sum_{j=1..k} (F(n+1-j,k,1) - F(n+1-2j,k,1))",
-            lhs=lambda n, k: _oracle_total_runs(n, k),
             rhs=lambda n, k: cs.total_runs_restricted(n, k),
         ),
         notes="the telescoped form only survives when k >= n; for k < n the"
@@ -1367,25 +1368,19 @@ def _build_registry() -> list[IdentityRecord]:
         rhs=lambda n, k: 2 * _count_avoid(n - 1, k)
         + _count_avoid(n - k - 1, k)
         - _count_avoid(n - k, k),
-        domain=lambda g: (
-            (n, k)
-            for n in range(2, g.oracle_limit + 1)
-            for k in range(1, g.oracle_limit + 1)
-        ),
+        domain=_pairs(_orc_limit, 2, 1),
         expected="verified",
         notes="the empty composition makes n = 1 a degenerate case, so the"
               " registry domain starts at n = 2",
     ))
 
-    gf_lhs, gf_rhs, gf_dom = _series_row_check(
-        lambda k: ser.gf_avoid_part(k), lambda k: (lambda i: cs.C_hat(i, k))
-    )
+    c_hat_row = _seq_row(lambda k, i: cs.C_hat(i, k))
     add(IdentityRecord(
         id="gf-avoid-part",
         citation="sum_n C(n,k^) x^n = (1-x)/(1-2x+x^k-x^(k+1))",
-        lhs=gf_lhs,
-        rhs=gf_rhs,
-        domain=gf_dom(_rows(_fmt_limit, start=1)),
+        lhs=_gf_row(ser.gf_avoid_part),
+        rhs=c_hat_row,
+        domain=_with_order(_rows(_fmt_limit, start=1)),
         expected="verified",
     ))
 
@@ -1394,9 +1389,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C(n,k^) = C(n) - L(n,k)",
         lhs=lambda n, k: cs.C_hat(n, k),
         rhs=lambda n, k: a(0, n) - cs.L(n, k),
-        domain=lambda g: (
-            (n, k) for n in range(1, 2 * g.limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_twice_limit),
         expected="verified",
     ))
 
@@ -1405,24 +1398,15 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C(n,k^) = sum_{j>=0} (-1)^j a(j, n-jk)",
         lhs=lambda n, k: _count_avoid(n, k),
         rhs=lambda n, k: cs.C_hat(n, k),
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 1)
-            for k in range(1, g.oracle_limit + 1)
-        ),
+        domain=_pairs(_orc_limit, second_from=1),
         expected="verified",
     ))
 
     add(IdentityRecord(
         id="gf-allowed-parts",
         citation="sum_n C_S(n) x^n = 1/(1 - sum_{s in S} x^s)",
-        lhs=lambda parts, order: tuple(
-            ser.expand(ser.gf_allowed_parts(parts), order).coeffs
-        ),
-        rhs=lambda parts, order: tuple(
-            Fraction(orc.count_compositions(i, allowed_parts=parts))
-            for i in range(order + 1)
-        ),
+        lhs=_gf_row(ser.gf_allowed_parts),
+        rhs=_seq_row(lambda parts, i: orc.count_compositions(i, allowed_parts=parts)),
         domain=lambda g: (
             (parts, g.oracle_limit + 2)
             for parts in ((1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 5), (2, 4, 5))
@@ -1444,17 +1428,12 @@ def _build_registry() -> list[IdentityRecord]:
         id="gf-avoid-part-via-geometric",
         citation="sum_n C(n,k^) x^n = 1/(1 + x^k - sum_{i>=0} x^i)",
         lhs=lambda k, order: _avoid_gf_geometric(k, order, start=0),
-        rhs=lambda k, order: tuple(
-            Fraction(cs.C_hat(i, k)) for i in range(order + 1)
-        ),
-        domain=lambda g: ((k, 2 * g.limit) for k in range(1, g.limit + 1)),
+        rhs=c_hat_row,
+        domain=_with_order(_rows(_fmt_limit, start=1)),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_n C(n,k^) x^n = 1/(1 + x^k - sum_{i>=1} x^i)",
             lhs=lambda k, order: _avoid_gf_geometric(k, order, start=1),
-            rhs=lambda k, order: tuple(
-                Fraction(cs.C_hat(i, k)) for i in range(order + 1)
-            ),
         ),
         notes="with the geometric sum starting at i = 0 the denominator"
               " loses its constant term and has no expansion at all",
@@ -1465,7 +1444,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="F(n-1,2) = sum_{j>=0} (-1)^j a(j, n-j)",
         lhs=lambda n: fibonacci_k(n - 1, 2),
         rhs=lambda n: cs.C_hat(n, 1),
-        domain=lambda g: ((n,) for n in range(1, 2 * g.limit + 1)),
+        domain=_rows(_twice_limit, start=1),
         expected="verified",
     ))
 
@@ -1484,7 +1463,6 @@ def _build_registry() -> list[IdentityRecord]:
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="C(n,k^) = 2^(n-1) - a(1, n-k) for k > n/2",
-            lhs=lambda n, k: _count_avoid(n, k),
             rhs=lambda n, k: (1 << (n - 1)) - a(1, n - k),
         ),
         notes="the subtracted term is a(1, n-k) = 2^(n-k-2) (n-k+3); the"
@@ -1535,9 +1513,6 @@ def _build_registry() -> list[IdentityRecord]:
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="C(n,1,k^) = a(1,n) - 2 a(2,n-k) + 3 a(3,n-2k) - ...",
-            lhs=lambda n, k: orc.count_tilings(
-                1, n, orc.TilingFilter(forbidden_white_len=k)
-            ),
             rhs=lambda n, k: cs.C_hat_tilings(n, 1, k),
         ),
         notes="the coefficient C(2,1) = 2 on the second term is missing",
@@ -1550,9 +1525,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C(n,<1..k>) = sum_{j=1..k} C(n-j,<1..k>)",
         lhs=lambda n, k: fibonacci_k(n + 1, k),
         rhs=lambda n, k: sum(fibonacci_k(n - j + 1, k) for j in range(1, k + 1)),
-        domain=lambda g: (
-            (n, k) for k in range(1, g.limit + 1) for n in range(1, 2 * g.limit + 1)
-        ),
+        domain=_fib_points,
         expected="verified",
     ))
 
@@ -1576,36 +1549,28 @@ def _build_registry() -> list[IdentityRecord]:
             v for (top, _m), v in _census_largest(n).items() if top == k
         ),
         rhs=lambda n, k: cs.G(n, k),
-        domain=lambda g: (
-            (n, k) for n in range(1, g.oracle_limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_orc_limit),
         expected="verified",
     ))
 
-    def _gf_largest_printed(k: int, order: int, power: int) -> tuple:
+    def _gf_largest(k: int, power: int) -> ser.RationalGF:
         num = ser.poly_mul(ser.monomial(1, power), ser.poly_pow((1, -1), 2))
         den_hi = ser.gf_bounded_parts(k).den
         den_lo = ser.gf_bounded_parts(k - 1).den if k >= 2 else (1, -1)
-        gf = ser.RationalGF.of(num, ser.poly_mul(den_hi, den_lo))
-        return tuple(ser.expand(gf, order).coeffs)
+        return ser.RationalGF.of(num, ser.poly_mul(den_hi, den_lo))
 
     add(IdentityRecord(
         id="gf-largest-part",
         citation="sum_n G(n,k) x^n = x^(k-1) (1-x)^2 /"
                  " ((1-2x+x^(k+1)) (1-2x+x^k))",
-        lhs=lambda k, order: _gf_largest_printed(k, order, k - 1),
-        rhs=lambda k, order: tuple(
-            Fraction(cs.G(i, k)) for i in range(order + 1)
-        ),
-        domain=lambda g: ((k, 2 * g.limit) for k in range(1, g.limit + 1)),
+        lhs=_gf_row(lambda k: _gf_largest(k, k - 1)),
+        rhs=_seq_row(lambda k, i: cs.G(i, k)),
+        domain=_with_order(_rows(_fmt_limit, start=1)),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_n G(n,k) x^n = x^k (1-x)^2 /"
                      " ((1-2x+x^(k+1)) (1-2x+x^k))",
-            lhs=lambda k, order: _gf_largest_printed(k, order, k),
-            rhs=lambda k, order: tuple(
-                Fraction(cs.G(i, k)) for i in range(order + 1)
-            ),
+            lhs=_gf_row(lambda k: _gf_largest(k, k)),
         ),
         notes="the numerator power is one shy: no composition of k-1 has"
               " largest part k",
@@ -1626,10 +1591,6 @@ def _build_registry() -> list[IdentityRecord]:
         corrected=CorrectedForm(
             citation="G(n+k,k) = sum_{i+j=n} F(i+1,k) F(j+1,k-1)",
             lhs=lambda n, k: cs.G(n + k, k),
-            rhs=lambda n, k: sum(
-                fibonacci_k(i + 1, k) * fibonacci_k(n - i + 1, k - 1)
-                for i in range(n + 1)
-            ),
         ),
         notes="same off-by-one as the generating function: the convolution"
               " is supported from n = k on",
@@ -1640,12 +1601,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="G(n,k,r) = F(n+1-kr, k-1, r)",
         lhs=lambda n, k, r: _census_largest(n).get((k, r), 0),
         rhs=lambda n, k, r: cs.G_exact(n, k, r),
-        domain=lambda g: (
-            (n, k, r)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-            for r in range(1, n // k + 1)
-        ),
+        domain=lambda g: _multiples(g.oracle_limit),
         expected="verified",
     ))
 
@@ -1654,9 +1610,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="G(n,k) = sum_{r>=1} G(n,k,r)",
         lhs=lambda n, k: cs.G(n, k),
         rhs=lambda n, k: sum(cs.G_exact(n, k, r) for r in range(1, n // k + 1)),
-        domain=lambda g: (
-            (n, k) for n in range(1, g.limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_fmt_limit),
         expected="verified",
     ))
 
@@ -1669,11 +1623,7 @@ def _build_registry() -> list[IdentityRecord]:
             _count_avoid(n - j * k, k) for j in range(n // k + 1)
         ),
         rhs=lambda n, k: cs.CF(n, k),
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 1)
-            for k in range(1, g.oracle_limit + 1)
-        ),
+        domain=_pairs(_orc_limit, second_from=1),
         expected="verified",
     ))
 
@@ -1684,31 +1634,24 @@ def _build_registry() -> list[IdentityRecord]:
             n, allowed_parts=set(range(1, k + 1)) | {2 * k}
         ),
         rhs=lambda n, k: cs.CF(n, k),
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 1)
-            for k in range(1, g.oracle_limit + 1)
-        ),
+        domain=_pairs(_orc_limit, second_from=1),
         expected="verified",
     ))
 
-    def _gf_frozen(k: int, order: int) -> tuple:
+    def _gf_frozen(k: int) -> ser.RationalGF:
         den = [0] * (2 * k + 1)
         den[0] = 1
         for i in range(1, k + 1):
             den[i] -= 1
         den[2 * k] -= 1
-        gf = ser.RationalGF.of((1,), den)
-        return tuple(ser.expand(gf, order).coeffs)
+        return ser.RationalGF.of((1,), den)
 
     add(IdentityRecord(
         id="gf-frozen-parts",
         citation="sum_n CF(n,k) x^n = 1/(1 - x - x^2 - ... - x^k - x^(2k))",
-        lhs=_gf_frozen,
-        rhs=lambda k, order: tuple(
-            Fraction(cs.CF(i, k)) for i in range(order + 1)
-        ),
-        domain=lambda g: ((k, 2 * g.limit) for k in range(1, g.limit + 1)),
+        lhs=_gf_row(_gf_frozen),
+        rhs=_seq_row(lambda k, i: cs.CF(i, k)),
+        domain=_with_order(_rows(_fmt_limit, start=1)),
         expected="verified",
     ))
 
@@ -1730,39 +1673,34 @@ def _build_registry() -> list[IdentityRecord]:
         citation="replacing every part j by the compositions of j multiplies"
                  " the count to a_1(2, n-1)",
         lhs=lambda n: orc.replaced_compositions_oracle(n),
-        rhs=lambda n: a_s(1, 2, n - 1),
-        domain=lambda g: ((n,) for n in range(1, g.oracle_limit + 1)),
+        rhs=_replaced_compositions_total,
+        domain=_rows(_orc_limit, start=1),
         expected="verified",
     ))
 
     add(IdentityRecord(
         id="replacement-compositions-display",
         citation="sum_{j=1..n} a_1(1,n-j) a(0,j) = a_1(2, n-1)",
-        lhs=lambda n: sum(a_s(1, 1, n - j) * a(0, j) for j in range(1, n + 1)),
-        rhs=lambda n: a_s(1, 2, n - 1),
-        domain=lambda g: ((n,) for n in range(1, 2 * g.limit + 1)),
+        lhs=_replaced_compositions_stated,
+        rhs=_replaced_compositions_total,
+        domain=_rows(_twice_limit, start=1),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_{j=1..n} a(1,n-j) a(0,j) = a_1(2, n-1)",
-            lhs=lambda n: sum(a(1, n - j) * a(0, j) for j in range(1, n + 1)),
-            rhs=lambda n: a_s(1, 2, n - 1),
+            lhs=_replaced_compositions_corrected,
         ),
         probe=ProbeSpec(
-            oracle=lambda n: orc.replaced_compositions_oracle(n),
+            oracle=orc.replaced_compositions_oracle,
             oracle_label="replace each part occurrence by all compositions"
                          " of that part and count the results",
             candidates=(
                 ProbeCandidate(
-                    "stated summand a_1(1,n-j) a(0,j)",
-                    lambda n: sum(
-                        a_s(1, 1, n - j) * a(0, j) for j in range(1, n + 1)
-                    ),
+                    "stated summand a_1(1,n-j) a(0,j)", _replaced_compositions_stated
                 ),
                 ProbeCandidate(
-                    "summand a(1,n-j) a(0,j)",
-                    lambda n: sum(a(1, n - j) * a(0, j) for j in range(1, n + 1)),
+                    "summand a(1,n-j) a(0,j)", _replaced_compositions_corrected
                 ),
-                ProbeCandidate("a_1(2, n-1)", lambda n: a_s(1, 2, n - 1)),
+                ProbeCandidate("a_1(2, n-1)", _replaced_compositions_total),
             ),
         ),
         notes="the summand needs the occurrence count a(1,n-j), not its"
@@ -1774,43 +1712,34 @@ def _build_registry() -> list[IdentityRecord]:
         citation="replacing every part j by the parts of the compositions of"
                  " j gives a_1(3, n-1) parts in total",
         lhs=lambda n: orc.replaced_parts_oracle(n),
-        rhs=lambda n: a_s(1, 3, n - 1),
-        domain=lambda g: ((n,) for n in range(1, g.oracle_limit + 1)),
+        rhs=_replaced_parts_total,
+        domain=_rows(_orc_limit, start=1),
         expected="verified",
     ))
 
     add(IdentityRecord(
         id="replacement-parts-display",
         citation="sum_{j=1..n} a(1,n-j) a_1(1,n-j) = a_1(3, n-1)",
-        lhs=lambda n: sum(a(1, n - j) * a_s(1, 1, n - j) for j in range(1, n + 1)),
-        rhs=lambda n: a_s(1, 3, n - 1),
-        domain=lambda g: ((n,) for n in range(1, 2 * g.limit + 1)),
+        lhs=_replaced_parts_stated,
+        rhs=_replaced_parts_total,
+        domain=_rows(_twice_limit, start=1),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_{j=1..n} a(1,n-j) a_1(1,j-1) = a_1(3, n-1)",
-            lhs=lambda n: sum(
-                a(1, n - j) * a_s(1, 1, j - 1) for j in range(1, n + 1)
-            ),
-            rhs=lambda n: a_s(1, 3, n - 1),
+            lhs=_replaced_parts_corrected,
         ),
         probe=ProbeSpec(
-            oracle=lambda n: orc.replaced_parts_oracle(n),
+            oracle=orc.replaced_parts_oracle,
             oracle_label="replace each part occurrence by the parts of its"
                          " compositions and count parts",
             candidates=(
                 ProbeCandidate(
-                    "stated summand a(1,n-j) a_1(1,n-j)",
-                    lambda n: sum(
-                        a(1, n - j) * a_s(1, 1, n - j) for j in range(1, n + 1)
-                    ),
+                    "stated summand a(1,n-j) a_1(1,n-j)", _replaced_parts_stated
                 ),
                 ProbeCandidate(
-                    "summand a(1,n-j) a_1(1,j-1)",
-                    lambda n: sum(
-                        a(1, n - j) * a_s(1, 1, j - 1) for j in range(1, n + 1)
-                    ),
+                    "summand a(1,n-j) a_1(1,j-1)", _replaced_parts_corrected
                 ),
-                ProbeCandidate("a_1(3, n-1)", lambda n: a_s(1, 3, n - 1)),
+                ProbeCandidate("a_1(3, n-1)", _replaced_parts_total),
             ),
         ),
         notes="the second factor is the part total E(j) = a_1(1, j-1) of the"
@@ -1822,11 +1751,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C_a(r,n) = (r+1) a_1(r+1, n-1) + r a_0(r,n)",
         lhs=lambda r, n: orc.tile_count_total(r, n),
         rhs=lambda r, n: cs.C_a(r, n),
-        domain=lambda g: (
-            (r, total - r)
-            for total in range(1, g.oracle_limit + 1)
-            for r in range(total)
-        ),
+        domain=_points_rn_sum(_orc_limit, n_from=1),
         expected="verified",
     ))
 
@@ -1837,7 +1762,7 @@ def _build_registry() -> list[IdentityRecord]:
             j * binom(r + j, r) * binom(n - 1, j - 1) for j in range(1, n + 1)
         ),
         rhs=lambda r, n: (r + 1) * a_s(1, r + 1, n - 1),
-        domain=_points_rn(_fmt_limit, n_from=1),
+        domain=_pairs(_fmt_limit, second_from=1),
         expected="verified",
     ))
 
@@ -1846,12 +1771,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C_b(n,k,p) = C(1, n-pk, k^) = E_1(n-(p-1)k, k)",
         lhs=lambda n, k, p: orc.consecutive_part_census(n, k).get(p, 0),
         rhs=lambda n, k, p: cs.C_b_exact(n, k, p),
-        domain=lambda g: (
-            (n, k, p)
-            for n in range(1, g.oracle_limit + 1)
-            for k in range(1, n + 1)
-            for p in range(1, n // k + 1)
-        ),
+        domain=lambda g: _multiples(g.oracle_limit),
         expected="verified",
         notes="p >= 1; with p = 0 the two stated aliases count different"
               " things and the statement is not meant to apply",
@@ -1862,9 +1782,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C_b(n,k) = C(n,k^) + sum_{j>=0} E_1(n-jk, k)",
         lhs=lambda n, k: sum(orc.consecutive_part_census(n, k).values()),
         rhs=lambda n, k: cs.C_b(n, k),
-        domain=lambda g: (
-            (n, k) for n in range(1, g.oracle_limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_orc_limit),
         expected="verified",
     ))
 
@@ -1876,12 +1794,7 @@ def _build_registry() -> list[IdentityRecord]:
             (-1) ** (j + 1) * j * a(j, n - k * (p + j - 1))
             for j in range(1, (n - k * (p - 1)) // k + 2)
         ),
-        domain=lambda g: (
-            (n, k, p)
-            for n in range(1, 2 * g.limit + 1)
-            for k in range(1, n + 1)
-            for p in range(1, n // k + 1)
-        ),
+        domain=lambda g: _multiples(2 * g.limit),
         expected="verified",
     ))
 
@@ -1890,11 +1803,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="C(n,[k]) = F(n+1,k) - F(n+1-k,k)",
         lhs=lambda n, k: orc.count_compositions(n, no_multiple_of=k),
         rhs=lambda n, k: cs.C_multiples(n, k),
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 1)
-            for k in range(1, g.oracle_limit + 1)
-        ),
+        domain=_pairs(_orc_limit, second_from=1),
         expected="verified",
     ))
 
@@ -1905,9 +1814,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="R(n,k) = a(1,n-k) - a(1,n-2k)",
         lhs=lambda n, k: _oracle_runs_of_value(n, k, None),
         rhs=lambda n, k: cs.R_runs(n, k),
-        domain=lambda g: (
-            (n, k) for n in range(1, g.oracle_limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_orc_limit),
         expected="verified",
     ))
 
@@ -1915,26 +1822,15 @@ def _build_registry() -> list[IdentityRecord]:
         id="runs-of-value-powers",
         citation="R(n,k) = 2^(n-k-2)(n-k+3) - 2^(n-2k-2)(n-2k+3)",
         lhs=lambda n, k: cs.R_runs(n, k),
-        rhs=lambda n, k: (
-            lambda v: v.numerator if v.denominator == 1 else Defect(str(v))
-        )(
+        rhs=lambda n, k: _integral(
             Fraction(2) ** (n - k - 2) * (n - k + 3)
             - Fraction(2) ** (n - 2 * k - 2) * (n - 2 * k + 3)
         ),
-        domain=lambda g: (
-            (n, k) for n in range(1, 2 * g.limit + 1) for k in range(1, n + 1)
-        ),
+        domain=_triangle(_twice_limit),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="R(n,k) = 2^(n-k-2)(n-k+3) - 2^(n-2k-2)(n-2k+3)"
                      " for n >= 2k+1",
-            lhs=lambda n, k: cs.R_runs(n, k),
-            rhs=lambda n, k: (
-                lambda v: v.numerator if v.denominator == 1 else Defect(str(v))
-            )(
-                Fraction(2) ** (n - k - 2) * (n - k + 3)
-                - Fraction(2) ** (n - 2 * k - 2) * (n - 2 * k + 3)
-            ),
             domain=lambda g: (
                 (n, k)
                 for n in range(1, 2 * g.limit + 1)
@@ -1950,7 +1846,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="R(n) = sum_{k>=1} a(1, n-(2k-1))",
         lhs=lambda n: _oracle_total_runs(n, None),
         rhs=lambda n: cs.R_total(n),
-        domain=lambda g: ((n,) for n in range(0, g.oracle_limit + 1)),
+        domain=_rows(_orc_limit),
         expected="verified",
     ))
 
@@ -1959,7 +1855,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="E(n) = R(n) + R(n-1)",
         lhs=lambda n: cs.E_total(n),
         rhs=lambda n: cs.R_total(n) + cs.R_total(n - 1),
-        domain=lambda g: ((n,) for n in range(1, 2 * g.limit + 1)),
+        domain=_rows(_twice_limit, start=1),
         expected="verified",
     ))
 
@@ -1967,10 +1863,8 @@ def _build_registry() -> list[IdentityRecord]:
         id="parts-total-closed-form",
         citation="E(n) = (n+1) 2^(n-2) = a_1(1, n-1)",
         lhs=lambda n: orc.total_parts(n),
-        rhs=lambda n: (
-            lambda v: v.numerator if v.denominator == 1 else Defect(str(v))
-        )(Fraction(2) ** (n - 2) * (n + 1)),
-        domain=lambda g: ((n,) for n in range(1, g.oracle_limit + 1)),
+        rhs=lambda n: _integral(Fraction(2) ** (n - 2) * (n + 1)),
+        domain=_rows(_orc_limit, start=1),
         expected="verified",
     ))
 
@@ -1979,12 +1873,7 @@ def _build_registry() -> list[IdentityRecord]:
         citation="R(n,k,l) = a(1,n-kl) - 2 a(1,n-(l+1)k) + a(1,n-(l+2)k)",
         lhs=lambda n, k, l: _census_runs(n, None).get((k, l), 0),
         rhs=lambda n, k, l: cs.R_length_formula(n, k, l),
-        domain=lambda g: (
-            (n, k, l)
-            for n in range(1, g.runs_bound + 1)
-            for k in range(1, n + 1)
-            for l in range(1, n // k + 1)
-        ),
+        domain=lambda g: _multiples(g.runs_bound),
         expected="conjecture",
         bound_doc=lambda g: {"n": g.runs_bound, "domain": "1 <= k, l, kl <= n"},
     ))
@@ -1994,20 +1883,13 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="gf-pell",
         citation="sum_n P(n) x^n = 1/(1-2x-x^2)",
-        lhs=lambda order: tuple(
-            ser.expand(ser.RationalGF.of((1,), (1, -2, -1)), order).coeffs
-        ),
-        rhs=lambda order: tuple(Fraction(pell(i)) for i in range(order + 1)),
+        lhs=_gf_row(lambda: ser.RationalGF.of((1,), (1, -2, -1))),
+        rhs=_seq_row(pell),
         domain=lambda g: ((2 * g.limit,),),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_n P(n+1) x^n = 1/(1-2x-x^2)",
-            lhs=lambda order: tuple(
-                ser.expand(ser.RationalGF.of((1,), (1, -2, -1)), order).coeffs
-            ),
-            rhs=lambda order: tuple(
-                Fraction(pell(i + 1)) for i in range(order + 1)
-            ),
+            rhs=_seq_row(lambda i: pell(i + 1)),
         ),
         notes="1/(1-2x-x^2) carries constant term 1 while P(0) = 0; the"
               " expansion lists P(n+1)",
@@ -2018,12 +1900,11 @@ def _build_registry() -> list[IdentityRecord]:
         citation="P(n) = sum_{i>=0} a_{2i}(2i+1, n-4i)",
         lhs=lambda n: pell(n),
         rhs=_pell_tiling_sum,
-        domain=lambda g: ((n,) for n in range(0, 2 * g.limit + 1)),
+        domain=_rows(_twice_limit),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="P(n+1) = sum_{i>=0} a_{2i}(2i+1, n-4i)",
             lhs=lambda n: pell(n + 1),
-            rhs=_pell_tiling_sum,
         ),
         notes="off by one, matching the shift in the generating function",
     ))
@@ -2036,26 +1917,20 @@ def _build_registry() -> list[IdentityRecord]:
                  " m(2r+1,2n) = a_0(r,n); m(2r,2n+1) = 0",
         lhs=lambda r, n: orc.count_palindromic_tilings(r, n),
         rhs=_printed_case_split_m,
-        domain=lambda g: (
-            (r, n)
-            for r in range(0, g.oracle_limit + 1)
-            for n in range(0, g.oracle_limit + 1)
-        ),
+        domain=_pairs(_orc_limit),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="m(2p,N) = a_1(p, floor(N/2)); m(2p+1,2v) = a_0(p,v);"
                      " m(2p+1,2v+1) = 0",
-            lhs=lambda r, n: orc.count_palindromic_tilings(r, n),
-            rhs=lambda r, n: cs.m_pal(r, n),
+            rhs=cs.m_pal,
         ),
         probe=ProbeSpec(
-            oracle=lambda r, n: orc.count_palindromic_tilings(r, n),
             oracle_label="exhaustive palindromic tiling enumeration",
             candidates=(
                 ProbeCandidate("stated case split", _printed_case_split_m),
                 ProbeCandidate(
                     "case split from the argument parity of the whole strip",
-                    lambda r, n: cs.m_pal(r, n),
+                    cs.m_pal,
                 ),
             ),
         ),
@@ -2072,7 +1947,7 @@ def _build_registry() -> list[IdentityRecord]:
             _count_pal_avoid(2 * n + 1, None),
         ),
         rhs=lambda n: (a_s(1, 0, n), a_s(1, 0, n)),
-        domain=lambda g: ((n,) for n in range(0, g.oracle_limit + 1)),
+        domain=_rows(_orc_limit),
         expected="verified",
     ))
 
@@ -2081,19 +1956,13 @@ def _build_registry() -> list[IdentityRecord]:
         citation="Pal(n,k^) = sum_{j>=0} (-1)^j m(j, n-2j)",
         lhs=lambda n, k: _count_pal_avoid(n, k),
         rhs=_pal_avoid_printed,
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 3)
-            for k in range(1, n + 2)
-        ),
+        domain=_pal_points,
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n,k^) = sum_{j>=0} (-1)^ceil(j/2) m(j, n-jk)",
-            lhs=lambda n, k: _count_pal_avoid(n, k),
-            rhs=lambda n, k: cs.pal_hat(n, k),
+            rhs=cs.pal_hat,
         ),
         probe=ProbeSpec(
-            oracle=lambda n, k: _count_pal_avoid(n, k),
             oracle_label="exhaustive palindromic composition enumeration",
             candidates=(
                 ProbeCandidate("stated summand m(j, n-2j)", _pal_avoid_printed),
@@ -2101,8 +1970,7 @@ def _build_registry() -> list[IdentityRecord]:
                     "plain alternating m(j, n-jk)", _pal_avoid_plain_alternating
                 ),
                 ProbeCandidate(
-                    "paired-insertion sign (-1)^ceil(j/2) m(j, n-jk)",
-                    lambda n, k: cs.pal_hat(n, k),
+                    "paired-insertion sign (-1)^ceil(j/2) m(j, n-jk)", cs.pal_hat
                 ),
             ),
         ),
@@ -2117,21 +1985,14 @@ def _build_registry() -> list[IdentityRecord]:
                  " for n, k of equal parity",
         lhs=lambda n, k: _count_pal_avoid(n, k),
         rhs=_pal_avoid_same_parity_printed,
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 3)
-            for k in range(1, n + 2)
-            if (n - k) % 2 == 0
-        ),
+        domain=lambda g: ((n, k) for n, k in _pal_points(g) if (n - k) % 2 == 0),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n,k^) = sum_j (-1)^j (a_1(j, floor((n-2jk)/2))"
                      " - a(j, (n-(2j+1)k)/2)) for n, k of equal parity",
-            lhs=lambda n, k: _count_pal_avoid(n, k),
             rhs=_pal_avoid_same_parity_corrected,
         ),
         probe=ProbeSpec(
-            oracle=lambda n, k: _count_pal_avoid(n, k),
             oracle_label="exhaustive palindromic composition enumeration",
             candidates=(
                 ProbeCandidate(
@@ -2154,21 +2015,14 @@ def _build_registry() -> list[IdentityRecord]:
                  " for n, k of different parity",
         lhs=lambda n, k: _count_pal_avoid(n, k),
         rhs=_pal_avoid_diff_parity_printed,
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 3)
-            for k in range(1, n + 2)
-            if (n - k) % 2 == 1
-        ),
+        domain=lambda g: ((n, k) for n, k in _pal_points(g) if (n - k) % 2 == 1),
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n,k^) = sum_{j>=0} (-1)^j a_1(j, floor((n-2jk)/2))"
                      " for n, k of different parity",
-            lhs=lambda n, k: _count_pal_avoid(n, k),
             rhs=_pal_avoid_diff_parity_corrected,
         ),
         probe=ProbeSpec(
-            oracle=lambda n, k: _count_pal_avoid(n, k),
             oracle_label="exhaustive palindromic composition enumeration",
             candidates=(
                 ProbeCandidate(
@@ -2190,16 +2044,11 @@ def _build_registry() -> list[IdentityRecord]:
                  " (m(2j-1, n-(2j-1)k) + m(2j, 2jk))",
         lhs=lambda n, k: cs.pal(n) - _count_pal_avoid(n, k),
         rhs=_pal_with_part_printed,
-        domain=lambda g: (
-            (n, k)
-            for n in range(0, g.oracle_limit + 3)
-            for k in range(1, n + 2)
-        ),
+        domain=_pal_points,
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n) - Pal(n,k^) = sum_{j>=1} (-1)^(j-1)"
                      " (m(2j-1, n-(2j-1)k) + m(2j, n-2jk))",
-            lhs=lambda n, k: cs.pal(n) - _count_pal_avoid(n, k),
             rhs=_pal_with_part_corrected,
         ),
         notes="the second summand must deplete n; as stated it grows with j"

@@ -401,6 +401,23 @@ def _iter_compositions(
             yield (first,) + rest
 
 
+def _check_composition_args(
+    n: int, allowed_parts: Iterable[int] | None, no_multiple_of: int | None
+) -> tuple[int, ...] | None:
+    """Reject arguments no composition walk can honour; return the allowed
+    parts as a sorted tuple (or None)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if no_multiple_of is not None and no_multiple_of < 1:
+        raise ValueError("no_multiple_of must be positive")
+    if allowed_parts is None:
+        return None
+    allowed = tuple(sorted(set(allowed_parts)))
+    if any(p < 1 for p in allowed):
+        raise ValueError("allowed parts must be positive")
+    return allowed
+
+
 def enumerate_compositions(
     n: int,
     *,
@@ -411,13 +428,7 @@ def enumerate_compositions(
     ceiling: int | None = DEFAULT_CEILING,
 ) -> list[Composition]:
     """Compositions of ``n`` under one optional constraint, in lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    allowed = None
-    if allowed_parts is not None:
-        allowed = tuple(sorted(set(allowed_parts)))
-        if any(p < 1 for p in allowed):
-            raise ValueError("allowed parts must be positive")
+    allowed = _check_composition_args(n, allowed_parts, no_multiple_of)
     out: list[Composition] = []
     for comp in _iter_compositions(
         n, max_part, forbidden_part, allowed, no_multiple_of
@@ -436,9 +447,7 @@ def count_compositions(
     no_multiple_of: int | None = None,
     ceiling: int | None = DEFAULT_CEILING,
 ) -> int:
-    allowed = None
-    if allowed_parts is not None:
-        allowed = tuple(sorted(set(allowed_parts)))
+    allowed = _check_composition_args(n, allowed_parts, no_multiple_of)
     total = 0
     for _ in _iter_compositions(
         n, max_part, forbidden_part, allowed, no_multiple_of

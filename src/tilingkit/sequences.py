@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-Tableau = dict
-
 
 class NonIntegerResultError(ArithmeticError):
     """A closed form produced a non-integer value outside its validity domain."""
@@ -40,7 +38,7 @@ def _require_integer(value: Fraction, what: str) -> int:
 
 # -- a(r, n): tilings with r red unit squares and white total n --------------
 
-_A: Tableau = {}
+_A: dict = {}
 
 
 def a(r: int, n: int) -> int:
@@ -93,7 +91,7 @@ def a_explicit(r: int, n: int) -> int:
 
 # -- a_s(r, n): cumulative sums / suffix-white tilings ------------------------
 
-_AS: Tableau = {}
+_AS: dict = {}
 
 
 def a_s(s: int, r: int, n: int) -> int:
@@ -195,7 +193,7 @@ def neg_fibonacci_k(n: int, k: int) -> int:
     return table[n]
 
 
-_AK: Tableau = {}
+_AK: dict = {}
 
 
 def a_k(r: int, n: int, k: int) -> int:

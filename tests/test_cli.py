@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,12 @@ class TestSeq:
         assert code == 2
         assert "--r" in err
 
+    def test_undeclared_parameter_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "seq", "a", "--r", "1", "--range", "0..3",
+                    "--l", "5")
+        assert exc.value.code == 2
+
 
 class TestTable:
     def test_reference_grid_csv(self, capsys):
@@ -170,6 +177,23 @@ class TestVerify:
         doc = json.loads(target.read_text())
         assert doc["records"][0]["id"] == "pell-from-tilings"
 
+    def test_filter_matching_nothing_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--scale", "small",
+                                 "--filter", "nomatch")
+        assert code == 2
+        assert out == ""
+        assert "no record id matches 'nomatch'" in err
+
+    def test_small_report_digest(self, capsys, tmp_path):
+        # Refactors of the registry must leave the report byte-identical.
+        target = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "--scale", "small", "--quiet",
+                             "--out", str(target))
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "7616d81678631d31a0b1622513d93dc49cb25aba61531d582e8ac445d032a2a3"
+        )
+
     def test_corrupted_registry_fails_with_exit_1(self, capsys, monkeypatch):
         broken = identities.IdentityRecord(
             id="zz-corrupted",
@@ -225,3 +249,25 @@ class TestOracleCommand:
                                "--count-only")
         assert code == 0
         assert out.strip() == "56"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("compositions", "--n", "-1"), "n must be nonnegative"),
+        (("compositions", "--n", "5", "--allowed", "x"), "--allowed"),
+        (("compositions", "--n", "5", "--allowed", "0", "--count-only"),
+         "allowed parts must be positive"),
+        (("compositions", "--n", "5", "--no-multiple-of", "0", "--count-only"),
+         "no_multiple_of must be positive"),
+        (("tilings", "--n", "3", "--max-white", "0"), "max_white_len"),
+    ])
+    def test_invalid_input_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_bad_ceiling_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TILINGKIT_ORACLE_CEILING", "abc")
+        code, _, err = run_cli(capsys, "oracle", "tilings", "--n", "2")
+        assert code == 2
+        assert "TILINGKIT_ORACLE_CEILING" in err

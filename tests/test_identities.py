@@ -203,3 +203,26 @@ class TestNegativeControl:
         assert result.counterexample == {
             "point": [0, 0], "lhs": "1", "rhs": "2",
         }
+
+    def test_corrected_form_defaults_to_the_record_lhs(self):
+        # The corrected form states only its rhs; the "lhs" of its
+        # counterexample shows the record's own lhs was evaluated.
+        broken = ident.IdentityRecord(
+            id="negative-control-corrected",
+            citation="a(r,n) = a(r,n) + 1",
+            lhs=lambda r, n: ident.a(r, n),
+            rhs=lambda r, n: ident.a(r, n) + 1,
+            domain=lambda g: ((r, n) for r in range(3) for n in range(3)),
+            expected="fails-as-printed",
+            corrected=ident.CorrectedForm(
+                citation="a(r,n) = a(r,n) + 2",
+                rhs=lambda r, n: ident.a(r, n) + 2,
+            ),
+        )
+        result = ident.evaluate_record(broken, ident.SCALES["small"])
+        assert result.status == "mismatch"
+        assert not result.matches_expected
+        assert result.corrected_citation == "a(r,n) = a(r,n) + 2"
+        assert result.corrected_counterexample == {
+            "point": [0, 0], "lhs": "1", "rhs": "3",
+        }

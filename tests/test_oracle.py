@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +149,16 @@ class TestCompositions:
         comps = enumerate_compositions(4, no_multiple_of=2)
         assert set(comps) == {(3, 1), (1, 3), (1, 1, 1, 1)}
 
+    @pytest.mark.parametrize("walk", [orc.count_compositions, enumerate_compositions])
+    @pytest.mark.parametrize("n, kwargs, message", [
+        (5, {"allowed_parts": [0]}, "allowed parts must be positive"),
+        (-1, {}, "n must be nonnegative"),
+        (5, {"no_multiple_of": 0}, "no_multiple_of must be positive"),
+    ])
+    def test_invalid_arguments_are_rejected(self, walk, n, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            walk(n, **kwargs)
+
     def test_max_part_counts_are_step_fibonacci(self):
         from tilingkit.sequences import fibonacci_k
 
@@ -225,3 +238,18 @@ class TestPalindromicCompositions:
             assert len(set(pals)) == len(pals)
             assert all(c == c[::-1] and (sum(c) == n) for c in pals)
             assert len(pals) == 2 ** (n // 2)
+
+
+def test_oracle_imports_no_formula_module():
+    # An oracle count must never consult a formula, so the enumeration module
+    # stays independent of the formula side.
+    tree = ast.parse(Path(orc.__file__).read_text(encoding="utf-8"))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    formula_side = {"sequences", "series", "compstats"}
+    assert not {name.rsplit(".", 1)[-1] for name in imported} & formula_side
