@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max", type=int, default=None,
                           help="largest allowed part (compositions)")
     p_oracle.add_argument("--forbid", type=int, default=None,
-                          help="forbidden part (compositions/palindromes)")
+                          help="forbidden part (compositions)")
     p_oracle.add_argument("--allowed", default=None, metavar="A,B,...",
                           help="comma separated allowed parts (compositions)")
     p_oracle.add_argument("--no-multiple-of", type=int, default=None)
@@ -274,8 +274,13 @@ def _cmd_verify(args: argparse.Namespace, id_filter: str | None) -> int:
         return EXIT_USAGE
     payload = json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"tilingkit {args.command}: cannot write {args.out!r}:"
+                  f" {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(payload)
     if not args.quiet:
@@ -300,29 +305,18 @@ def _oracle_ceiling() -> int | None:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     ceiling = _oracle_ceiling()
-    if args.kind == "tilings":
+    if args.kind in ("tilings", "palindromes"):
         filt = oracle.TilingFilter(
             max_white_len=args.max_white,
             forbidden_white_len=args.forbid_white,
             suffix_white_tiles=args.suffix_white,
+            palindromic=args.kind == "palindromes",
         )
         if args.count_only:
             print(oracle.count_tilings(args.r, args.n, filt, ceiling=ceiling))
             return EXIT_OK
         for tiling in oracle.enumerate_tilings(args.r, args.n, filt,
                                                ceiling=ceiling):
-            print(tiling)
-        return EXIT_OK
-    if args.kind == "palindromes":
-        if args.count_only:
-            print(oracle.count_tilings(
-                args.r, args.n, oracle.TilingFilter(palindromic=True),
-                ceiling=ceiling,
-            ))
-            return EXIT_OK
-        for tiling in oracle.enumerate_palindromic_tilings(
-            args.r, args.n, ceiling=ceiling
-        ):
             print(tiling)
         return EXIT_OK
     allowed = None

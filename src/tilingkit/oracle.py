@@ -15,34 +15,42 @@ two tilings are equal exactly when their tile sequences are equal.  A
 ``n``; the empty tuple is the single composition of 0.
 
 Internally a tiling is a tuple of integer codes, ``0`` for a red square and
-``k >= 1`` for a white tile of length ``k``.  Enumeration order is
-lexicographic on these codes (red sorts before white, shorter white before
-longer), which keeps golden outputs stable.
+``k >= 1`` for a white tile of length ``k``; a composition is a tiling with
+no red squares, its parts the white tiles.  Every object is a leaf of one
+tree whose nodes place a red square first, then each allowed white length
+in ascending order; every filter reduces, once per call, to the sorted
+tuple of allowed lengths.  One generator, :func:`_walk`, yields the leaves
+in lexicographic order (red sorts before white, shorter white before
+longer), which keeps golden outputs stable; it serves every listing and
+every census.  One counter, :func:`_count`, counts the same leaves one by
+one.  Palindromes are a walked half, an optional centre and the mirrored
+half; suffix tilings are a walked body and a tail of ``s`` white tiles.
 
-Every enumerating function takes a ``ceiling`` argument and raises
-:class:`OracleScaleError` as soon as more than ``ceiling`` objects would be
-produced.  All functions are pure; concurrent use needs no locking.
+The counter is the one guard.  A count raises :class:`OracleScaleError` as
+soon as it passes ``ceiling``, and every listing and every census is
+counted before it is walked, so a family of more than ``ceiling`` objects
+is refused before any object is built.  The functions that take no
+``ceiling`` (``count_palindromic_compositions`` and the census helpers)
+refuse past ``DEFAULT_CEILING``, read when they are called.  All
+functions are pure; concurrent use needs no locking.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
 
 Composition = tuple[int, ...]
+Codes = tuple[int, ...]
 
 
 class OracleScaleError(RuntimeError):
     """Enumeration would exceed the configured object ceiling."""
-
-
-def _guard(count: int, ceiling: int | None) -> None:
-    if ceiling is not None and count > ceiling:
-        raise OracleScaleError(
-            f"oracle scale exceeded: more than {ceiling} objects"
-        )
 
 
 @dataclass(frozen=True, order=True)
@@ -146,146 +154,187 @@ class TilingFilter:
             )
 
 
-def _white_ok(length: int, max_len: int | None, forbidden: int | None) -> bool:
-    if max_len is not None and length > max_len:
-        return False
-    return length != forbidden
+# ---------------------------------------------------------------------------
+# The tree.  A node is packed into one int, ``reds * (white + 1) + w``, so a
+# move is a subtraction: ``shift`` for a red square (code 0), ``length`` for
+# a white tile.  A node's moves are worked out when it is first expanded and
+# kept for the nodes of the same state, so memory follows the walk.
+# ---------------------------------------------------------------------------
+
+def _moves(state: int, shift: int, lengths: tuple[int, ...]) -> Codes:
+    """The codes leaving a node, in lexicographic order: red, then every
+    allowed white length that fits."""
+    reds, white = divmod(state, shift)
+    fitting = lengths[:bisect_right(lengths, white)]
+    return (0,) + fitting if reds else fitting
 
 
-def _iter_codes(
-    reds: int, white: int, max_len: int | None, forbidden: int | None
-) -> Iterator[tuple[int, ...]]:
-    # Recursive, lexicographic: red (code 0) first, then whites ascending.
-    if reds == 0 and white == 0:
-        yield ()
-        return
-    if reds:
-        for rest in _iter_codes(reds - 1, white, max_len, forbidden):
-            yield (0,) + rest
-    top = white if max_len is None else min(white, max_len)
-    for length in range(1, top + 1):
-        if length == forbidden:
-            continue
-        for rest in _iter_codes(reds, white - length, max_len, forbidden):
-            yield (length,) + rest
-
-
-def _count_codes(
-    reds: int,
-    white: int,
-    max_len: int | None,
-    forbidden: int | None,
-    ceiling: int | None,
-) -> int:
-    # Iterative leaf count over the same tree _iter_codes walks.  States are
-    # packed into single ints so the hot loop touches nothing heavier.
-    if reds < 0 or white < 0:
-        return 0
+def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
+    """Every tiling with ``reds`` red squares and white tiles of the given
+    ``lengths`` totalling ``white``, in lexicographic order of codes."""
     shift = white + 1
-    total = 0
-    stack = [reds * shift + white]
+    rows: dict[int, list[tuple[int, int]]] = {}
+    stack: list[tuple[Codes, int]] = [((), reds * shift + white)]
     pop = stack.pop
     push = stack.append
     while stack:
-        state = pop()
-        if state == 0:
-            total += 1
-            if ceiling is not None and total > ceiling:
-                raise OracleScaleError(
-                    f"oracle scale exceeded: more than {ceiling} objects"
-                )
+        codes, state = pop()
+        if not state:
+            yield codes
             continue
-        w = state % shift
-        if state >= shift:
-            push(state - shift)
-        top = w if max_len is None or max_len > w else max_len
-        if forbidden is None:
-            for length in range(1, top + 1):
-                push(state - length)
-        else:
-            for length in range(1, top + 1):
-                if length != forbidden:
-                    push(state - length)
-    return total
+        row = rows.get(state)
+        if row is None:
+            # Largest code first: the stack pops the last pair first.
+            row = rows[state] = [(code, state - (code or shift)) for code
+                                 in reversed(_moves(state, shift, lengths))]
+        for code, child in row:
+            push((codes + (code,), child))
 
 
-def _iter_suffix_codes(
+def _count(
     reds: int,
     white: int,
-    s: int,
-    max_len: int | None,
-    forbidden: int | None,
-) -> Iterator[tuple[int, ...]]:
-    # Body with any mix of tiles, followed by exactly s white tiles.
-    if s == 0:
-        yield from _iter_codes(reds, white, max_len, forbidden)
-        return
-    for tail_total in range(s, white + 1):
-        for tail in _iter_exact_parts(tail_total, s, max_len, forbidden):
-            for body in _iter_codes(reds, white - tail_total, max_len, forbidden):
-                yield body + tail
-
-
-def _iter_exact_parts(
-    total: int, parts: int, max_len: int | None, forbidden: int | None
-) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    top = total - parts + 1 if max_len is None else min(total - parts + 1, max_len)
-    for first in range(1, top + 1):
-        if first == forbidden:
-            continue
-        for rest in _iter_exact_parts(total - first, parts - 1, max_len, forbidden):
-            yield (first,) + rest
-
-
-def _count_suffix(
-    reds: int,
-    white: int,
-    s: int,
-    max_len: int | None,
-    forbidden: int | None,
+    lengths: tuple[int, ...],
     ceiling: int | None,
+    seen: int = 0,
 ) -> int:
-    if s == 0:
-        return _count_codes(reds, white, max_len, forbidden, ceiling)
-    total = 0
-    for tail_total in range(s, white + 1):
-        for _tail in _iter_exact_parts(tail_total, s, max_len, forbidden):
-            total += _count_codes(
-                reds,
-                white - tail_total,
-                max_len,
-                forbidden,
-                None if ceiling is None else ceiling - total,
-            )
-            _guard(total, ceiling)
-    return total
+    """Number of leaves :func:`_walk` yields, counted one by one; refuses
+    as soon as ``seen``, the objects counted before, plus that number
+    passes ``ceiling``."""
+    shift = white + 1
+    rows: dict[int, list[int]] = {}
+    total = seen
+    stack = [reds * shift + white]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        state = pop()
+        if state:
+            row = rows.get(state)
+            if row is None:
+                # The longest white tile is popped first; its subtree is the
+                # smallest, which keeps the stack short.
+                row = rows[state] = [state - (code or shift) for code
+                                     in _moves(state, shift, lengths)]
+            extend(row)
+            continue
+        total += 1
+        if ceiling is not None and total > ceiling:
+            raise OracleScaleError(
+                f"oracle scale exceeded: more than {ceiling} objects")
+    return total - seen
 
 
-def _iter_palindromic_codes(
-    reds: int, white: int, max_len: int | None, forbidden: int | None
-) -> Iterator[tuple[int, ...]]:
-    # A palindromic tile sequence is a half, an optional center tile, and the
-    # mirrored half.  Odd red counts force a red center; white pairs split the
-    # white total evenly, any remainder is a central white tile.
+# A family of objects is a sequence of blocks ``(reds, white, build)``: the
+# leaves of the walk over ``(reds, white)``, each passed through ``build``
+# (or taken as they are when ``build`` is None).
+
+Block = tuple[int, int, Callable[[Codes], Codes] | None]
+
+
+def _palindrome_blocks(
+    reds: int, white: int, lengths: tuple[int, ...]
+) -> Iterator[Block]:
+    # A palindrome is a half, an optional centre tile and the mirrored half.
+    # An odd red count forces a red centre; otherwise any white remainder
+    # is a central white tile.  The blocks are generated lazily, so a
+    # refusal stops them.
+    def mirror(centre: Codes) -> Callable[[Codes], Codes]:
+        return lambda half: half + centre + half[::-1]
+
     if reds % 2:
-        if white % 2:
-            return
-        for half in _iter_codes(reds // 2, white // 2, max_len, forbidden):
-            yield half + (0,) + half[::-1]
+        if not white % 2:
+            yield reds // 2, white // 2, mirror((0,))
         return
-    half_reds = reds // 2
+    allowed = set(lengths)
     for half_white in range(white // 2 + 1):
-        center = white - 2 * half_white
-        if center == 0:
-            for half in _iter_codes(half_reds, half_white, max_len, forbidden):
-                yield half + half[::-1]
-        elif _white_ok(center, max_len, forbidden):
-            for half in _iter_codes(half_reds, half_white, max_len, forbidden):
-                yield half + (center,) + half[::-1]
+        centre = white - 2 * half_white
+        if not centre or centre in allowed:
+            yield reds // 2, half_white, mirror((centre,) if centre else ())
+
+
+def _tails(total: int, s: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
+    """Every sequence of exactly ``s`` of the ``lengths`` summing to ``total``."""
+    stack: list[tuple[Codes, int]] = [((), total)]
+    while stack:
+        codes, rest = stack.pop()
+        left = s - len(codes)
+        if not left:
+            if not rest:
+                yield codes
+            continue
+        for length in lengths:
+            if length > rest - left + 1:
+                break
+            stack.append((codes + (length,), rest - length))
+
+
+def _suffix_blocks(
+    reds: int, white: int, s: int, lengths: tuple[int, ...]
+) -> Iterator[Block]:
+    # A body with any mix of tiles, followed by exactly s white tiles.  The
+    # blocks are generated lazily: there is one per tail.
+    def append(tail: Codes) -> Callable[[Codes], Codes]:
+        return lambda body: body + tail
+
+    return ((reds, white - total, append(tail))
+            for total in range(s, white + 1)
+            for tail in _tails(total, s, lengths))
+
+
+def _sizes(
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+) -> Iterator[tuple[Block, int]]:
+    """Each block with its number of objects, counted by :func:`_count`;
+    refuses as soon as the running total passes ``ceiling``."""
+    total = 0
+    for block in blocks:
+        size = _count(block[0], block[1], lengths, ceiling, total)
+        total += size
+        yield block, size
+
+
+def _counted(
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+) -> int:
+    """Number of objects of the blocks."""
+    return sum(size for _block, size in _sizes(blocks, lengths, ceiling))
+
+
+def _listing(
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+) -> list[Codes]:
+    """Every object of the blocks, sorted.  The blocks are counted first,
+    so a family past ``ceiling`` is refused before any object is built."""
+    full = [block for block, size in _sizes(blocks, lengths, ceiling) if size]
+    out = [leaf if build is None else build(leaf)
+           for reds, white, build in full
+           for leaf in _walk(reds, white, lengths)]
+    out.sort()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Tilings.
+# ---------------------------------------------------------------------------
+
+def _tiling_blocks(
+    r: int, n: int, filter: TilingFilter | None
+) -> tuple[Iterable[Block], tuple[int, ...]]:
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be nonnegative")
+    f = filter or TilingFilter()
+    s = f.suffix_white_tiles
+    top = n + s if f.max_white_len is None else min(n + s, f.max_white_len)
+    lengths = tuple(
+        length for length in range(1, top + 1)
+        if length != f.forbidden_white_len
+    )
+    if f.palindromic:
+        return _palindrome_blocks(r, n, lengths), lengths
+    if s:
+        return _suffix_blocks(r, n + s, s, lengths), lengths
+    return [(r, n, None)], lengths
 
 
 def enumerate_tilings(
@@ -301,26 +350,9 @@ def enumerate_tilings(
     long (white total ``n + s``) and the last ``s`` tiles are white.  The
     result is sorted lexicographically on tile codes.
     """
-    if r < 0 or n < 0:
-        raise ValueError("r and n must be nonnegative")
-    f = filter or TilingFilter()
-    if f.palindromic:
-        it: Iterable[tuple[int, ...]] = _iter_palindromic_codes(
-            r, n, f.max_white_len, f.forbidden_white_len
-        )
-    elif f.suffix_white_tiles:
-        it = _iter_suffix_codes(
-            r, n + f.suffix_white_tiles, f.suffix_white_tiles,
-            f.max_white_len, f.forbidden_white_len,
-        )
-    else:
-        it = _iter_codes(r, n, f.max_white_len, f.forbidden_white_len)
-    out: list[tuple[int, ...]] = []
-    for codes in it:
-        out.append(codes)
-        _guard(len(out), ceiling)
-    out.sort()
-    return [TwoTonedTiling.from_codes(c) for c in out]
+    blocks, lengths = _tiling_blocks(r, n, filter)
+    return [TwoTonedTiling.from_codes(c)
+            for c in _listing(blocks, lengths, ceiling)]
 
 
 def count_tilings(
@@ -335,21 +367,7 @@ def count_tilings(
     The count is produced by walking the same enumeration tree leaf by
     leaf, never by a formula, so it is usable as an independent oracle.
     """
-    if r < 0 or n < 0:
-        raise ValueError("r and n must be nonnegative")
-    f = filter or TilingFilter()
-    if f.palindromic:
-        total = 0
-        for _ in _iter_palindromic_codes(r, n, f.max_white_len, f.forbidden_white_len):
-            total += 1
-            _guard(total, ceiling)
-        return total
-    if f.suffix_white_tiles:
-        return _count_suffix(
-            r, n + f.suffix_white_tiles, f.suffix_white_tiles,
-            f.max_white_len, f.forbidden_white_len, ceiling,
-        )
-    return _count_codes(r, n, f.max_white_len, f.forbidden_white_len, ceiling)
+    return _counted(*_tiling_blocks(r, n, filter), ceiling)
 
 
 def enumerate_palindromic_tilings(
@@ -365,57 +383,36 @@ def count_palindromic_tilings(
     return count_tilings(r, n, TilingFilter(palindromic=True), ceiling=ceiling)
 
 
-def _part_range(
-    remaining: int,
-    max_part: int | None,
-    forbidden_part: int | None,
-    no_multiple_of: int | None,
-) -> Iterator[int]:
-    top = remaining if max_part is None else min(remaining, max_part)
-    for p in range(1, top + 1):
-        if p == forbidden_part:
-            continue
-        if no_multiple_of is not None and p % no_multiple_of == 0:
-            continue
-        yield p
+# ---------------------------------------------------------------------------
+# Compositions: the tilings with no red squares.
+# ---------------------------------------------------------------------------
 
-
-def _iter_compositions(
+def _part_lengths(
     n: int,
-    max_part: int | None,
-    forbidden_part: int | None,
-    allowed_parts: tuple[int, ...] | None,
-    no_multiple_of: int | None,
-) -> Iterator[Composition]:
-    if n == 0:
-        yield ()
-        return
-    if allowed_parts is not None:
-        firsts: Iterable[int] = (p for p in allowed_parts if p <= n)
-    else:
-        firsts = _part_range(n, max_part, forbidden_part, no_multiple_of)
-    for first in firsts:
-        for rest in _iter_compositions(
-            n - first, max_part, forbidden_part, allowed_parts, no_multiple_of
-        ):
-            yield (first,) + rest
-
-
-def _check_composition_args(
-    n: int, allowed_parts: Iterable[int] | None, no_multiple_of: int | None
-) -> tuple[int, ...] | None:
-    """Reject arguments no composition walk can honour; return the allowed
-    parts as a sorted tuple (or None)."""
+    max_part: int | None = None,
+    forbidden_part: int | None = None,
+    allowed_parts: Iterable[int] | None = None,
+    no_multiple_of: int | None = None,
+) -> tuple[int, ...]:
+    """The parts a composition of ``n`` may use, ascending; every given
+    constraint applies.  Rejects arguments no walk can honour."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if no_multiple_of is not None and no_multiple_of < 1:
         raise ValueError("no_multiple_of must be positive")
     if allowed_parts is None:
-        return None
-    allowed = tuple(sorted(set(allowed_parts)))
-    if any(p < 1 for p in allowed):
-        raise ValueError("allowed parts must be positive")
-    return allowed
+        parts: Sequence[int] = range(1, n + 1)
+    else:
+        parts = sorted(set(allowed_parts))
+        if parts and parts[0] < 1:
+            raise ValueError("allowed parts must be positive")
+    return tuple(
+        p for p in parts
+        if p <= n
+        and (max_part is None or p <= max_part)
+        and p != forbidden_part
+        and (no_multiple_of is None or p % no_multiple_of)
+    )
 
 
 def enumerate_compositions(
@@ -427,15 +424,10 @@ def enumerate_compositions(
     no_multiple_of: int | None = None,
     ceiling: int | None = DEFAULT_CEILING,
 ) -> list[Composition]:
-    """Compositions of ``n`` under one optional constraint, in lexicographic order."""
-    allowed = _check_composition_args(n, allowed_parts, no_multiple_of)
-    out: list[Composition] = []
-    for comp in _iter_compositions(
-        n, max_part, forbidden_part, allowed, no_multiple_of
-    ):
-        out.append(comp)
-        _guard(len(out), ceiling)
-    return out
+    """Compositions of ``n`` under the given constraints, in lexicographic order."""
+    lengths = _part_lengths(n, max_part, forbidden_part, allowed_parts,
+                            no_multiple_of)
+    return _listing([(0, n, None)], lengths, ceiling)
 
 
 def count_compositions(
@@ -447,14 +439,9 @@ def count_compositions(
     no_multiple_of: int | None = None,
     ceiling: int | None = DEFAULT_CEILING,
 ) -> int:
-    allowed = _check_composition_args(n, allowed_parts, no_multiple_of)
-    total = 0
-    for _ in _iter_compositions(
-        n, max_part, forbidden_part, allowed, no_multiple_of
-    ):
-        total += 1
-        _guard(total, ceiling)
-    return total
+    lengths = _part_lengths(n, max_part, forbidden_part, allowed_parts,
+                            no_multiple_of)
+    return _count(0, n, lengths, ceiling)
 
 
 def enumerate_palindromic_compositions(
@@ -464,32 +451,22 @@ def enumerate_palindromic_compositions(
     ceiling: int | None = DEFAULT_CEILING,
 ) -> list[Composition]:
     """Palindromic compositions of ``n``, built as half + optional center."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out: list[Composition] = []
-    for half_total in range(n // 2 + 1):
-        center = n - 2 * half_total
-        if center != 0 and center == forbidden_part:
-            continue
-        middle = (center,) if center else ()
-        for half in _iter_compositions(half_total, None, forbidden_part, None, None):
-            out.append(half + middle + half[::-1])
-            _guard(len(out), ceiling)
-    out.sort()
-    return out
+    lengths = _part_lengths(n, forbidden_part=forbidden_part)
+    return _listing(_palindrome_blocks(0, n, lengths), lengths, ceiling)
 
 
 def count_palindromic_compositions(
     n: int, *, forbidden_part: int | None = None
 ) -> int:
-    total = 0
-    for half_total in range(n // 2 + 1):
-        center = n - 2 * half_total
-        if center != 0 and center == forbidden_part:
-            continue
-        for _ in _iter_compositions(half_total, None, forbidden_part, None, None):
-            total += 1
-    return total
+    """Number of palindromic compositions; refuses past ``DEFAULT_CEILING``,
+    read when the count is called, like the census helpers."""
+    lengths = _part_lengths(n, forbidden_part=forbidden_part)
+    return _counted(_palindrome_blocks(0, n, lengths), lengths, DEFAULT_CEILING)
+
+
+def _run_lengths(parts: Sequence[int]) -> list[tuple[int, int]]:
+    """``(value, length)`` of each maximal run of equal consecutive parts."""
+    return [(value, len(list(run))) for value, run in groupby(parts)]
 
 
 def runs_of(parts: Sequence[int]) -> list[Run]:
@@ -499,28 +476,33 @@ def runs_of(parts: Sequence[int]) -> list[Run]:
     equals the sum of run lengths.
     """
     runs: list[Run] = []
-    i = 0
-    m = len(parts)
-    while i < m:
-        j = i
-        while j + 1 < m and parts[j + 1] == parts[i]:
-            j += 1
-        runs.append(Run(value=parts[i], length=j - i + 1, start_index=i))
-        i = j + 1
+    start = 0
+    for value, length in _run_lengths(parts):
+        runs.append(Run(value=value, length=length, start_index=start))
+        start += length
     return runs
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive statistics used as oracle twins for the formula modules.
-# Each one walks real objects and aggregates; none consults a closed form.
+# Each one folds over the walk of real objects; none consults a closed form.
 # ---------------------------------------------------------------------------
+
+def _census_walk(
+    n: int, max_part: int | None = None, reds: int = 0
+) -> Iterator[Codes]:
+    """The objects a census folds over: the tilings with ``reds`` red squares
+    and white total ``n``, so the compositions of ``n`` by default.  They
+    are counted first, so a census past ``DEFAULT_CEILING`` (read when the
+    census is called) is refused before it folds."""
+    lengths = _part_lengths(n, max_part)
+    _count(reds, n, lengths, DEFAULT_CEILING)
+    return _walk(reds, n, lengths)
+
 
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
     """Total number of times ``k`` appears as a part over all compositions."""
-    total = 0
-    for comp in _iter_compositions(n, max_part, None, None, None):
-        total += sum(1 for p in comp if p == k)
-    return total
+    return sum(comp.count(k) for comp in _census_walk(n, max_part))
 
 
 def part_multiplicity_census(
@@ -531,15 +513,11 @@ def part_multiplicity_census(
     One enumeration covers every part value at once; pair with the total
     composition count to recover the multiplicity-zero classes.
     """
-    census: dict[tuple[int, int], int] = {}
-    for comp in _iter_compositions(n, max_part, None, None, None):
-        seen: dict[int, int] = {}
-        for part in comp:
-            seen[part] = seen.get(part, 0) + 1
-        for part, mult in seen.items():
-            key = (part, mult)
-            census[key] = census.get(key, 0) + 1
-    return census
+    return dict(Counter(
+        (part, comp.count(part))
+        for comp in _census_walk(n, max_part)
+        for part in dict.fromkeys(comp)
+    ))
 
 
 def count_by_part_multiplicity(
@@ -554,36 +532,30 @@ def count_by_part_multiplicity(
     hist = {
         mult: count for (part, mult), count in census.items() if part == k
     }
-    total = count_compositions(n, max_part=max_part, ceiling=None)
+    total = count_compositions(n, max_part=max_part)
     hist[0] = total - sum(hist.values())
     return hist
 
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
     """Counts of runs keyed by ``(part value, run length)`` over all compositions."""
-    census: dict[tuple[int, int], int] = {}
-    for comp in _iter_compositions(n, max_part, None, None, None):
-        for run in runs_of(comp):
-            key = (run.value, run.length)
-            census[key] = census.get(key, 0) + 1
-    return census
+    census: Counter[tuple[int, int]] = Counter()
+    for comp in _census_walk(n, max_part):
+        census.update(_run_lengths(comp))
+    return dict(census)
 
 
 def total_parts(n: int) -> int:
     """Number of parts summed over all compositions of ``n``."""
-    return sum(len(c) for c in _iter_compositions(n, None, None, None, None))
+    return sum(map(len, _census_walk(n)))
 
 
 def largest_part_census(n: int) -> dict[tuple[int, int], int]:
     """Counts of compositions keyed by ``(largest part, its multiplicity)``."""
-    census: dict[tuple[int, int], int] = {}
-    for comp in _iter_compositions(n, None, None, None, None):
-        if not comp:
-            continue
-        top = max(comp)
-        key = (top, comp.count(top))
-        census[key] = census.get(key, 0) + 1
-    return census
+    return dict(Counter(
+        (max(comp), comp.count(max(comp)))
+        for comp in _census_walk(n) if comp
+    ))
 
 
 def consecutive_part_census(n: int, k: int) -> dict[int, int]:
@@ -592,7 +564,7 @@ def consecutive_part_census(n: int, k: int) -> dict[int, int]:
     A composition with no part ``k`` is counted under multiplicity 0.
     """
     census: dict[int, int] = {}
-    for comp in _iter_compositions(n, None, None, None, None):
+    for comp in _census_walk(n):
         positions = [i for i, p in enumerate(comp) if p == k]
         if positions and positions[-1] - positions[0] + 1 != len(positions):
             continue
@@ -602,7 +574,9 @@ def consecutive_part_census(n: int, k: int) -> dict[int, int]:
 
 def tile_count_total(r: int, n: int) -> int:
     """Total number of tiles over every tiling with ``r`` reds and white total ``n``."""
-    return sum(len(codes) for codes in _iter_codes(r, n, None, None))
+    if r < 0:
+        raise ValueError("r and n must be nonnegative")
+    return sum(map(len, _census_walk(n, reds=r)))
 
 
 def replaced_compositions_oracle(n: int) -> int:
@@ -611,18 +585,10 @@ def replaced_compositions_oracle(n: int) -> int:
     The per-part counts are themselves enumerated, once per distinct part.
     """
     inner = {j: count_compositions(j) for j in range(1, n + 1)}
-    total = 0
-    for comp in _iter_compositions(n, None, None, None, None):
-        for j in comp:
-            total += inner[j]
-    return total
+    return sum(inner[j] for comp in _census_walk(n) for j in comp)
 
 
 def replaced_parts_oracle(n: int) -> int:
     """For every part ``j`` occurring anywhere, add the total part count of ``j``."""
     inner = {j: total_parts(j) for j in range(1, n + 1)}
-    total = 0
-    for comp in _iter_compositions(n, None, None, None, None):
-        for j in comp:
-            total += inner[j]
-    return total
+    return sum(inner[j] for comp in _census_walk(n) for j in comp)

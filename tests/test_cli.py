@@ -185,14 +185,28 @@ class TestVerify:
         assert "no record id matches 'nomatch'" in err
 
     def test_small_report_digest(self, capsys, tmp_path):
-        # Refactors of the registry must leave the report byte-identical.
-        target = tmp_path / "report.json"
-        code, _, _ = run_cli(capsys, "verify", "--scale", "small", "--quiet",
-                             "--out", str(target))
-        assert code == 0
-        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "7616d81678631d31a0b1622513d93dc49cb25aba61531d582e8ac445d032a2a3"
-        )
+        # Refactors of the registry and the oracle must leave the report
+        # byte-identical, at the small and at the default scale.
+        digests = {
+            "small": "7616d81678631d31a0b1622513d93dc49cb25aba61531d582e8ac445d032a2a3",
+            "default": "a312b00867bfb95f9f353d1013b2e78df49deba40bd94aaf07cb811b721178ea",
+        }
+        for scale, digest in digests.items():
+            target = tmp_path / f"{scale}.json"
+            code, _, _ = run_cli(capsys, "verify", "--scale", scale, "--quiet",
+                                 "--out", str(target))
+            assert code == 0
+            assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, scale
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--scale", "small",
+                                 "--filter", "gf-pell", "--quiet",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_corrupted_registry_fails_with_exit_1(self, capsys, monkeypatch):
         broken = identities.IdentityRecord(
@@ -236,12 +250,36 @@ class TestOracleCommand:
                                "--allowed", "1,2,5", "--count-only")
         assert out.strip() == "9"
 
+    @pytest.mark.parametrize("flags, listing", [
+        (("--max-white", "1"), ["W1 W1 W1 W1"]),
+        (("--forbid-white", "2"), ["W1 W1 W1 W1", "W4"]),
+        (("--max-white", "3", "--forbid-white", "1"), ["W2 W2"]),
+    ])
+    def test_palindromes_apply_white_filters(self, capsys, flags, listing):
+        argv = ("oracle", "palindromes", "--r", "0", "--n", "4") + flags
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == listing
+        code, out, _ = run_cli(capsys, *argv, "--count-only")
+        assert code == 0
+        assert out.strip() == str(len(listing))
+
     def test_ceiling_env_var_gives_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("TILINGKIT_ORACLE_CEILING", "50")
         code, _, err = run_cli(capsys, "oracle", "compositions", "--n", "20",
                                "--count-only")
         assert code == 3
         assert "oracle scale exceeded" in err
+
+    @pytest.mark.parametrize("count_only", [(), ("--count-only",)])
+    def test_negative_ceiling_env_var_gives_exit_3(self, capsys, monkeypatch,
+                                                   count_only):
+        monkeypatch.setenv("TILINGKIT_ORACLE_CEILING", "-5")
+        code, out, err = run_cli(capsys, "oracle", "tilings", "--n", "2",
+                                 *count_only)
+        assert code == 3
+        assert out == ""
+        assert "oracle scale exceeded" in err and "Traceback" not in err
 
     def test_suffix_white_count(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "tilings", "--r", "2",
@@ -258,6 +296,8 @@ class TestOracleCommand:
         (("compositions", "--n", "5", "--no-multiple-of", "0", "--count-only"),
          "no_multiple_of must be positive"),
         (("tilings", "--n", "3", "--max-white", "0"), "max_white_len"),
+        (("palindromes", "--n", "4", "--suffix-white", "1"),
+         "palindromic and suffix_white_tiles cannot be combined"),
     ])
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "oracle", *argv)
@@ -271,3 +311,41 @@ class TestOracleCommand:
         code, _, err = run_cli(capsys, "oracle", "tilings", "--n", "2")
         assert code == 2
         assert "TILINGKIT_ORACLE_CEILING" in err
+
+
+_ORACLE_OPTIONS = st.fixed_dictionaries({}, optional={
+    "--r": st.integers(-1, 4),
+    "--max-white": st.integers(-1, 5),
+    "--forbid-white": st.integers(-1, 5),
+    "--suffix-white": st.integers(-1, 3),
+    "--max": st.integers(-1, 5),
+    "--forbid": st.integers(-1, 5),
+    "--allowed": st.sampled_from(["1,2,5", "2", "0", "-1,3", "x", "3,,4", ""]),
+    "--no-multiple-of": st.integers(-1, 3),
+})
+
+
+@given(
+    kind=st.sampled_from(["tilings", "compositions", "palindromes"]),
+    n=st.integers(-2, 12),
+    options=_ORACLE_OPTIONS,
+    count_only=st.booleans(),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_oracle_argv_fuzz(capsys, monkeypatch, kind, n, options, count_only):
+    # Every input ends in one of the four exit codes, never in a traceback.
+    # A low ceiling keeps the largest inputs quick: they refuse with exit 3.
+    monkeypatch.setenv("TILINGKIT_ORACLE_CEILING", "2000")
+    argv = ["oracle", kind, "--n", str(n)]
+    for flag, value in options.items():
+        argv += [flag, str(value)]
+    if count_only:
+        argv.append("--count-only")
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

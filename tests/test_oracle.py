@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import itertools
+import tracemalloc
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -253,3 +257,221 @@ def test_oracle_imports_no_formula_module():
             imported.update(alias.name for alias in node.names)
     formula_side = {"sequences", "series", "compstats"}
     assert not {name.rsplit(".", 1)[-1] for name in imported} & formula_side
+
+
+def test_count_palindromic_compositions_checks_its_arguments(monkeypatch):
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        orc.count_palindromic_compositions(-3)
+    assert orc.count_palindromic_compositions(30) == 2 ** 15
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 2 ** 15)
+    assert orc.count_palindromic_compositions(30) == 2 ** 15
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 2 ** 15 - 1)
+    with pytest.raises(OracleScaleError):
+        orc.count_palindromic_compositions(30)
+
+
+@pytest.mark.parametrize("listing, count, args, kwargs", [
+    (enumerate_tilings, count_tilings, (2, 5), {}),
+    (enumerate_tilings, count_tilings, (2, 4, TilingFilter(suffix_white_tiles=2)), {}),
+    (enumerate_tilings, count_tilings, (2, 7, TilingFilter(palindromic=True)), {}),
+    (enumerate_compositions, orc.count_compositions, (8,), {"forbidden_part": 2}),
+])
+def test_listing_and_count_refuse_just_past_the_ceiling(listing, count, args, kwargs):
+    size = len(listing(*args, **kwargs))
+    assert size > 1
+    assert count(*args, **kwargs, ceiling=size) == size
+    assert len(listing(*args, **kwargs, ceiling=size)) == size
+    for walk in (listing, count):
+        with pytest.raises(OracleScaleError, match=f"more than {size - 1} objects"):
+            walk(*args, **kwargs, ceiling=size - 1)
+
+
+def test_palindromic_composition_listing_refuses_just_past_the_ceiling():
+    size = len(enumerate_palindromic_compositions(12, forbidden_part=1))
+    assert size > 1
+    assert len(enumerate_palindromic_compositions(
+        12, forbidden_part=1, ceiling=size)) == size
+    with pytest.raises(OracleScaleError):
+        enumerate_palindromic_compositions(12, forbidden_part=1, ceiling=size - 1)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: count_tilings(0, 50_000, ceiling=1000),
+    lambda: count_tilings(3, 50_000, ceiling=1000),
+    lambda: enumerate_tilings(0, 50_000, ceiling=1000),
+    lambda: enumerate_tilings(2, 50_000, TilingFilter(suffix_white_tiles=1),
+                              ceiling=1000),
+    lambda: enumerate_palindromic_tilings(0, 50_000, ceiling=1000),
+    lambda: orc.count_compositions(50_000, ceiling=1000),
+    lambda: enumerate_compositions(50_000, ceiling=1000),
+])
+def test_refusal_at_large_size_needs_little_memory(walk):
+    # The ceiling bounds the work: a family far past it is refused after
+    # about ``ceiling`` leaves, not after a table or stack of size n**2.
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleScaleError):
+            walk()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_tile_count_total_rejects_negative_reds():
+    with pytest.raises(ValueError, match="nonnegative"):
+        orc.tile_count_total(-1, 3)
+
+
+def test_negative_ceiling_refuses_every_object():
+    for walk in (count_tilings, enumerate_tilings):
+        with pytest.raises(OracleScaleError):
+            walk(0, 3, ceiling=-5)
+    with pytest.raises(OracleScaleError):
+        enumerate_compositions(3, ceiling=-5)
+    # A family with no object has nothing to refuse.
+    empty = TilingFilter(max_white_len=1, forbidden_white_len=1)
+    assert enumerate_tilings(0, 2, empty, ceiling=-5) == []
+    assert count_tilings(0, 2, empty, ceiling=-5) == 0
+
+
+@pytest.mark.parametrize("census", [
+    lambda n: orc.part_occurrences(n, 1),
+    lambda n: orc.part_multiplicity_census(n),
+    lambda n: orc.count_by_part_multiplicity(n, 1),
+    lambda n: orc.run_census(n),
+    lambda n: orc.total_parts(n),
+    lambda n: orc.largest_part_census(n),
+    lambda n: orc.consecutive_part_census(n, 1),
+    lambda n: orc.tile_count_total(0, n),
+    lambda n: orc.replaced_compositions_oracle(n),
+    lambda n: orc.replaced_parts_oracle(n),
+])
+def test_census_helpers_refuse_past_the_default_ceiling(monkeypatch, census):
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 20)
+    census(5)  # 16 compositions
+    with pytest.raises(OracleScaleError):
+        census(6)  # 32 compositions
+
+
+# ---------------------------------------------------------------------------
+# Reference: every listing is the sorted, filtered product over tile codes,
+# and every census a fold computed naively per object.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _reference_codes(reds: int, white: int) -> list[tuple[int, ...]]:
+    """Every code tuple with ``reds`` zeros and codes summing to ``white``."""
+    return sorted(
+        codes
+        for size in range(reds, reds + white + 1)
+        for codes in itertools.product(range(white + 1), repeat=size)
+        if codes.count(0) == reds and sum(codes) == white
+    )
+
+
+def _reference_tilings(r, n, f):
+    s = f.suffix_white_tiles
+    return [
+        codes for codes in _reference_codes(r, n + s)
+        if all(c == 0 or (f.max_white_len is None or c <= f.max_white_len)
+               and c != f.forbidden_white_len for c in codes)
+        and len(codes) >= s and all(codes[len(codes) - s:])
+        and (not f.palindromic or codes == codes[::-1])
+    ]
+
+
+def _reference_compositions(n, max_part=None, forbidden_part=None,
+                            allowed_parts=None, no_multiple_of=None):
+    return [
+        comp for comp in _reference_codes(0, n)
+        if all((max_part is None or p <= max_part) and p != forbidden_part
+               and (allowed_parts is None or p in allowed_parts)
+               and (no_multiple_of is None or p % no_multiple_of) for p in comp)
+    ]
+
+
+_TILING_FILTERS = [
+    TilingFilter(max_white_len=m, forbidden_white_len=k, suffix_white_tiles=s,
+                 palindromic=pal)
+    for m in (None, 1, 2, 3) for k in (None, 1, 2) for s in (0, 1, 2)
+    for pal in (False, True) if not (pal and s)
+]
+
+
+class TestReference:
+    @pytest.mark.parametrize("f", _TILING_FILTERS, ids=repr)
+    def test_tilings(self, f):
+        for r in range(3):
+            for n in range(6 - r - f.suffix_white_tiles):
+                expected = _reference_tilings(r, n, f)
+                assert [t.codes for t in enumerate_tilings(r, n, f)] == expected
+                assert count_tilings(r, n, f) == len(expected), (r, n)
+
+    @pytest.mark.parametrize("max_part", [None, 2, 3])
+    @pytest.mark.parametrize("forbidden_part", [None, 1, 2])
+    @pytest.mark.parametrize("allowed_parts", [None, (2, 5), (3, 4), (1, 3)])
+    @pytest.mark.parametrize("no_multiple_of", [None, 2, 3])
+    def test_compositions(self, max_part, forbidden_part, allowed_parts,
+                          no_multiple_of):
+        kwargs = dict(max_part=max_part, forbidden_part=forbidden_part,
+                      allowed_parts=allowed_parts, no_multiple_of=no_multiple_of)
+        for n in range(7):
+            expected = _reference_compositions(n, **kwargs)
+            assert enumerate_compositions(n, **kwargs) == expected
+            assert orc.count_compositions(n, **kwargs) == len(expected), n
+
+    @pytest.mark.parametrize("forbidden_part", [None, 1, 2, 3])
+    def test_palindromic_compositions(self, forbidden_part):
+        for n in range(7):
+            expected = [c for c in _reference_compositions(n, forbidden_part=forbidden_part)
+                        if c == c[::-1]]
+            assert enumerate_palindromic_compositions(
+                n, forbidden_part=forbidden_part) == expected
+            assert orc.count_palindromic_compositions(
+                n, forbidden_part=forbidden_part) == len(expected), n
+
+    @pytest.mark.parametrize("max_part", [None, 1, 2, 3])
+    def test_part_censuses(self, max_part):
+        for n in range(7):
+            comps = _reference_compositions(n, max_part=max_part)
+            multiplicity = Counter((p, c.count(p)) for c in comps for p in set(c))
+            runs = Counter()
+            for c in comps:
+                i = 0
+                while i < len(c):
+                    j = i
+                    while j < len(c) and c[j] == c[i]:
+                        j += 1
+                    runs[c[i], j - i] += 1
+                    i = j
+            assert orc.part_multiplicity_census(n, max_part=max_part) == multiplicity
+            assert orc.run_census(n, max_part=max_part) == runs
+            for k in range(1, 5):
+                assert orc.part_occurrences(n, k, max_part=max_part) == sum(
+                    c.count(k) for c in comps)
+                # The multiplicity-zero class is always reported, even if empty.
+                assert orc.count_by_part_multiplicity(n, k, max_part=max_part) == {
+                    0: 0, **Counter(c.count(k) for c in comps)}
+
+    def test_composition_censuses(self):
+        parts = {j: len(_reference_codes(0, j)) for j in range(1, 7)}
+        total = {j: sum(map(len, _reference_codes(0, j))) for j in range(1, 7)}
+        for n in range(7):
+            comps = _reference_codes(0, n)
+            assert orc.total_parts(n) == sum(map(len, comps))
+            assert orc.largest_part_census(n) == Counter(
+                (max(c), c.count(max(c))) for c in comps if c)
+            for k in range(1, 5):
+                blocks = Counter(
+                    c.count(k) for c in comps
+                    if k not in c or c[c.index(k):c.index(k) + c.count(k)]
+                    == (k,) * c.count(k))
+                assert orc.consecutive_part_census(n, k) == blocks
+            assert orc.replaced_compositions_oracle(n) == sum(
+                parts[j] for c in comps for j in c)
+            assert orc.replaced_parts_oracle(n) == sum(
+                total[j] for c in comps for j in c)
+            for r in range(3):
+                assert orc.tile_count_total(r, n) == sum(
+                    map(len, _reference_codes(r, n)))
