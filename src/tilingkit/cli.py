@@ -17,6 +17,7 @@ enumeration guard (an integer; empty means the default).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -266,7 +267,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cannot_write(command: str, path: str, reason: str) -> int:
+    print(f"tilingkit {command}: cannot write {path!r}: {reason}",
+          file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_verify(args: argparse.Namespace, id_filter: str | None) -> int:
+    if args.out:
+        # Refuse before the registry runs; the write below can still fail.
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if not os.access(folder, os.W_OK):
+            code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+            return _cannot_write(args.command, args.out, os.strerror(code))
     report = identities.run_registry(args.scale, id_filter)
     if not report.results:
         print(f"tilingkit verify: no record id matches {id_filter!r}",
@@ -278,9 +291,7 @@ def _cmd_verify(args: argparse.Namespace, id_filter: str | None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as exc:
-            print(f"tilingkit {args.command}: cannot write {args.out!r}:"
-                  f" {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _cannot_write(args.command, args.out, exc.strerror or exc)
     else:
         sys.stdout.write(payload)
     if not args.quiet:

@@ -582,20 +582,12 @@ def _replaced_compositions_stated(n: int) -> int:
     return sum(a_s(1, 1, n - j) * a(0, j) for j in range(1, n + 1))
 
 
-def _replaced_compositions_corrected(n: int) -> int:
-    return sum(a(1, n - j) * a(0, j) for j in range(1, n + 1))
-
-
 def _replaced_compositions_total(n: int) -> int:
     return a_s(1, 2, n - 1)
 
 
 def _replaced_parts_stated(n: int) -> int:
     return sum(a(1, n - j) * a_s(1, 1, n - j) for j in range(1, n + 1))
-
-
-def _replaced_parts_corrected(n: int) -> int:
-    return sum(a(1, n - j) * a_s(1, 1, j - 1) for j in range(1, n + 1))
 
 
 def _replaced_parts_total(n: int) -> int:
@@ -1687,7 +1679,7 @@ def _build_registry() -> list[IdentityRecord]:
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_{j=1..n} a(1,n-j) a(0,j) = a_1(2, n-1)",
-            lhs=_replaced_compositions_corrected,
+            lhs=cs.replaced_compositions_total,
         ),
         probe=ProbeSpec(
             oracle=orc.replaced_compositions_oracle,
@@ -1698,7 +1690,7 @@ def _build_registry() -> list[IdentityRecord]:
                     "stated summand a_1(1,n-j) a(0,j)", _replaced_compositions_stated
                 ),
                 ProbeCandidate(
-                    "summand a(1,n-j) a(0,j)", _replaced_compositions_corrected
+                    "summand a(1,n-j) a(0,j)", cs.replaced_compositions_total
                 ),
                 ProbeCandidate("a_1(2, n-1)", _replaced_compositions_total),
             ),
@@ -1726,7 +1718,7 @@ def _build_registry() -> list[IdentityRecord]:
         expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_{j=1..n} a(1,n-j) a_1(1,j-1) = a_1(3, n-1)",
-            lhs=_replaced_parts_corrected,
+            lhs=cs.replaced_parts_total,
         ),
         probe=ProbeSpec(
             oracle=orc.replaced_parts_oracle,
@@ -1737,7 +1729,7 @@ def _build_registry() -> list[IdentityRecord]:
                     "stated summand a(1,n-j) a_1(1,n-j)", _replaced_parts_stated
                 ),
                 ProbeCandidate(
-                    "summand a(1,n-j) a_1(1,j-1)", _replaced_parts_corrected
+                    "summand a(1,n-j) a_1(1,j-1)", cs.replaced_parts_total
                 ),
                 ProbeCandidate("a_1(3, n-1)", _replaced_parts_total),
             ),

@@ -29,9 +29,11 @@ half; suffix tilings are a walked body and a tail of ``s`` white tiles.
 The counter is the one guard.  A count raises :class:`OracleScaleError` as
 soon as it passes ``ceiling``, and every listing and every census is
 counted before it is walked, so a family of more than ``ceiling`` objects
-is refused before any object is built.  The functions that take no
-``ceiling`` (``count_palindromic_compositions`` and the census helpers)
-refuse past ``DEFAULT_CEILING``, read when they are called.  All
+is refused before any object is built.  A white total that is not a
+multiple of the gcd of the allowed lengths has dead ends and no leaves,
+so the walk and the counter return at once for it.  The functions that
+take no ``ceiling`` (``count_palindromic_compositions`` and the census
+helpers) refuse past ``DEFAULT_CEILING``, read when they are called.  All
 functions are pure; concurrent use needs no locking.
 """
 
@@ -40,7 +42,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
@@ -79,6 +83,12 @@ class Tile:
         return "R" if self.kind == "R" else f"W{self.length}"
 
 
+@cache
+def _tile(code: int) -> Tile:
+    """The one shared tile of a code; tiles are frozen, so sharing is safe."""
+    return Tile("R", 1) if code == 0 else Tile("W", code)
+
+
 @dataclass(frozen=True)
 class TwoTonedTiling:
     """An ordered sequence of tiles covering a strip of unit cells."""
@@ -87,11 +97,7 @@ class TwoTonedTiling:
 
     @classmethod
     def from_codes(cls, codes: Sequence[int]) -> "TwoTonedTiling":
-        return cls(
-            tuple(
-                Tile("R", 1) if c == 0 else Tile("W", c) for c in codes
-            )
-        )
+        return cls(tuple(map(_tile, codes)))
 
     @property
     def codes(self) -> tuple[int, ...]:
@@ -172,6 +178,8 @@ def _moves(state: int, shift: int, lengths: tuple[int, ...]) -> Codes:
 def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
     """Every tiling with ``reds`` red squares and white tiles of the given
     ``lengths`` totalling ``white``, in lexicographic order of codes."""
+    if lengths and white % gcd(*lengths):
+        return  # no sum of the lengths is white: the tree has no leaf
     shift = white + 1
     rows: dict[int, list[tuple[int, int]]] = {}
     stack: list[tuple[Codes, int]] = [((), reds * shift + white)]
@@ -201,6 +209,8 @@ def _count(
     """Number of leaves :func:`_walk` yields, counted one by one; refuses
     as soon as ``seen``, the objects counted before, plus that number
     passes ``ceiling``."""
+    if lengths and white % gcd(*lengths):
+        return 0  # no leaf, as in _walk
     shift = white + 1
     rows: dict[int, list[int]] = {}
     total = seen

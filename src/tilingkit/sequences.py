@@ -1,9 +1,15 @@
 """Exact integer sequences for two-toned tiling counts and their relatives.
 
-Values are plain Python ints (arbitrary precision), memoized per family in
-append-only dict caches keyed by the full parameter tuple.  Re-deriving a
-cached key always reproduces the same value, and filling is idempotent, so
-concurrent readers are safe under the usual CPython semantics.
+Values are plain Python ints (arbitrary precision).  Each family is a
+table of rows, ``rows[i][j]``, grown in place by :func:`_grow` from a
+per-family cell rule: one table for ``a`` (rows by ``r``), one per ``r``
+for ``a_s`` (rows by ``s``) and one per ``k`` for ``a_k`` (rows by ``r``).
+Filling is iterative and not meant for concurrent callers.
+
+The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
+and ``F(i-1)`` share all but one term, so ``F(i) = 2 F(i-1) - F(i-1-k)``
+for ``i >= 3``, and backwards ``f(i) = 2 f(i+k) - f(i+k+1)``.  Each new
+term costs O(1) big-int operations.
 
 Conventions used throughout:
 
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
+from typing import Callable
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -36,9 +44,46 @@ def _require_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
+# -- tables of rows ------------------------------------------------------------
+
+Rows = list[list[int]]
+
+
+def _grow(
+    rows: Rows, r: int, n: int, cell: Callable[..., int], key: int = 0
+) -> int:
+    """Grow ``rows[0..r]`` in place to length ``n + 1``; return ``rows[r][n]``.
+
+    ``cell(rows, i, j, key)`` gives the entry at ``(i, j)`` from the entries
+    before it in row ``i`` and from rows ``0..i-1``, which are grown first;
+    ``key`` is the parameter that picked the table.  So no row is longer
+    than the row above it, and a filled ``rows[r][n]`` means every entry it
+    could depend on is filled too.
+    """
+    try:
+        return rows[r][n]
+    except IndexError:
+        pass
+    rows.extend([] for _ in range(len(rows), r + 1))
+    for i in range(r + 1):
+        row = rows[i]
+        for j in range(len(row), n + 1):
+            row.append(cell(rows, i, j, key))
+    return rows[r][n]
+
+
 # -- a(r, n): tilings with r red unit squares and white total n --------------
 
-_A: dict = {}
+_A_ROWS: Rows = []  # _A_ROWS[r][n] = a(r, n)
+
+
+def _a_cell(rows: Rows, r: int, n: int, _key: int) -> int:
+    if n == 0:
+        return 1
+    if r == 0:
+        return 1 << (n - 1)
+    above = rows[r - 1]
+    return above[n] + 2 * rows[r][n - 1] - above[n - 1]
 
 
 def a(r: int, n: int) -> int:
@@ -51,28 +96,7 @@ def a(r: int, n: int) -> int:
     """
     if r < 0 or n < 0:
         return 0
-    try:
-        return _A[(r, n)]
-    except KeyError:
-        pass
-    # Fill iteratively so CLI-scale ranges do not hit the recursion limit.
-    for i in range(r + 1):
-        row_prev = i - 1
-        for j in range(n + 1):
-            if (i, j) in _A:
-                continue
-            if j == 0:
-                value = 1
-            elif i == 0:
-                value = 1 << (j - 1)
-            else:
-                value = (
-                    _A[(row_prev, j)]
-                    + 2 * _A[(i, j - 1)]
-                    - _A[(row_prev, j - 1)]
-                )
-            _A[(i, j)] = value
-    return _A[(r, n)]
+    return _grow(_A_ROWS, r, n, _a_cell)
 
 
 def a_explicit(r: int, n: int) -> int:
@@ -91,7 +115,13 @@ def a_explicit(r: int, n: int) -> int:
 
 # -- a_s(r, n): cumulative sums / suffix-white tilings ------------------------
 
-_AS: dict = {}
+_AS_TABLES: dict[int, Rows] = {}  # _AS_TABLES[r][s][n] = a_s(s, r, n)
+
+
+def _as_cell(rows: Rows, s: int, n: int, r: int) -> int:
+    if s == 0:
+        return a(r, n)
+    return rows[s - 1][n] + (rows[s][n - 1] if n else 0)
 
 
 def a_s(s: int, r: int, n: int) -> int:
@@ -104,22 +134,7 @@ def a_s(s: int, r: int, n: int) -> int:
         raise ValueError("s must be nonnegative")
     if r < 0 or n < 0:
         return 0
-    if s == 0:
-        return a(r, n)
-    key = (s, r, n)
-    try:
-        return _AS[key]
-    except KeyError:
-        pass
-    for sigma in range(1, s + 1):
-        acc = 0
-        for j in range(n + 1):
-            if (sigma, r, j) in _AS:
-                acc = _AS[(sigma, r, j)]
-                continue
-            acc += a_s(sigma - 1, r, j) if sigma > 1 else a(r, j)
-            _AS[(sigma, r, j)] = acc
-    return _AS[key]
+    return _grow(_AS_TABLES.setdefault(r, []), s, n, _as_cell, r)
 
 
 def a_s_binomial(s: int, r: int, n: int) -> int:
@@ -143,7 +158,7 @@ def a_diag_plus(r: int, n: int) -> int:
 
 # -- k-step Fibonacci numbers and their convolutions --------------------------
 
-_FIB: dict[int, list[int]] = {}
+_FIB: dict[int, list[int]] = {}  # _FIB[k][i] = F(i, k)
 
 
 def fibonacci_k(n: int, k: int) -> int:
@@ -155,17 +170,14 @@ def fibonacci_k(n: int, k: int) -> int:
         raise ValueError("k must be nonnegative")
     if n <= 0:
         return 0
-    if k == 0:
-        return 1 if n == 1 else 0
-    row = _FIB.setdefault(k, [0, 1])  # row[i] = F(i, k)
+    row = _FIB.setdefault(k, [0, 1, 1 if k else 0])
     while len(row) <= n:
         i = len(row)
-        lo = max(0, i - k)
-        row.append(sum(row[lo:i]))
+        row.append(2 * row[-1] - (row[i - 1 - k] if i > k else 0))
     return row[n]
 
 
-_NEGFIB: dict[int, dict[int, int]] = {}
+_NEG_FIB: dict[int, list[int]] = {}  # _NEG_FIB[k][t] = f(k + 1 - t)
 
 
 def neg_fibonacci_k(n: int, k: int) -> int:
@@ -173,27 +185,29 @@ def neg_fibonacci_k(n: int, k: int) -> int:
 
     Seeds: value 1 at index 1 and 0 at ``0, -1, ..., -(k-2)``.  Forward it
     agrees with :func:`fibonacci_k`; backward it follows the rearranged
-    recurrence ``f(n-k) = f(n) - f(n-1) - ... - f(n-k+1)``.
+    recurrence ``f(n-k) = f(n) - f(n-1) - ... - f(n-k+1)``, filled as
+    ``f(i) = 2 f(i+k) - f(i+k+1)``.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if n >= -(k - 2):
-        return fibonacci_k(n, k) if n >= 1 else 0
-    table = _NEGFIB.setdefault(k, {})
-    try:
-        return table[n]
-    except KeyError:
-        pass
-    low = min(table) if table else -(k - 2)
-    for i in range(low - 1, n - 1, -1):
-        value = neg_fibonacci_k(i + k, k) - sum(
-            neg_fibonacci_k(i + k - j, k) for j in range(1, k)
-        )
-        table[i] = value
-    return table[n]
+    if n > 1 - k:
+        return fibonacci_k(n, k)
+    if k not in _NEG_FIB:
+        _NEG_FIB[k] = [fibonacci_k(i, k) for i in range(k + 1, 1 - k, -1)]
+    down = _NEG_FIB[k]
+    while len(down) <= k + 1 - n:
+        t = len(down)
+        down.append(2 * down[t - k] - down[t - k - 1])
+    return down[k + 1 - n]
 
 
-_AK: dict = {}
+_AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
+
+
+def _ak_cell(rows: Rows, r: int, n: int, k: int) -> int:
+    if r == 0:
+        return fibonacci_k(n + 1, k)
+    return sum(map(mul, rows[0][:n + 1], rows[r - 1][n::-1]))
 
 
 def a_k(r: int, n: int, k: int) -> int:
@@ -208,24 +222,7 @@ def a_k(r: int, n: int, k: int) -> int:
         raise ValueError("k must be nonnegative")
     if r < 0 or n < 0:
         return 0
-    if r == 0:
-        return fibonacci_k(n + 1, k)
-    key = (r, n, k)
-    try:
-        return _AK[key]
-    except KeyError:
-        pass
-    for i in range(1, r + 1):
-        for j in range(n + 1):
-            if (i, j, k) in _AK:
-                continue
-            prev = (lambda m: _AK[(i - 1, m, k)]) if i > 1 else (
-                lambda m: fibonacci_k(m + 1, k)
-            )
-            _AK[(i, j, k)] = sum(
-                prev(j - t) * fibonacci_k(t + 1, k) for t in range(j + 1)
-            )
-    return _AK[key]
+    return _grow(_AK_TABLES.setdefault(k, []), r, n, _ak_cell, k)
 
 
 def fibonacci_k_conv(n: int, k: int, r: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tilingkit import cli, identities
+from tilingkit import cli, identities, tables
 from tilingkit.sequences import a, a_s
 
 
@@ -208,6 +208,31 @@ class TestVerify:
         assert "cannot write" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["verify", "conjecture"])
+    def test_unwritable_out_is_refused_before_the_run(self, capsys, monkeypatch,
+                                                      tmp_path, command):
+        def run_registry(*args):
+            raise AssertionError("the registry ran before --out was checked")
+
+        monkeypatch.setattr(identities, "run_registry", run_registry)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, command, "--scale", "default",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == (f"tilingkit {command}: cannot write {str(target)!r}:"
+                       " No such file or directory\n")
+
+    def test_out_naming_a_directory_is_usage_error(self, capsys, tmp_path):
+        # The directory check passes; the write itself fails.
+        code, out, err = run_cli(capsys, "verify", "--scale", "small",
+                                 "--filter", "gf-pell", "--quiet",
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"tilingkit verify: cannot write {str(tmp_path)!r}:"
+                       " Is a directory\n")
+
     def test_corrupted_registry_fails_with_exit_1(self, capsys, monkeypatch):
         broken = identities.IdentityRecord(
             id="zz-corrupted",
@@ -313,6 +338,17 @@ class TestOracleCommand:
         assert "TILINGKIT_ORACLE_CEILING" in err
 
 
+def _assert_exit_contract(capsys, argv):
+    # Every input ends in one of the four exit codes, never in a traceback.
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
 _ORACLE_OPTIONS = st.fixed_dictionaries({}, optional={
     "--r": st.integers(-1, 4),
     "--max-white": st.integers(-1, 5),
@@ -334,7 +370,6 @@ _ORACLE_OPTIONS = st.fixed_dictionaries({}, optional={
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_oracle_argv_fuzz(capsys, monkeypatch, kind, n, options, count_only):
-    # Every input ends in one of the four exit codes, never in a traceback.
     # A low ceiling keeps the largest inputs quick: they refuse with exit 3.
     monkeypatch.setenv("TILINGKIT_ORACLE_CEILING", "2000")
     argv = ["oracle", kind, "--n", str(n)]
@@ -342,10 +377,31 @@ def test_oracle_argv_fuzz(capsys, monkeypatch, kind, n, options, count_only):
         argv += [flag, str(value)]
     if count_only:
         argv.append("--count-only")
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the argv
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err
+    _assert_exit_contract(capsys, argv)
+
+
+_SEQ_ARGV = st.builds(
+    lambda family, lo, hi, fmt, params: [
+        "seq", family, "--range", f"{lo}..{hi}", "--format", fmt,
+        *(item for flag, value in params.items() for item in (flag, str(value))),
+    ],
+    family=st.sampled_from(sorted(cli.FAMILIES) + ["nope"]),
+    lo=st.integers(-30, 30),
+    hi=st.integers(-30, 30),
+    fmt=st.sampled_from(cli.SEQ_FORMATS),
+    params=st.fixed_dictionaries({}, optional={
+        f"--{p}": st.integers(-3, 12) for p in ("r", "s", "k", "m", "p", "j")
+    }),
+)
+_TABLE_ARGV = st.builds(
+    lambda table_id, fmt: ["table", table_id, "--format", fmt],
+    table_id=st.sampled_from(tables.TABLE_IDS + ("T9",)),
+    fmt=st.sampled_from(cli.TABLE_FORMATS + ("xml",)),
+)
+
+
+@given(argv=st.one_of(_SEQ_ARGV, _TABLE_ARGV))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_seq_and_table_argv_fuzz(capsys, argv):
+    _assert_exit_contract(capsys, argv)

@@ -47,6 +47,12 @@ class TestTileTypes:
         assert not t.is_palindromic()
         assert TwoTonedTiling.from_codes((1, 0, 1)).is_palindromic()
 
+    def test_from_codes_shares_one_tile_per_code(self):
+        first = TwoTonedTiling.from_codes((0, 3, 0))
+        second = TwoTonedTiling.from_codes((3, 0))
+        assert first.tiles[1] is second.tiles[0]
+        assert first.tiles[0] is first.tiles[2] is second.tiles[1]
+
     def test_filter_validation(self):
         with pytest.raises(ValueError):
             TilingFilter(max_white_len=0)
@@ -333,6 +339,19 @@ def test_negative_ceiling_refuses_every_object():
     empty = TilingFilter(max_white_len=1, forbidden_white_len=1)
     assert enumerate_tilings(0, 2, empty, ceiling=-5) == []
     assert count_tilings(0, 2, empty, ceiling=-5) == 0
+
+
+def test_white_total_off_the_gcd_has_no_objects():
+    # Only multiples of the gcd of the allowed lengths are reachable; these
+    # trees have far too many dead ends to walk and not one leaf.
+    assert orc.count_compositions(301, allowed_parts=(2, 4)) == 0
+    assert enumerate_compositions(301, allowed_parts=(2, 4)) == []
+    evens = TilingFilter(max_white_len=2, forbidden_white_len=1)
+    assert count_tilings(5, 301, evens) == 0
+    assert enumerate_tilings(5, 301, evens) == []
+    # Multiples of the gcd are still walked and counted.
+    assert orc.count_compositions(12, allowed_parts=(2, 4)) == 13
+    assert count_tilings(3, 20, evens) == 286
 
 
 @pytest.mark.parametrize("census", [

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import cache
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilingkit import oracle as orc
+from tilingkit import sequences as sq
 from tilingkit.sequences import (
     NonIntegerResultError,
     a,
@@ -249,3 +254,98 @@ class TestBinomHelper:
         assert binom(3, 5) == 0
         assert binom(-1, 0) == 0
         assert binom(4, -1) == 0
+
+
+# -- the memo tables against plain recurrences, queried in random order --------
+
+_R, _N, _S, _K, _FIB_N = 25, 60, 8, 8, 400
+
+
+@cache
+def _plain_tilings(k):
+    """t[r][n] by the last tile: a red square or a white tile of length <= k."""
+    t = [[0] * (_N + 1) for _ in range(_R + 1)]
+    for r in range(_R + 1):
+        for n in range(_N + 1):
+            t[r][n] = 1 if r == n == 0 else (t[r - 1][n] if r else 0) + sum(
+                t[r][n - w] for w in range(1, min(n, k) + 1))
+    return t
+
+
+@cache
+def _plain_cumulative(r):
+    rows = [_plain_tilings(_N)[r]]
+    for _ in range(_S):
+        rows.append(list(accumulate(rows[-1])))
+    return rows
+
+
+@cache
+def _plain_fibonacci(k):
+    f = [0, 1]
+    while len(f) <= _FIB_N:
+        f.append(sum(f[max(0, len(f) - k):]))
+    return f
+
+
+@cache
+def _plain_negative_fibonacci(k):
+    f = {1: 1, **{i: 0 for i in range(2 - k, 1)}}
+    for i in range(1 - k, -_FIB_N - 1, -1):
+        # f(i + k) = f(i + k - 1) + ... + f(i), solved for f(i)
+        f[i] = f[i + k] - sum(f[i + k - j] for j in range(1, k))
+    return f
+
+
+def _plain(name, *args):
+    if name == "a":
+        r, n = args
+        return _plain_tilings(_N)[r][n] if r >= 0 and n >= 0 else 0
+    if name == "a_s":
+        s, r, n = args
+        return _plain_cumulative(r)[s][n] if r >= 0 and n >= 0 else 0
+    if name == "a_k":
+        r, n, k = args
+        return _plain_tilings(k)[r][n] if r >= 0 and n >= 0 else 0
+    if name == "fibonacci_k":
+        n, k = args
+        return _plain_fibonacci(k)[n] if n >= 0 else 0
+    n, k = args
+    return _plain_fibonacci(k)[n] if n > 1 else _plain_negative_fibonacci(k)[n]
+
+
+_QUERY = st.one_of(
+    st.tuples(st.just("a"), st.integers(-2, _R), st.integers(-2, _N)),
+    st.tuples(st.just("a_s"), st.integers(0, _S), st.integers(-2, _R),
+              st.integers(-2, _N)),
+    st.tuples(st.just("a_k"), st.integers(-2, _R), st.integers(-2, _N),
+              st.integers(0, _K)),
+    st.tuples(st.just("fibonacci_k"), st.integers(-3, _FIB_N),
+              st.integers(0, _K)),
+    st.tuples(st.just("neg_fibonacci_k"), st.integers(-_FIB_N, 30),
+              st.integers(2, _K)),
+)
+_TABLES = ("_A_ROWS", "_AS_TABLES", "_AK_TABLES", "_FIB", "_NEG_FIB")
+
+
+@contextmanager
+def _empty_tables():
+    """Run with every memo table of :mod:`tilingkit.sequences` empty."""
+    saved = {name: getattr(sq, name) for name in _TABLES}
+    for name, table in saved.items():
+        setattr(sq, name, type(table)())
+    try:
+        yield
+    finally:
+        for name, table in saved.items():
+            setattr(sq, name, table)
+
+
+@given(st.lists(_QUERY, min_size=1, max_size=12))
+@settings(max_examples=120, deadline=None)
+def test_tables_grown_in_any_order_match_plain_recurrences(queries):
+    # Each query grows the tables in r, s or n from wherever the earlier
+    # queries left them.
+    with _empty_tables():
+        for name, *args in queries:
+            assert getattr(sq, name)(*args) == _plain(name, *args), (name, args)
