@@ -276,6 +276,9 @@ def _cannot_write(command: str, path: str, reason: str) -> int:
 def _cmd_verify(args: argparse.Namespace, id_filter: str | None) -> int:
     if args.out:
         # Refuse before the registry runs; the write below can still fail.
+        if os.path.isdir(args.out):
+            return _cannot_write(args.command, args.out,
+                                 os.strerror(errno.EISDIR))
         folder = os.path.dirname(os.path.abspath(args.out))
         if not os.access(folder, os.W_OK):
             code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT

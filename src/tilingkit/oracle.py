@@ -22,9 +22,13 @@ in ascending order; every filter reduces, once per call, to the sorted
 tuple of allowed lengths.  One generator, :func:`_walk`, yields the leaves
 in lexicographic order (red sorts before white, shorter white before
 longer), which keeps golden outputs stable; it serves every listing and
-every census.  One counter, :func:`_count`, counts the same leaves one by
-one.  Palindromes are a walked half, an optional centre and the mirrored
-half; suffix tilings are a walked body and a tail of ``s`` white tiles.
+every census but one.  The run census reads the same tree run by run:
+:func:`_run_walk` carries each composition's maximal runs of equal parts
+down the tree, packed one int per run, and yields them at each leaf, so
+:func:`run_census` folds runs without splitting any composition.  One
+counter, :func:`_count`, counts the same leaves one by one.  Palindromes
+are a walked half, an optional centre and the mirrored half; suffix
+tilings are a walked body and a tail of ``s`` white tiles.
 
 The counter is the one guard.  A count raises :class:`OracleScaleError` as
 soon as it passes ``ceiling``, and every listing and every census is
@@ -197,6 +201,35 @@ def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
                                  in reversed(_moves(state, shift, lengths))]
         for code, child in row:
             push((codes + (code,), child))
+
+
+def _run_walk(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The compositions :func:`_walk` yields for ``(0, n, lengths)``, in the
+    same order, each as the tuple of its maximal runs of equal parts.  A
+    run ``(value, length)`` is packed as ``value * (n + 1) + length``, so a
+    repeated part adds 1 to the open run."""
+    if lengths and n % gcd(*lengths):
+        return  # no leaf, as in _walk
+    shift = n + 1
+    rows: dict[int, tuple[int, ...]] = {}
+    # An entry is (closed runs, last part, open run, rest); the root has no
+    # open run (0).
+    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, n)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        closed, last, run, rest = pop()
+        runs = closed + (run,) if run else closed
+        if not rest:
+            yield runs
+            continue
+        row = rows.get(rest)
+        if row is None:
+            # Largest part first: the stack pops the last entry first.
+            row = rows[rest] = lengths[:bisect_right(lengths, rest)][::-1]
+        for part in row:
+            push((closed, last, run + 1, rest - part) if part == last
+                 else (runs, part, part * shift + 1, rest - part))
 
 
 def _count(
@@ -474,11 +507,6 @@ def count_palindromic_compositions(
     return _counted(_palindrome_blocks(0, n, lengths), lengths, DEFAULT_CEILING)
 
 
-def _run_lengths(parts: Sequence[int]) -> list[tuple[int, int]]:
-    """``(value, length)`` of each maximal run of equal consecutive parts."""
-    return [(value, len(list(run))) for value, run in groupby(parts)]
-
-
 def runs_of(parts: Sequence[int]) -> list[Run]:
     """Maximal runs of equal consecutive parts, in order of appearance.
 
@@ -487,7 +515,8 @@ def runs_of(parts: Sequence[int]) -> list[Run]:
     """
     runs: list[Run] = []
     start = 0
-    for value, length in _run_lengths(parts):
+    for value, run in groupby(parts):
+        length = len(list(run))
         runs.append(Run(value=value, length=length, start_index=start))
         start += length
     return runs
@@ -498,16 +527,24 @@ def runs_of(parts: Sequence[int]) -> list[Run]:
 # Each one folds over the walk of real objects; none consults a closed form.
 # ---------------------------------------------------------------------------
 
+def _census_lengths(
+    n: int, max_part: int | None = None, reds: int = 0
+) -> tuple[int, ...]:
+    """The allowed lengths of a census over the tilings with ``reds`` red
+    squares and white total ``n``, so the compositions of ``n`` by default.
+    The objects are counted first, so a census past ``DEFAULT_CEILING``
+    (read when the census is called) is refused before it folds."""
+    lengths = _part_lengths(n, max_part)
+    _count(reds, n, lengths, DEFAULT_CEILING)
+    return lengths
+
+
 def _census_walk(
     n: int, max_part: int | None = None, reds: int = 0
 ) -> Iterator[Codes]:
-    """The objects a census folds over: the tilings with ``reds`` red squares
-    and white total ``n``, so the compositions of ``n`` by default.  They
-    are counted first, so a census past ``DEFAULT_CEILING`` (read when the
-    census is called) is refused before it folds."""
-    lengths = _part_lengths(n, max_part)
-    _count(reds, n, lengths, DEFAULT_CEILING)
-    return _walk(reds, n, lengths)
+    """The objects a census folds over, once :func:`_census_lengths` has let
+    them through."""
+    return _walk(reds, n, _census_lengths(n, max_part, reds))
 
 
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
@@ -549,10 +586,11 @@ def count_by_part_multiplicity(
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
     """Counts of runs keyed by ``(part value, run length)`` over all compositions."""
-    census: Counter[tuple[int, int]] = Counter()
-    for comp in _census_walk(n, max_part):
-        census.update(_run_lengths(comp))
-    return dict(census)
+    census: Counter[int] = Counter()
+    update = census.update
+    for runs in _run_walk(n, _census_lengths(n, max_part)):
+        update(runs)
+    return {divmod(run, n + 1): count for run, count in census.items()}
 
 
 def total_parts(n: int) -> int:

@@ -223,8 +223,23 @@ class TestVerify:
         assert err == (f"tilingkit {command}: cannot write {str(target)!r}:"
                        " No such file or directory\n")
 
+    @pytest.mark.parametrize("command", ["verify", "conjecture"])
+    def test_directory_out_is_refused_before_the_run(self, capsys, monkeypatch,
+                                                     tmp_path, command):
+        def run_registry(*args):
+            raise AssertionError("the registry ran before --out was checked")
+
+        monkeypatch.setattr(identities, "run_registry", run_registry)
+        code, out, err = run_cli(capsys, command, "--scale", "default",
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"tilingkit {command}: cannot write {str(tmp_path)!r}:"
+                       " Is a directory\n")
+
     def test_out_naming_a_directory_is_usage_error(self, capsys, tmp_path):
-        # The directory check passes; the write itself fails.
+        # Refused by the check before the registry runs, with the message
+        # the write itself would give.
         code, out, err = run_cli(capsys, "verify", "--scale", "small",
                                  "--filter", "gf-pell", "--quiet",
                                  "--out", str(tmp_path))
@@ -404,4 +419,30 @@ _TABLE_ARGV = st.builds(
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_seq_and_table_argv_fuzz(capsys, argv):
+    _assert_exit_contract(capsys, argv)
+
+
+_VERIFY_ARGV = st.fixed_dictionaries({
+    "command": st.sampled_from(["verify", "conjecture"]),
+    "scale": st.sampled_from(["small", "huge"]),
+    "quiet": st.booleans(),
+}, optional={
+    "--filter": st.sampled_from(["gf-pell", "gf-*", "conjecture*", "nomatch"]),
+    "--out": st.sampled_from(["missing/report.json", ".", "report.json"]),
+})
+
+
+@given(draw=_VERIFY_ARGV)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_and_conjecture_argv_fuzz(capsys, tmp_path, draw):
+    # Small scale or an invalid one keeps each example under a second;
+    # --out names a missing directory, an existing one or a file.
+    argv = [draw["command"], "--scale", draw["scale"]]
+    if "--filter" in draw:
+        argv += ["--filter", draw["--filter"]]
+    if "--out" in draw:
+        argv += ["--out", str(tmp_path / draw["--out"])]
+    if draw["quiet"]:
+        argv.append("--quiet")
     _assert_exit_contract(capsys, argv)

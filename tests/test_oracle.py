@@ -494,3 +494,33 @@ class TestReference:
             for r in range(3):
                 assert orc.tile_count_total(r, n) == sum(
                     map(len, _reference_codes(r, n)))
+
+
+def _compositions_by_cuts(n):
+    """Every composition of ``n``, one per subset of its ``n - 1`` inner
+    cut points; unlike the code product it reaches n = 12 quickly."""
+    if not n:
+        return [()]
+    out = []
+    for mask in range(1 << (n - 1)):
+        bounds = [0, *(i for i in range(1, n) if mask >> (i - 1) & 1), n]
+        out.append(tuple(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+    return out
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_run_census_matches_plain_runs(n):
+    comps = _compositions_by_cuts(n)
+    if n < 7:
+        assert sorted(comps) == _reference_compositions(n)
+    for max_part in [None, *range(1, n + 2)]:
+        kept = [c for c in comps if max_part is None or max(c, default=0) <= max_part]
+        expected = Counter((value, len(list(run)))
+                           for c in kept for value, run in itertools.groupby(c))
+        census = orc.run_census(n, max_part=max_part)
+        assert census == expected, max_part
+        # Each key unpacks to a (value, length) pair of ints within n.
+        assert all(type(key) is tuple and len(key) == 2 for key in census)
+        assert all(type(value) is int and type(length) is int
+                   and 1 <= value <= n and 1 <= length <= n
+                   for value, length in census)
