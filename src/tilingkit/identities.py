@@ -1407,14 +1407,14 @@ def _build_registry() -> list[IdentityRecord]:
     ))
 
     def _avoid_gf_geometric(k: int, order: int, start: int) -> object:
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[0] = Fraction(1)
+        # the geometric sum truncated at x**order: terms past it cannot
+        # reach coefficients 0..order
+        den = [1] + [0] * order
         for i in range(start, order + 1):
-            coeffs[i] -= 1
+            den[i] -= 1
         if k <= order:
-            coeffs[k] += 1
-        denom = ser.TruncatedSeries(tuple(coeffs))
-        return tuple((ser.TruncatedSeries.one(order) / denom).coeffs)
+            den[k] += 1
+        return tuple(ser.expand(ser.RationalGF.of((1,), den), order).coeffs)
 
     add(IdentityRecord(
         id="gf-avoid-part-via-geometric",

@@ -5,7 +5,12 @@ arithmetic is closed under truncation: coefficient ``i`` of a result only
 ever depends on coefficients ``0..i`` of the operands, so working at a fixed
 order is sound.  A :class:`RationalGF` is a ratio of integer-coefficient
 polynomials whose denominator has a nonzero constant term; :func:`expand`
-turns one into its Maclaurin coefficients by exact long division.
+turns one into its Maclaurin coefficients by exact long division.  The
+coefficients of a rational GF satisfy the linear recurrence its denominator
+gives (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. IV), so
+:func:`expand` divides in integers over the denominator's nonzero terms
+only: O(order x nonzero denominator terms) integer operations, where the
+dense :meth:`TruncatedSeries.__truediv__` does O(order**2) Fraction ones.
 
 No symbolic manipulation happens here; generating-function claims are
 checked numerically, coefficient by coefficient, via :func:`verify_gf`.
@@ -24,6 +29,9 @@ Coeff = int | Fraction
 
 class NotExpandableError(ZeroDivisionError):
     """The denominator has constant term 0, so no power series expansion exists."""
+
+
+_NO_CONSTANT_TERM = "not expandable: divisor has constant term 0"
 
 
 def _frac(x: Coeff) -> Fraction:
@@ -96,7 +104,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if other.coeffs[0] == 0:
-            raise NotExpandableError("not expandable: divisor has constant term 0")
+            raise NotExpandableError(_NO_CONSTANT_TERM)
         m = self._align(other)
         inv0 = 1 / other.coeffs[0]
         out: list[Fraction] = []
@@ -189,20 +197,36 @@ class RationalGF:
 def expand(gf: RationalGF, order: int) -> TruncatedSeries:
     """Maclaurin coefficients 0..order of ``gf``, exact.
 
-    Raises :class:`NotExpandableError` when the denominator's constant term
-    is zero.
+    One long division in integers over the denominator's nonzero terms.
+    With ``d = den[0]`` and ``c_i = b_i / d**(i+1)``, the integers
+
+        b_i = num_i * d**i - sum_{j >= 1, den_j != 0} den_j * d**(j-1) * b_{i-j}
+
+    are the scaled coefficients, which costs O(order x nonzero denominator
+    terms) integer operations for any ``d != 0``.  Raises
+    :class:`NotExpandableError` when the denominator's constant term is zero.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if not gf.den or gf.den[0] == 0:
-        raise NotExpandableError("not expandable: denominator constant term is 0")
-    num = TruncatedSeries.from_coeffs(
-        tuple(gf.num[i] if i < len(gf.num) else 0 for i in range(order + 1))
-    )
-    den = TruncatedSeries.from_coeffs(
-        tuple(gf.den[i] if i < len(gf.den) else 0 for i in range(order + 1))
-    )
-    return num / den
+        raise NotExpandableError(_NO_CONSTANT_TERM)
+    d = gf.den[0]
+    num = gf.num[: order + 1]
+    # (j, den_j * d**(j-1)) for the nonzero terms, j ascending
+    terms = [(j, c * d ** (j - 1)) for j, c in enumerate(gf.den[1 : order + 1], 1) if c]
+    scaled: list[int] = []
+    coeffs: list[Fraction] = []
+    power = 1  # d**i
+    for i in range(order + 1):
+        b = num[i] * power if i < len(num) else 0
+        for j, t in terms:
+            if j > i:
+                break
+            b -= t * scaled[i - j]
+        scaled.append(b)
+        power *= d
+        coeffs.append(Fraction(b, power))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def series_of_sequence(f: Callable[[int], Coeff], order: int) -> TruncatedSeries:
@@ -257,6 +281,8 @@ def gf_step_sum(k: int) -> RationalGF:
 
 def gf_avoid_part(k: int) -> RationalGF:
     """(1 - x)/(1 - 2x + x**k - x**(k+1)): compositions with no part ``k``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     den = [1, -2] + [0] * (k - 1)
     den[k] += 1
     den.append(-1)
@@ -264,10 +290,12 @@ def gf_avoid_part(k: int) -> RationalGF:
 
 
 def gf_allowed_parts(parts: Sequence[int]) -> RationalGF:
-    """1/(1 - sum x**s over the allowed part sizes)."""
-    top = max(parts)
-    den = [0] * (top + 1)
-    den[0] = 1
-    for s in parts:
+    """1/(1 - sum x**s over the allowed part sizes): a repeated size counts
+    once, and no sizes give 1 (only the empty composition)."""
+    sizes = sorted(set(parts))
+    if sizes and sizes[0] < 1:
+        raise ValueError("allowed parts must be positive")
+    den = [1] + [0] * (sizes[-1] if sizes else 0)
+    for s in sizes:
         den[s] -= 1
     return RationalGF.of((1,), den)

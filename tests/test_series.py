@@ -49,6 +49,32 @@ class TestExpansion:
         with pytest.raises(NotExpandableError, match="not expandable"):
             expand(RationalGF.of((1,), (0, 1)), 4)
 
+    @given(
+        st.sampled_from((1, -1, 2, -2, 3, 5)),
+        st.lists(st.integers(-4, 4) | st.just(0), max_size=45),
+        st.lists(st.integers(-5, 5), max_size=45),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_fraction_long_division(self, d, den_tail, num, order):
+        gf = RationalGF.of(num, [d] + den_tail)
+        got = expand(gf, order).coeffs
+        assert got == _dense_long_division(gf, order)
+        assert all(type(c) is Fraction for c in got)
+
+
+def _dense_long_division(gf: RationalGF, order: int) -> tuple[Fraction, ...]:
+    """Reference: every padded denominator term, one Fraction at a time."""
+    num = [Fraction(gf.num[i] if i < len(gf.num) else 0) for i in range(order + 1)]
+    den = [Fraction(gf.den[i] if i < len(gf.den) else 0) for i in range(order + 1)]
+    out: list[Fraction] = []
+    for i in range(order + 1):
+        acc = num[i]
+        for j in range(1, i + 1):
+            acc -= den[j] * out[i - j]
+        out.append(acc / den[0])
+    return tuple(out)
+
 
 class TestSeriesOfSequence:
     def test_two_red_row(self):
@@ -95,6 +121,27 @@ class TestVerifyGF:
             10,
         )
         assert ok
+
+    @pytest.mark.parametrize("k", (0, -2))
+    def test_avoid_part_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            gf_avoid_part(k)
+
+    @pytest.mark.parametrize("parts", ((1, 1), (2, 2, 3), (3, 1, 3), ()))
+    def test_allowed_parts_matches_oracle_for_repeats_and_empty(self, parts):
+        from tilingkit import oracle as orc
+
+        ok, idx = verify_gf(
+            gf_allowed_parts(parts),
+            lambda i: orc.count_compositions(i, allowed_parts=parts),
+            10,
+        )
+        assert ok, idx
+
+    @pytest.mark.parametrize("parts", ((-1,), (0, 2)))
+    def test_allowed_parts_rejects_nonpositive_parts(self, parts):
+        with pytest.raises(ValueError, match="allowed parts must be positive"):
+            gf_allowed_parts(parts)
 
 
 class TestRingLaws:
