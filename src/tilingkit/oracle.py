@@ -26,9 +26,10 @@ every census but one.  The run census reads the same tree run by run:
 :func:`_run_walk` carries each composition's maximal runs of equal parts
 down the tree, packed one int per run, and yields them at each leaf, so
 :func:`run_census` folds runs without splitting any composition.  One
-counter, :func:`_count`, counts the same leaves one by one.  Palindromes
-are a walked half, an optional centre and the mirrored half; suffix
-tilings are a walked body and a tail of ``s`` white tiles.
+counter, :func:`_count`, counts the same leaves, adding each one at its
+parent.  Palindromes are a walked half, an optional centre and the
+mirrored half; suffix tilings are a walked body and a tail of ``s`` white
+tiles.
 
 The counter is the one guard.  A count raises :class:`OracleScaleError` as
 soon as it passes ``ceiling``, and every listing and every census is
@@ -37,8 +38,17 @@ is refused before any object is built.  A white total that is not a
 multiple of the gcd of the allowed lengths has dead ends and no leaves,
 so the walk and the counter return at once for it.  The functions that
 take no ``ceiling`` (``count_palindromic_compositions`` and the census
-helpers) refuse past ``DEFAULT_CEILING``, read when they are called.  All
-functions are pure; concurrent use needs no locking.
+helpers) refuse past ``DEFAULT_CEILING``, read when they are called.
+
+Each distinct walk is counted once per process.  The counter keeps the
+count of every walk it finishes in a module-level store keyed by ``(reds,
+white, lengths)``, and a later count of the same walk reads it.  A kept
+count refuses exactly where its walk would have, against the ceiling of
+the call that reads it, so a lowered ``DEFAULT_CEILING`` still refuses.  A
+refused walk keeps nothing, and no kept count is derived from another, so
+every count is still a sum over visited leaves.  Concurrent use needs no
+locking: a race only makes two threads walk the same family and store the
+same number.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -232,6 +242,16 @@ def _run_walk(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                  else (runs, part, part * shift + 1, rest - part))
 
 
+# The exact leaf count of every walk :func:`_count` has finished, keyed by
+# ``(reds, white, lengths)``.  An entry is only ever a count of visited
+# leaves, never derived from other entries.
+_COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
+
+
+def _refusal(ceiling: int) -> OracleScaleError:
+    return OracleScaleError(f"oracle scale exceeded: more than {ceiling} objects")
+
+
 def _count(
     reds: int,
     white: int,
@@ -239,33 +259,61 @@ def _count(
     ceiling: int | None,
     seen: int = 0,
 ) -> int:
-    """Number of leaves :func:`_walk` yields, counted one by one; refuses
-    as soon as ``seen``, the objects counted before, plus that number
-    passes ``ceiling``."""
+    """Number of leaves :func:`_walk` yields; refuses as soon as ``seen``,
+    the objects counted before, plus that number passes ``ceiling``.
+
+    Each family is walked once per process: a finished walk's count is
+    kept in ``_COUNTS``, and a later call reads it and refuses exactly when
+    the walk would have.  A refused walk keeps nothing."""
     if lengths and white % gcd(*lengths):
         return 0  # no leaf, as in _walk
+    key = (reds, white, lengths)
+    total = _COUNTS.get(key)
+    if total is None:
+        total = _COUNTS[key] = _count_leaves(reds, white, lengths, ceiling, seen)
+    elif ceiling is not None and total and seen + total > ceiling:
+        raise _refusal(ceiling)
+    return total
+
+
+def _count_leaves(
+    reds: int,
+    white: int,
+    lengths: tuple[int, ...],
+    ceiling: int | None,
+    seen: int,
+) -> int:
+    """The walk behind :func:`_count`.  A node's row is its inner children
+    and its number of leaf children, so leaves are added at their parent
+    and never pushed."""
     shift = white + 1
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, tuple[list[int], int]] = {}
     total = seen
-    stack = [reds * shift + white]
+    root = reds * shift + white
+    stack: list[int] = []
     pop = stack.pop
     extend = stack.extend
-    while stack:
+    # The root's row, as if it had a parent: a root of state 0 is the one
+    # leaf, the empty tiling.
+    inner, leaves = ([root], 0) if root else ([], 1)
+    while True:
+        extend(inner)
+        if leaves:
+            total += leaves
+            if ceiling is not None and total > ceiling:
+                raise _refusal(ceiling)
+        if not stack:
+            return total - seen
         state = pop()
-        if state:
-            row = rows.get(state)
-            if row is None:
-                # The longest white tile is popped first; its subtree is the
-                # smallest, which keeps the stack short.
-                row = rows[state] = [state - (code or shift) for code
-                                     in _moves(state, shift, lengths)]
-            extend(row)
-            continue
-        total += 1
-        if ceiling is not None and total > ceiling:
-            raise OracleScaleError(
-                f"oracle scale exceeded: more than {ceiling} objects")
-    return total - seen
+        row = rows.get(state)
+        if row is None:
+            # The longest white tile is popped first; its subtree is the
+            # smallest, which keeps the stack short.
+            children = [state - (code or shift)
+                        for code in _moves(state, shift, lengths)]
+            inner = [child for child in children if child]
+            row = rows[state] = (inner, len(children) - len(inner))
+        inner, leaves = row
 
 
 # A family of objects is a sequence of blocks ``(reds, white, build)``: the
@@ -586,10 +634,8 @@ def count_by_part_multiplicity(
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
     """Counts of runs keyed by ``(part value, run length)`` over all compositions."""
-    census: Counter[int] = Counter()
-    update = census.update
-    for runs in _run_walk(n, _census_lengths(n, max_part)):
-        update(runs)
+    census = Counter(chain.from_iterable(
+        _run_walk(n, _census_lengths(n, max_part))))
     return {divmod(run, n + 1): count for run, count in census.items()}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 from pathlib import Path
@@ -226,3 +227,19 @@ class TestNegativeControl:
         assert result.corrected_counterexample == {
             "point": [0, 0], "lhs": "1", "rhs": "3",
         }
+
+
+def test_tracer_census_caches_are_registry_caches():
+    # The benchmark tracer reads ``cache_info()`` of each name it lists; the
+    # list is parsed, not imported, so the test does not depend on ``bench``.
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    names = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "_CENSUS_CACHES"
+                for target in node.targets)
+    ]
+    assert len(names) == 1 and names[0]
+    for name in names[0]:
+        assert callable(getattr(getattr(ident, name), "cache_info", None)), name

@@ -8,9 +8,10 @@ import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilingkit import oracle as orc
@@ -524,3 +525,118 @@ def test_run_census_matches_plain_runs(n):
         assert all(type(value) is int and type(length) is int
                    and 1 <= value <= n and 1 <= length <= n
                    for value, length in census)
+
+
+# ---------------------------------------------------------------------------
+# The count store: a finished walk's count is kept, and a kept count refuses
+# exactly where the walk would have.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def store():
+    """The count store, emptied for one test, so that a first count walks."""
+    with patch.dict(orc._COUNTS, clear=True):
+        yield orc._COUNTS
+
+
+def _refusal_message(walk) -> str:
+    with pytest.raises(OracleScaleError) as refused:
+        walk()
+    return str(refused.value)
+
+
+def test_stored_count_refuses_just_past_the_ceiling(store):
+    exact = count_tilings(2, 6, ceiling=None)
+    assert store == {(2, 6, (1, 2, 3, 4, 5, 6)): exact}
+    store.clear()
+    walked = _refusal_message(lambda: count_tilings(2, 6, ceiling=exact - 1))
+    assert walked == f"oracle scale exceeded: more than {exact - 1} objects"
+    assert count_tilings(2, 6, ceiling=exact) == exact
+    assert len(store) == 1
+    for _ in range(2):
+        assert _refusal_message(
+            lambda: count_tilings(2, 6, ceiling=exact - 1)) == walked
+        assert count_tilings(2, 6, ceiling=exact) == exact
+
+
+def test_stored_count_refuses_through_the_objects_seen_before(store):
+    lengths = (1, 2, 3)
+    size = orc._count(1, 5, lengths, None)
+    assert size > 1
+    for seen in (0, 1, size):
+        assert orc._count(1, 5, lengths, seen + size, seen) == size
+        with pytest.raises(OracleScaleError,
+                           match=f"more than {seen + size - 1} objects"):
+            orc._count(1, 5, lengths, seen + size - 1, seen)
+    # A suffix family counts one block per tail, each after the blocks before.
+    suffix = TilingFilter(suffix_white_tiles=2)
+    exact = count_tilings(2, 4, suffix)
+    for _ in range(2):
+        with pytest.raises(OracleScaleError, match=f"more than {exact - 1} objects"):
+            count_tilings(2, 4, suffix, ceiling=exact - 1)
+        assert count_tilings(2, 4, suffix, ceiling=exact) == exact
+
+
+def test_stored_count_refuses_past_a_lowered_default_ceiling(store, monkeypatch):
+    assert orc.total_parts(6) == 112  # counts 32 compositions first
+    assert orc.count_palindromic_compositions(12) == 64
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 32)
+    assert orc.total_parts(6) == 112
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 31)
+    with pytest.raises(OracleScaleError, match="more than 31 objects"):
+        orc.total_parts(6)
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 64)
+    assert orc.count_palindromic_compositions(12) == 64
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 63)
+    with pytest.raises(OracleScaleError, match="more than 63 objects"):
+        orc.count_palindromic_compositions(12)
+
+
+def test_refused_walk_and_dead_family_are_not_stored(store):
+    with pytest.raises(OracleScaleError):
+        count_tilings(2, 6, ceiling=10)
+    assert orc.count_compositions(301, allowed_parts=(2, 4)) == 0
+    assert count_tilings(5, 301, TilingFilter(max_white_len=2,
+                                              forbidden_white_len=1)) == 0
+    assert store == {}
+    # A suffix family refused in its last block keeps the blocks it finished.
+    suffix = TilingFilter(suffix_white_tiles=1)
+    exact = count_tilings(1, 3, suffix, ceiling=None)
+    finished = dict(store)
+    store.clear()
+    with pytest.raises(OracleScaleError):
+        count_tilings(1, 3, suffix, ceiling=exact - 1)
+    assert store.items() < finished.items()
+
+
+def test_stored_empty_family_refuses_nothing(store):
+    empty = TilingFilter(max_white_len=1, forbidden_white_len=1)
+    assert count_tilings(0, 2, empty) == 0
+    assert store == {(0, 2, ()): 0}
+    assert count_tilings(0, 2, empty, ceiling=-5) == 0
+    assert enumerate_tilings(0, 2, empty, ceiling=-5) == []
+
+
+@given(
+    families=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8)),
+                      min_size=1, max_size=4),
+    lengths=st.sets(st.integers(1, 8), max_size=4).map(sorted).map(tuple),
+)
+@example(families=[(0, 0)], lengths=())          # the root is the one leaf
+@example(families=[(0, 0)], lengths=(1, 2))
+@example(families=[(3, 0), (2, 0)], lengths=(1,))  # reds only
+@example(families=[(2, 7), (2, 6)], lengths=(2, 4))  # off the gcd
+@example(families=[(1, 4), (2, 4)], lengths=(1, 2))
+@settings(max_examples=200)
+def test_count_matches_the_walk_on_a_miss_and_on_a_hit(families, lengths):
+    with patch.dict(orc._COUNTS, clear=True):
+        for reds, white in families:
+            exact = sum(1 for _ in orc._walk(reds, white, lengths))
+            if exact > 2:  # a refused walk leaves the count to walk again
+                with pytest.raises(OracleScaleError):
+                    orc._count(reds, white, lengths, exact // 2)
+            assert orc._count(reds, white, lengths, None) == exact
+        for reds, white in families:
+            exact = sum(1 for _ in orc._walk(reds, white, lengths))
+            assert orc._count(reds, white, lengths, exact) == exact
+            assert orc._count(reds, white, lengths, None) == exact
