@@ -16,7 +16,7 @@ deliberately independent so they can check each other:
 ``tilingkit.tables``
     the reference tables rebuilt from the formulas;
 ``tilingkit.cli``
-    the ``tilingkit`` command line tool.
+    the ``tilingkit`` command line tool (also ``python -m tilingkit``).
 """
 
 from . import compstats, identities, oracle, sequences, series, tables

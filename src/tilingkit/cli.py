@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import inspect
 import json
 import os
 import sys
@@ -37,15 +38,15 @@ TABLE_FORMATS = ("csv", "json", "pretty-table")
 
 
 class _Family:
-    def __init__(
-        self,
-        params: tuple[str, ...],
-        fn: Callable[..., int],
-        help: str,
-        optional: tuple[str, ...] = (),
-    ) -> None:
-        self.params = params
-        self.optional = optional
+    """A ``seq`` family: ``fn(n, ...)`` and the parameters it takes after ``n``.
+
+    A parameter with a default is optional on the command line.
+    """
+
+    def __init__(self, fn: Callable[..., int], help: str) -> None:
+        after_n = list(inspect.signature(fn).parameters.values())[1:]
+        self.params = tuple(p.name for p in after_n if p.default is p.empty)
+        self.optional = tuple(p.name for p in after_n if p.default is not p.empty)
         self.fn = fn
         self.help = help
 
@@ -75,52 +76,38 @@ def _cb_family(n: int, k: int, p: int | None = None) -> int:
 
 
 FAMILIES: dict[str, _Family] = {
-    "a": _Family(("r",), lambda n, r: seq.a(r, n),
+    "a": _Family(lambda n, r: seq.a(r, n),
                  "two-toned tilings with r reds and white total n"),
-    "as": _Family(("s", "r"), lambda n, s, r: seq.a_s(s, r, n),
+    "as": _Family(lambda n, s, r: seq.a_s(s, r, n),
                   "s-fold cumulative sums of a(r,.)"),
-    "ak": _Family(("r", "k"), lambda n, r, k: seq.a_k(r, n, k),
+    "ak": _Family(lambda n, r, k: seq.a_k(r, n, k),
                   "tilings with white lengths capped at k"),
-    "f": _Family(("k",), lambda n, k: seq.fibonacci_k(n, k),
-                 "k-step Fibonacci numbers"),
-    "fconv": _Family(("k", "r"), lambda n, k, r: seq.fibonacci_k_conv(n, k, r),
+    "f": _Family(seq.fibonacci_k, "k-step Fibonacci numbers"),
+    "fconv": _Family(seq.fibonacci_k_conv,
                      "r-th convolution of the k-step Fibonacci sequence"),
-    "negf": _Family(("k",), lambda n, k: seq.neg_fibonacci_k(n, k),
+    "negf": _Family(seq.neg_fibonacci_k,
                     "k-step Fibonacci numbers at any integer index"),
-    "pell": _Family((), lambda n: seq.pell(n), "Pell numbers"),
-    "L": _Family(("k",), lambda n, k: cs.L(n, k),
-                 "compositions with at least one part k"),
-    "Ep": _Family(("m", "k", "p"), lambda n, m, k, p: cs.E_p(n, m, k, p),
-                  "compositions, parts <= k, exactly p parts m"),
-    "S": _Family(("k",), lambda n, k: cs.S(n, k),
-                 "occurrences of the part k over all compositions"),
-    "G": _Family(("k",), lambda n, k: cs.G(n, k),
-                 "compositions with largest part exactly k"),
-    "Gr": _Family(("k", "r"), lambda n, k, r: cs.G_exact(n, k, r),
+    "pell": _Family(seq.pell, "Pell numbers"),
+    "L": _Family(cs.L, "compositions with at least one part k"),
+    "Ep": _Family(cs.E_p, "compositions, parts <= k, exactly p parts m"),
+    "S": _Family(cs.S, "occurrences of the part k over all compositions"),
+    "G": _Family(cs.G, "compositions with largest part exactly k"),
+    "Gr": _Family(cs.G_exact,
                   "compositions whose largest part k appears exactly r times"),
-    "CF": _Family(("k",), lambda n, k: cs.CF(n, k),
-                  "compositions with the copies of k frozen"),
-    "Cb": _Family(("k",), _cb_family,
-                  "compositions whose parts k are consecutive", optional=("p",)),
-    "Chat": _Family(("k",), _chat_family,
-                    "compositions avoiding the part k", optional=("m",)),
-    "Cmult": _Family(("k",), lambda n, k: cs.C_multiples(n, k),
-                     "compositions with no part divisible by k"),
-    "R": _Family((), lambda n: cs.R_total(n), "runs over all compositions"),
-    "Rk": _Family(("k",), lambda n, k: cs.R_runs(n, k),
-                  "runs of the value k over all compositions"),
-    "E": _Family((), lambda n: cs.E_total(n),
-                 "parts over all compositions"),
-    "m": _Family(("r",), lambda n, r: cs.m_pal(r, n),
-                 "palindromic tilings with r reds"),
-    "pal": _Family((), lambda n: cs.pal(n), "palindromic compositions"),
-    "palhat": _Family(("k",), lambda n, k: cs.pal_hat(n, k),
-                      "palindromic compositions avoiding the part k"),
-    "Ca": _Family(("r",), lambda n, r: cs.C_a(r, n),
+    "CF": _Family(cs.CF, "compositions with the copies of k frozen"),
+    "Cb": _Family(_cb_family, "compositions whose parts k are consecutive"),
+    "Chat": _Family(_chat_family, "compositions avoiding the part k"),
+    "Cmult": _Family(cs.C_multiples, "compositions with no part divisible by k"),
+    "R": _Family(cs.R_total, "runs over all compositions"),
+    "Rk": _Family(cs.R_runs, "runs of the value k over all compositions"),
+    "E": _Family(cs.E_total, "parts over all compositions"),
+    "m": _Family(lambda n, r: cs.m_pal(r, n), "palindromic tilings with r reds"),
+    "pal": _Family(cs.pal, "palindromic compositions"),
+    "palhat": _Family(cs.pal_hat, "palindromic compositions avoiding the part k"),
+    "Ca": _Family(lambda n, r: cs.C_a(r, n),
                   "tiles used by all tilings with r reds"),
-    "runs": _Family(("k",), _runs_family,
-                    "runs over compositions with parts <= k"
-                    " (runs of j only, with --j)", optional=("j",)),
+    "runs": _Family(_runs_family, "runs over compositions with parts <= k"
+                                  " (runs of j only, with --j)"),
 }
 
 

@@ -1,17 +1,19 @@
 """Registry of checkable identities for the tiling count families.
 
 Each :class:`IdentityRecord` states one identity exactly as its source
-prints it, together with evaluators for both sides, a finite parameter
-grid per scale, and the status the suite expects:
+prints it, together with evaluators for both sides and a finite parameter
+grid per scale.  The status the suite expects follows from what else the
+record carries:
 
 ``verified``
-    both sides agree at every grid point;
+    neither of the two below; both sides agree at every grid point;
 ``fails-as-printed``
-    the stated form has a counterexample, and the record carries a
-    corrected form that does verify (the corrected form is checked too);
+    a corrected form: the stated form has a counterexample, and the
+    corrected form does verify (it is checked too);
 ``conjecture``
-    no proof is claimed anywhere; the record only ever reports the bound
-    up to which no counterexample was found, never "verified".
+    a ``bound_doc``: no proof is claimed anywhere; the record only ever
+    reports the bound up to which no counterexample was found, never
+    "verified".  A conjecture carries no corrected form.
 
 Running the registry produces a :class:`VerificationReport` whose JSON
 rendering is deterministic: no timestamps or wall-clock readings go into
@@ -137,17 +139,20 @@ class IdentityRecord:
     lhs: Evaluator
     rhs: Evaluator
     domain: Domain
-    expected: str  # verified | fails-as-printed | conjecture
     corrected: CorrectedForm | None = None
     probe: ProbeSpec | None = None
     bound_doc: Callable[[GridScale], dict] | None = None
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.expected not in ("verified", "fails-as-printed", "conjecture"):
-            raise ValueError(f"bad expected status {self.expected!r}")
-        if self.expected == "fails-as-printed" and self.corrected is None:
-            raise ValueError(f"{self.id}: fails-as-printed needs a corrected form")
+        if self.bound_doc is not None and self.corrected is not None:
+            raise ValueError(f"{self.id}: a conjecture carries no corrected form")
+
+    @property
+    def expected(self) -> str:
+        if self.bound_doc is not None:
+            return "conjecture"
+        return "verified" if self.corrected is None else "fails-as-printed"
 
 
 @dataclass
@@ -239,7 +244,7 @@ def evaluate_record(record: IdentityRecord, grid: GridScale) -> RecordResult:
     outcome = _sweep(record.lhs, record.rhs, record.domain(grid))
     # A corrected form is validated even when the printed form unexpectedly
     # passes, so drift in either direction is caught.
-    corr = None if record.expected == "conjecture" else record.corrected
+    corr = record.corrected
     corr_outcome = None
     if corr is not None:
         corr_outcome = _sweep(
@@ -508,7 +513,8 @@ def _seq_row(term: Evaluator) -> Evaluator:
 # Individual evaluators that need more than a lambda.
 # ---------------------------------------------------------------------------
 
-def _bivariate_cells(limit: int) -> dict[tuple[int, int], int]:
+@lru_cache(maxsize=None)
+def _bivariate_table(limit: int) -> dict[tuple[int, int], int]:
     # Cross-multiplying (1 - 2y - x + xy) A(x, y) = 1 - y gives the cell
     # recurrence below; expanding it is plain polynomial division in two
     # variables, independent of the single-variable route.
@@ -524,11 +530,6 @@ def _bivariate_cells(limit: int) -> dict[tuple[int, int], int]:
             )
             cells[(r, m)] = value
     return cells
-
-
-@lru_cache(maxsize=None)
-def _bivariate_table(limit: int) -> dict:
-    return _bivariate_cells(limit)
 
 
 def _fib_explicit_sum(n: int, k: int) -> object:
@@ -796,10 +797,9 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="two-tone-recurrence",
         citation="a(r,n) = a(r-1,n) + 2 a(r,n-1) - a(r-1,n-1); a(r,0) = 1, a(0,n) = 2^(n-1)",
-        lhs=lambda r, n: orc.count_tilings(r, n),
-        rhs=lambda r, n: a(r, n),
+        lhs=orc.count_tilings,
+        rhs=a,
         domain=_points_rn_sum(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -808,7 +808,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(ser.gf_geometric_two_tone),
         rhs=_seq_row(a),
         domain=_with_order(_rows(_fmt_limit)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -819,25 +818,22 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: (
             (r, n, g.limit) for r in range(g.limit + 1) for n in range(g.limit + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="two-tone-convolution",
         citation="a(r,n) = sum_{j=0..n} a(r-1,n-j) a(0,j)",
-        lhs=lambda r, n: a(r, n),
+        lhs=a,
         rhs=lambda r, n: sum(a(r - 1, n - j) * a(0, j) for j in range(n + 1)),
         domain=_points_rn_sum(_twice_limit, r_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="two-tone-closed-form",
         citation="a(r,n) = 2^(n-r-1) sum_{j=0..r} C(r+1,j) C(n+r-j,n)",
-        lhs=lambda r, n: a(r, n),
-        rhs=lambda r, n: a_explicit(r, n),
+        lhs=a,
+        rhs=a_explicit,
         domain=_pairs(_fmt_limit, second_from=1),
-        expected="verified",
         notes="the 2^(n-r-1) factor leaves the integers at n = 0, so the"
               " registry domain starts at n = 1",
     ))
@@ -845,10 +841,9 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="two-tone-recurrence-cumulative",
         citation="a(r,n) = a_1(r,n-1) + a(r-1,n)",
-        lhs=lambda r, n: a(r, n),
+        lhs=a,
         rhs=lambda r, n: a_s(1, r, n - 1) + a(r - 1, n),
         domain=_pairs(_fmt_limit, 1, 1),
-        expected="verified",
     ))
 
     # -- cumulative sums a_s --------------------------------------------------
@@ -860,14 +855,13 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda s, r, n: orc.count_tilings(
             r, n, orc.TilingFilter(suffix_white_tiles=s)
         ),
-        rhs=lambda s, r, n: a_s(s, r, n),
+        rhs=a_s,
         domain=lambda g: (
             (s, r, total - r)
             for s in range(0, 5)
             for total in range(g.oracle_limit - s + 1)
             for r in range(total + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -876,7 +870,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(ser.gf_suffix_white),
         rhs=_seq_row(a_s),
         domain=_with_order(_pairs(lambda g: g.limit // 2)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -885,21 +878,19 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(lambda r: ser.gf_suffix_white(r, r)),
         rhs=_seq_row(lambda r, i: a_s(r, r, i)),
         domain=_with_order(_rows(_fmt_limit)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="diagonal-closed-form",
         citation="a_r(r,n) = 2^(n-1) (C(n+r,r) + C(n+r-1,r-1))",
         lhs=lambda r, n: a_s(r, r, n),
-        rhs=lambda r, n: a_diag(r, n),
+        rhs=a_diag,
         domain=lambda g: (
             (r, n)
             for r in range(g.limit + 1)
             for n in range(g.limit + 1)
             if r + n >= 1
         ),
-        expected="verified",
         notes="at (0,0) the closed form evaluates to 1/2; the registry"
               " domain requires r + n >= 1",
     ))
@@ -910,23 +901,21 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(lambda r: ser.gf_suffix_white(r + 1, r)),
         rhs=_seq_row(lambda r, i: a_s(r + 1, r, i)),
         domain=_with_order(_rows(_fmt_limit)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="superdiagonal-closed-form",
         citation="a_{r+1}(r,n) = 2^n C(n+r,r)",
         lhs=lambda r, n: a_s(r + 1, r, n),
-        rhs=lambda r, n: a_diag_plus(r, n),
+        rhs=a_diag_plus,
         domain=_pairs(_fmt_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="cumulative-binomial-sum",
         citation="a_s(r,n) = sum_{j=0..n} C(n-1+s, j-1+s) C(r+j, r)",
-        lhs=lambda s, r, n: a_s(s, r, n),
-        rhs=lambda s, r, n: a_s_binomial(s, r, n),
+        lhs=a_s,
+        rhs=a_s_binomial,
         domain=lambda g: (
             (s, r, n)
             for s in range(g.limit // 2 + 1)
@@ -934,7 +923,6 @@ def _build_registry() -> list[IdentityRecord]:
             for n in range(g.limit // 2 + 1)
             if n + s >= 1
         ),
-        expected="verified",
         notes="at s = 0, n = 0 the binomial sum is empty; the registry"
               " domain requires n + s >= 1",
     ))
@@ -943,10 +931,9 @@ def _build_registry() -> list[IdentityRecord]:
         id="conjecture-cumulative-closed-form",
         citation="a_s(r,n) = 2^(n-r-1+s) sum_{j=0..r+1-s} C(r+1-s,j) C(n+r-j,n)"
                  " for s,r,n >= 1",
-        lhs=lambda s, r, n: a_s(s, r, n),
+        lhs=a_s,
         rhs=_conjecture1_formula,
         domain=lambda g: _conj1_points(*(g.conj1_bound,) * 3),
-        expected="conjecture",
         bound_doc=lambda g: {
             "s": g.conj1_bound, "r": g.conj1_bound, "n": g.conj1_bound,
             "domain": "1 <= s <= r + 1",
@@ -961,7 +948,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda r, n: a_s(r, r, n),
         rhs=lambda r, n: 2 * a_s(r, r, n - 1) + a_s(r - 1, r - 1, n),
         domain=_pairs(_fmt_limit, 1, 1),
-        expected="verified",
     ))
 
     # -- k-step Fibonacci ------------------------------------------------------
@@ -969,12 +955,11 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="step-fib-doubling-plateau",
         citation="F(j,k) = 2^(j-2) for 2 <= j <= k",
-        lhs=lambda j, k: fibonacci_k(j, k),
+        lhs=fibonacci_k,
         rhs=lambda j, k: 1 << (j - 2),
         domain=lambda g: (
             (j, k) for k in range(2, g.limit + 1) for j in range(2, k + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -988,7 +973,6 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: (
             (n, k) for k in range(0, g.limit + 1) for n in range(-1, 2 * g.limit + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -997,7 +981,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(ser.gf_step_sum),
         rhs=_seq_row(lambda k, i: fibonacci_k(i + 1, k)),
         domain=_with_order(_rows(_fmt_limit, start=1)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1007,7 +990,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, k: fibonacci_k(n + 1, k),
         rhs=_fib_explicit_sum,
         domain=_fib_points,
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1019,7 +1001,6 @@ def _build_registry() -> list[IdentityRecord]:
         )),
         rhs=_seq_row(lambda k, i: neg_fibonacci_k(1 - i, k)),
         domain=_with_order(lambda g: ((k,) for k in range(2, 7))),
-        expected="verified",
         notes="the substitution negF(n,k) = b(1-n) pins b(0) = negF(1) = 1;"
               " the seed list printed alongside the proof says b(0) = 0 but"
               " the generating function itself is the one shown here",
@@ -1034,7 +1015,6 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: (
             (n, k) for k in range(2, 6) for n in range(1, 2 * g.limit + 1)
         ),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(-(n+1),k) = sum_{j>=0} (-1)^(r-jk)"
                      " a_{r+jk}(r+jk, m-r-j(k+1)) with n+2 = km+r, 0 <= r < k",
@@ -1052,7 +1032,6 @@ def _build_registry() -> list[IdentityRecord]:
             (-1) ** i * a_s(i, i, n - 3 * i) for i in range(n // 3 + 1)
         ),
         domain=_rows(_twice_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1063,7 +1042,6 @@ def _build_registry() -> list[IdentityRecord]:
             a_s(2 * i, 2 * i, m - 3 * i) for i in range(m // 3 + 1)
         ),
         domain=_rows(_fmt_limit, start=1),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(-(2m-1),2) = sum_i a_{2i}(2i, m-3i)",
             lhs=lambda m: neg_fibonacci_k(-(2 * m - 1), 2),
@@ -1081,7 +1059,6 @@ def _build_registry() -> list[IdentityRecord]:
             for i in range((m - 1) // 3 + 1)
         ),
         domain=_rows(_fmt_limit, start=1),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(-2m,2) = - sum_i a_{2i+1}(2i+1, m-(3i+1))",
             lhs=lambda m: neg_fibonacci_k(-2 * m, 2),
@@ -1099,7 +1076,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n: neg_fibonacci_k(n, 2),
         rhs=lambda n: fibonacci_k(-n, 2),
         domain=lambda g: ((-n,) for n in range(1, 2 * g.limit + 1)),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="negF(n,2) = (-1)^(n+1) F(-n,2) for n < 0",
             rhs=lambda n: (-1) ** (n + 1) * fibonacci_k(-n, 2),
@@ -1120,13 +1096,12 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: (
             (n, k) for k in range(1, g.limit + 1) for n in range(1, g.limit + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="conv-recursive-step",
         citation="F(n,k,r) = sum_{j=1..n} F(n+1-j,k,r-1) F(j,k,r-1)",
-        lhs=lambda n, k, r: fibonacci_k_conv(n, k, r),
+        lhs=fibonacci_k_conv,
         rhs=lambda n, k, r: sum(
             fibonacci_k_conv(n + 1 - j, k, r - 1) * fibonacci_k_conv(j, k, r - 1)
             for j in range(1, n + 1)
@@ -1137,7 +1112,6 @@ def _build_registry() -> list[IdentityRecord]:
             for r in range(1, g.limit // 2 + 1)
             for n in range(1, g.limit + 1)
         ),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="F(n,k,r) = sum_{j=1..n} F(n+1-j,k,r-1) F(j,k)",
             rhs=lambda n, k, r: sum(
@@ -1160,7 +1134,6 @@ def _build_registry() -> list[IdentityRecord]:
             for r in range(0, g.limit // 2 + 1)
             for n in range(1, g.limit + 1)
         ),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="a(0,n,k) = sum_{j=1..k} a(0,n-j,k) for n >= 1",
             lhs=lambda r, n, k: a_k(0, n, k),
@@ -1183,14 +1156,13 @@ def _build_registry() -> list[IdentityRecord]:
         citation="a(r,n,k) = #{(n+r)-tilings with white lengths 1..k}"
                  " = F(n+1,k,r)",
         lhs=_tilings_max_white,
-        rhs=lambda r, n, k: a_k(r, n, k),
+        rhs=a_k,
         domain=lambda g: (
             (r, total - r, k)
             for k in range(1, 6)
             for total in range(g.oracle_limit + 1)
             for r in range(total + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1201,13 +1173,12 @@ def _build_registry() -> list[IdentityRecord]:
         domain=_with_order(lambda g: (
             (r, k) for r in range(g.limit // 2 + 1) for k in range(1, 7)
         )),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="bounded-white-alternating-sum",
         citation="a(r,n,k) = sum_{j>=0} (-1)^j C(r+j,r) a_j(r+j, n-j(k+1))",
-        lhs=lambda r, n, k: a_k(r, n, k),
+        lhs=a_k,
         rhs=lambda r, n, k: sum(
             (-1) ** j * binom(r + j, r) * a_s(j, r + j, n - j * (k + 1))
             for j in range(n // (k + 1) + 1)
@@ -1218,20 +1189,18 @@ def _build_registry() -> list[IdentityRecord]:
             for r in range(g.limit // 2 + 1)
             for n in range(g.limit + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="step-fib-from-smaller-step",
         citation="F(n,k) = sum_{j>=0} F(n-jk, k-1, j)",
-        lhs=lambda n, k: fibonacci_k(n, k),
+        lhs=fibonacci_k,
         rhs=lambda n, k: sum(
             fibonacci_k_conv(n - j * k, k - 1, j) for j in range(n // k + 1)
         ),
         domain=lambda g: (
             (n, k) for k in range(1, 7) for n in range(1, 2 * g.limit + 1)
         ),
-        expected="verified",
     ))
 
     # -- compositions with part restrictions -----------------------------------
@@ -1240,57 +1209,51 @@ def _build_registry() -> list[IdentityRecord]:
         id="least-one-part",
         citation="L(n,k) = sum_{j>=1} (-1)^(j-1) a(j, n-jk)",
         lhs=lambda n, k: _oracle_at_least(n, k, None, 1),
-        rhs=lambda n, k: cs.L(n, k),
+        rhs=cs.L,
         domain=_triangle(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="least-one-part-bounded",
         citation="L(n,m,k) = sum_{j>=1} (-1)^(j-1) F(n+1-jm, k, j)",
         lhs=lambda n, m, k: _oracle_at_least(n, m, k, 1),
-        rhs=lambda n, m, k: cs.L_restricted(n, m, k),
+        rhs=cs.L_restricted,
         domain=_parts(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="least-p-parts-bounded",
         citation="L_p(n,m,k) = sum_{j>=p} (-1)^(j-p) C(j-1,p-1) F(n+1-jm, k, j)",
-        lhs=lambda n, m, k, p: _oracle_at_least(n, m, k, p),
-        rhs=lambda n, m, k, p: cs.L_p(n, m, k, p),
+        lhs=_oracle_at_least,
+        rhs=cs.L_p,
         domain=_parts(_orc_limit, p_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="exact-p-parts-bounded",
         citation="E_p(n,m,k) = sum_{j>=p} (-1)^(j-p) C(j,p) F(n+1-jm, k, j)",
-        lhs=lambda n, m, k, p: _oracle_exactly(n, m, k, p),
-        rhs=lambda n, m, k, p: cs.E_p(n, m, k, p),
+        lhs=_oracle_exactly,
+        rhs=cs.E_p,
         domain=_parts(_orc_limit, p_from=0),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="exact-parts-from-least",
         citation="E_p(n,m,k) = L_p(n,m,k) - L_{p+1}(n,m,k)",
-        lhs=lambda n, m, k, p: cs.E_p(n, m, k, p),
+        lhs=cs.E_p,
         rhs=lambda n, m, k, p: cs.L_p(n, m, k, p) - cs.L_p(n, m, k, p + 1),
         domain=_parts(_fmt_limit, p_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="part-occurrences-headline",
         citation="S(n,k) = 2^(n-2) (n+1) for 1 <= k < n",
-        lhs=lambda n, k: orc.part_occurrences(n, k),
+        lhs=orc.part_occurrences,
         rhs=_stated_headline,
         domain=_triangle(_orc_limit, strict=True),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="S(n,k) = a(1, n-k)",
-            rhs=lambda n, k: cs.S(n, k),
+            rhs=cs.S,
         ),
         probe=ProbeSpec(
             oracle_label="occurrences of k counted over every composition of n",
@@ -1311,42 +1274,38 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="part-occurrences-shifted-power",
         citation="S(n,k) = 2^(n-k-2) (n-k+3) for 1 <= k < n",
-        lhs=lambda n, k: orc.part_occurrences(n, k),
+        lhs=orc.part_occurrences,
         rhs=lambda n, k: _integral(Fraction(2) ** (n - k - 2) * (n - k + 3)),
         domain=_triangle(_orc_limit, strict=True),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="part-occurrences-tiling",
         citation="S(n,k) = a(1, n-k)",
-        lhs=lambda n, k: orc.part_occurrences(n, k),
-        rhs=lambda n, k: cs.S(n, k),
+        lhs=orc.part_occurrences,
+        rhs=cs.S,
         domain=_triangle(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="runs-of-value-bounded",
         citation="r(n,j,{k}) = F(n+1-j,k,1) - F(n+1-2j,k,1)",
-        lhs=lambda n, j, k: _oracle_runs_of_value(n, j, k),
-        rhs=lambda n, j, k: cs.runs_restricted(n, j, k),
+        lhs=_oracle_runs_of_value,
+        rhs=cs.runs_restricted,
         domain=_parts(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="total-runs-bounded",
         citation="r(n,{k}) = sum_{j>=0} F(n-2j, k, 1)",
-        lhs=lambda n, k: _oracle_total_runs(n, k),
+        lhs=_oracle_total_runs,
         rhs=lambda n, k: sum(
             fibonacci_k_conv(n - 2 * j, k, 1) for j in range((n - 1) // 2 + 1)
         ),
         domain=_triangle(_orc_limit),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="r(n,{k}) = sum_{j=1..k} (F(n+1-j,k,1) - F(n+1-2j,k,1))",
-            rhs=lambda n, k: cs.total_runs_restricted(n, k),
+            rhs=cs.total_runs_restricted,
         ),
         notes="the telescoped form only survives when k >= n; for k < n the"
               " cancellation pattern is incomplete and the per-value sums"
@@ -1356,12 +1315,11 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="avoid-part-recurrence",
         citation="C(n,k^) = 2 C(n-1,k^) + C(n-k-1,k^) - C(n-k,k^)",
-        lhs=lambda n, k: _count_avoid(n, k),
+        lhs=_count_avoid,
         rhs=lambda n, k: 2 * _count_avoid(n - 1, k)
         + _count_avoid(n - k - 1, k)
         - _count_avoid(n - k, k),
         domain=_pairs(_orc_limit, 2, 1),
-        expected="verified",
         notes="the empty composition makes n = 1 a degenerate case, so the"
               " registry domain starts at n = 2",
     ))
@@ -1373,25 +1331,22 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(ser.gf_avoid_part),
         rhs=c_hat_row,
         domain=_with_order(_rows(_fmt_limit, start=1)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="avoid-part-complement",
         citation="C(n,k^) = C(n) - L(n,k)",
-        lhs=lambda n, k: cs.C_hat(n, k),
+        lhs=cs.C_hat,
         rhs=lambda n, k: a(0, n) - cs.L(n, k),
         domain=_triangle(_twice_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="avoid-part-alternating",
         citation="C(n,k^) = sum_{j>=0} (-1)^j a(j, n-jk)",
-        lhs=lambda n, k: _count_avoid(n, k),
-        rhs=lambda n, k: cs.C_hat(n, k),
+        lhs=_count_avoid,
+        rhs=cs.C_hat,
         domain=_pairs(_orc_limit, second_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1403,7 +1358,6 @@ def _build_registry() -> list[IdentityRecord]:
             (parts, g.oracle_limit + 2)
             for parts in ((1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 5), (2, 4, 5))
         ),
-        expected="verified",
     ))
 
     def _avoid_gf_geometric(k: int, order: int, start: int) -> object:
@@ -1422,7 +1376,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda k, order: _avoid_gf_geometric(k, order, start=0),
         rhs=c_hat_row,
         domain=_with_order(_rows(_fmt_limit, start=1)),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_n C(n,k^) x^n = 1/(1 + x^k - sum_{i>=1} x^i)",
             lhs=lambda k, order: _avoid_gf_geometric(k, order, start=1),
@@ -1437,13 +1390,12 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n: fibonacci_k(n - 1, 2),
         rhs=lambda n: cs.C_hat(n, 1),
         domain=_rows(_twice_limit, start=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="avoid-part-halfway",
         citation="C(n,k^) = 2^(n-1) - 2^(n-k) (n-k+3) for k > n/2",
-        lhs=lambda n, k: _count_avoid(n, k),
+        lhs=_count_avoid,
         rhs=lambda n, k: (1 << (n - 1)) - (1 << (n - k)) * (n - k + 3)
         if n - k >= 0
         else (1 << (n - 1)),
@@ -1452,7 +1404,6 @@ def _build_registry() -> list[IdentityRecord]:
             for n in range(1, g.oracle_limit + 1)
             for k in range(n // 2 + 1, n + 1)
         ),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="C(n,k^) = 2^(n-1) - a(1, n-k) for k > n/2",
             rhs=lambda n, k: (1 << (n - 1)) - a(1, n - k),
@@ -1467,21 +1418,20 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, m, k: orc.count_tilings(
             m, n, orc.TilingFilter(forbidden_white_len=k)
         ),
-        rhs=lambda n, m, k: cs.C_hat_tilings(n, m, k),
+        rhs=cs.C_hat_tilings,
         domain=lambda g: (
             (n, m, k)
             for k in range(1, 5)
             for m in range(0, 4)
             for n in range(0, g.oracle_limit - m + 1)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="forbidden-white-exact-parts",
         citation="C(n,m,k^) = E_m(n+mk, k)",
         lhs=lambda n, m, k: _oracle_exactly(n + m * k, k, None, m),
-        rhs=lambda n, m, k: cs.C_hat_tilings(n, m, k),
+        rhs=cs.C_hat_tilings,
         domain=lambda g: (
             (n, m, k)
             for k in range(1, 4)
@@ -1489,7 +1439,6 @@ def _build_registry() -> list[IdentityRecord]:
             for n in range(0, g.oracle_limit - m * k + 1)
             if n + m * k <= g.oracle_limit + 2
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1502,7 +1451,6 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: (
             (n, k) for k in range(1, 4) for n in range(0, g.oracle_limit)
         ),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="C(n,1,k^) = a(1,n) - 2 a(2,n-k) + 3 a(3,n-2k) - ...",
             rhs=lambda n, k: cs.C_hat_tilings(n, 1, k),
@@ -1518,7 +1466,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, k: fibonacci_k(n + 1, k),
         rhs=lambda n, k: sum(fibonacci_k(n - j + 1, k) for j in range(1, k + 1)),
         domain=_fib_points,
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1531,7 +1478,6 @@ def _build_registry() -> list[IdentityRecord]:
             for n in range(0, g.oracle_limit + 1)
             for k in range(1, n + 2)
         ),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1540,9 +1486,8 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, k: sum(
             v for (top, _m), v in _census_largest(n).items() if top == k
         ),
-        rhs=lambda n, k: cs.G(n, k),
+        rhs=cs.G,
         domain=_triangle(_orc_limit),
-        expected="verified",
     ))
 
     def _gf_largest(k: int, power: int) -> ser.RationalGF:
@@ -1558,7 +1503,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(lambda k: _gf_largest(k, k - 1)),
         rhs=_seq_row(lambda k, i: cs.G(i, k)),
         domain=_with_order(_rows(_fmt_limit, start=1)),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_n G(n,k) x^n = x^k (1-x)^2 /"
                      " ((1-2x+x^(k+1)) (1-2x+x^k))",
@@ -1579,7 +1523,6 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: (
             (n, k) for k in range(1, g.limit + 1) for n in range(0, g.limit + 1)
         ),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="G(n+k,k) = sum_{i+j=n} F(i+1,k) F(j+1,k-1)",
             lhs=lambda n, k: cs.G(n + k, k),
@@ -1592,18 +1535,16 @@ def _build_registry() -> list[IdentityRecord]:
         id="largest-part-multiplicity",
         citation="G(n,k,r) = F(n+1-kr, k-1, r)",
         lhs=lambda n, k, r: _census_largest(n).get((k, r), 0),
-        rhs=lambda n, k, r: cs.G_exact(n, k, r),
+        rhs=cs.G_exact,
         domain=lambda g: _multiples(g.oracle_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="largest-part-multiplicity-sum",
         citation="G(n,k) = sum_{r>=1} G(n,k,r)",
-        lhs=lambda n, k: cs.G(n, k),
+        lhs=cs.G,
         rhs=lambda n, k: sum(cs.G_exact(n, k, r) for r in range(1, n // k + 1)),
         domain=_triangle(_fmt_limit),
-        expected="verified",
     ))
 
     # -- frozen parts ------------------------------------------------------------
@@ -1614,9 +1555,8 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, k: sum(
             _count_avoid(n - j * k, k) for j in range(n // k + 1)
         ),
-        rhs=lambda n, k: cs.CF(n, k),
+        rhs=cs.CF,
         domain=_pairs(_orc_limit, second_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1625,9 +1565,8 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, k: orc.count_compositions(
             n, allowed_parts=set(range(1, k + 1)) | {2 * k}
         ),
-        rhs=lambda n, k: cs.CF(n, k),
+        rhs=cs.CF,
         domain=_pairs(_orc_limit, second_from=1),
-        expected="verified",
     ))
 
     def _gf_frozen(k: int) -> ser.RationalGF:
@@ -1644,18 +1583,16 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(_gf_frozen),
         rhs=_seq_row(lambda k, i: cs.CF(i, k)),
         domain=_with_order(_rows(_fmt_limit, start=1)),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="frozen-parts-convolution",
         citation="CF(n,k) = sum_{j>=0} F(n+1-2kj, k, j)",
-        lhs=lambda n, k: cs.CF(n, k),
-        rhs=lambda n, k: cs.CF_allowed_parts_form(n, k),
+        lhs=cs.CF,
+        rhs=cs.CF_allowed_parts_form,
         domain=lambda g: (
             (n, k) for n in range(0, 2 * g.limit + 1) for k in range(1, g.limit + 1)
         ),
-        expected="verified",
     ))
 
     # -- replacements, tile counts, consecutive parts ------------------------------
@@ -1664,10 +1601,9 @@ def _build_registry() -> list[IdentityRecord]:
         id="replacement-compositions-claim",
         citation="replacing every part j by the compositions of j multiplies"
                  " the count to a_1(2, n-1)",
-        lhs=lambda n: orc.replaced_compositions_oracle(n),
+        lhs=orc.replaced_compositions_oracle,
         rhs=_replaced_compositions_total,
         domain=_rows(_orc_limit, start=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1676,7 +1612,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_replaced_compositions_stated,
         rhs=_replaced_compositions_total,
         domain=_rows(_twice_limit, start=1),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_{j=1..n} a(1,n-j) a(0,j) = a_1(2, n-1)",
             lhs=cs.replaced_compositions_total,
@@ -1703,10 +1638,9 @@ def _build_registry() -> list[IdentityRecord]:
         id="replacement-parts-claim",
         citation="replacing every part j by the parts of the compositions of"
                  " j gives a_1(3, n-1) parts in total",
-        lhs=lambda n: orc.replaced_parts_oracle(n),
+        lhs=orc.replaced_parts_oracle,
         rhs=_replaced_parts_total,
         domain=_rows(_orc_limit, start=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1715,7 +1649,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_replaced_parts_stated,
         rhs=_replaced_parts_total,
         domain=_rows(_twice_limit, start=1),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_{j=1..n} a(1,n-j) a_1(1,j-1) = a_1(3, n-1)",
             lhs=cs.replaced_parts_total,
@@ -1741,10 +1674,9 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="tile-count-total",
         citation="C_a(r,n) = (r+1) a_1(r+1, n-1) + r a_0(r,n)",
-        lhs=lambda r, n: orc.tile_count_total(r, n),
-        rhs=lambda r, n: cs.C_a(r, n),
+        lhs=orc.tile_count_total,
+        rhs=cs.C_a,
         domain=_points_rn_sum(_orc_limit, n_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
@@ -1755,16 +1687,14 @@ def _build_registry() -> list[IdentityRecord]:
         ),
         rhs=lambda r, n: (r + 1) * a_s(1, r + 1, n - 1),
         domain=_pairs(_fmt_limit, second_from=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="consecutive-parts-exact",
         citation="C_b(n,k,p) = C(1, n-pk, k^) = E_1(n-(p-1)k, k)",
         lhs=lambda n, k, p: orc.consecutive_part_census(n, k).get(p, 0),
-        rhs=lambda n, k, p: cs.C_b_exact(n, k, p),
+        rhs=cs.C_b_exact,
         domain=lambda g: _multiples(g.oracle_limit),
-        expected="verified",
         notes="p >= 1; with p = 0 the two stated aliases count different"
               " things and the statement is not meant to apply",
     ))
@@ -1773,30 +1703,27 @@ def _build_registry() -> list[IdentityRecord]:
         id="consecutive-parts-total",
         citation="C_b(n,k) = C(n,k^) + sum_{j>=0} E_1(n-jk, k)",
         lhs=lambda n, k: sum(orc.consecutive_part_census(n, k).values()),
-        rhs=lambda n, k: cs.C_b(n, k),
+        rhs=cs.C_b,
         domain=_triangle(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="consecutive-parts-alternating",
         citation="C_b(n,k,p) = sum_{j>=1} (-1)^(j+1) j a(j, n-k(p+j-1))",
-        lhs=lambda n, k, p: cs.C_b_exact(n, k, p),
+        lhs=cs.C_b_exact,
         rhs=lambda n, k, p: sum(
             (-1) ** (j + 1) * j * a(j, n - k * (p + j - 1))
             for j in range(1, (n - k * (p - 1)) // k + 2)
         ),
         domain=lambda g: _multiples(2 * g.limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="no-multiple-parts",
         citation="C(n,[k]) = F(n+1,k) - F(n+1-k,k)",
         lhs=lambda n, k: orc.count_compositions(n, no_multiple_of=k),
-        rhs=lambda n, k: cs.C_multiples(n, k),
+        rhs=cs.C_multiples,
         domain=_pairs(_orc_limit, second_from=1),
-        expected="verified",
     ))
 
     # -- runs over all compositions ------------------------------------------------
@@ -1805,21 +1732,19 @@ def _build_registry() -> list[IdentityRecord]:
         id="runs-of-value",
         citation="R(n,k) = a(1,n-k) - a(1,n-2k)",
         lhs=lambda n, k: _oracle_runs_of_value(n, k, None),
-        rhs=lambda n, k: cs.R_runs(n, k),
+        rhs=cs.R_runs,
         domain=_triangle(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="runs-of-value-powers",
         citation="R(n,k) = 2^(n-k-2)(n-k+3) - 2^(n-2k-2)(n-2k+3)",
-        lhs=lambda n, k: cs.R_runs(n, k),
+        lhs=cs.R_runs,
         rhs=lambda n, k: _integral(
             Fraction(2) ** (n - k - 2) * (n - k + 3)
             - Fraction(2) ** (n - 2 * k - 2) * (n - 2 * k + 3)
         ),
         domain=_triangle(_twice_limit),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="R(n,k) = 2^(n-k-2)(n-k+3) - 2^(n-2k-2)(n-2k+3)"
                      " for n >= 2k+1",
@@ -1837,36 +1762,32 @@ def _build_registry() -> list[IdentityRecord]:
         id="runs-total",
         citation="R(n) = sum_{k>=1} a(1, n-(2k-1))",
         lhs=lambda n: _oracle_total_runs(n, None),
-        rhs=lambda n: cs.R_total(n),
+        rhs=cs.R_total,
         domain=_rows(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="parts-runs-lemma",
         citation="E(n) = R(n) + R(n-1)",
-        lhs=lambda n: cs.E_total(n),
+        lhs=cs.E_total,
         rhs=lambda n: cs.R_total(n) + cs.R_total(n - 1),
         domain=_rows(_twice_limit, start=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="parts-total-closed-form",
         citation="E(n) = (n+1) 2^(n-2) = a_1(1, n-1)",
-        lhs=lambda n: orc.total_parts(n),
+        lhs=orc.total_parts,
         rhs=lambda n: _integral(Fraction(2) ** (n - 2) * (n + 1)),
         domain=_rows(_orc_limit, start=1),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="conjecture-runs-by-length",
         citation="R(n,k,l) = a(1,n-kl) - 2 a(1,n-(l+1)k) + a(1,n-(l+2)k)",
         lhs=lambda n, k, l: _census_runs(n, None).get((k, l), 0),
-        rhs=lambda n, k, l: cs.R_length_formula(n, k, l),
+        rhs=cs.R_length_formula,
         domain=lambda g: _multiples(g.runs_bound),
-        expected="conjecture",
         bound_doc=lambda g: {"n": g.runs_bound, "domain": "1 <= k, l, kl <= n"},
     ))
 
@@ -1878,7 +1799,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=_gf_row(lambda: ser.RationalGF.of((1,), (1, -2, -1))),
         rhs=_seq_row(pell),
         domain=lambda g: ((2 * g.limit,),),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="sum_n P(n+1) x^n = 1/(1-2x-x^2)",
             rhs=_seq_row(lambda i: pell(i + 1)),
@@ -1890,10 +1810,9 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="pell-from-tilings",
         citation="P(n) = sum_{i>=0} a_{2i}(2i+1, n-4i)",
-        lhs=lambda n: pell(n),
+        lhs=pell,
         rhs=_pell_tiling_sum,
         domain=_rows(_twice_limit),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="P(n+1) = sum_{i>=0} a_{2i}(2i+1, n-4i)",
             lhs=lambda n: pell(n + 1),
@@ -1907,10 +1826,9 @@ def _build_registry() -> list[IdentityRecord]:
         id="palindromic-tilings-case-split",
         citation="m(2r,2n) = m(2r,2n+1) = a_1(r, floor(n/2));"
                  " m(2r+1,2n) = a_0(r,n); m(2r,2n+1) = 0",
-        lhs=lambda r, n: orc.count_palindromic_tilings(r, n),
+        lhs=orc.count_palindromic_tilings,
         rhs=_printed_case_split_m,
         domain=_pairs(_orc_limit),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="m(2p,N) = a_1(p, floor(N/2)); m(2p+1,2v) = a_0(p,v);"
                      " m(2p+1,2v+1) = 0",
@@ -1940,16 +1858,14 @@ def _build_registry() -> list[IdentityRecord]:
         ),
         rhs=lambda n: (a_s(1, 0, n), a_s(1, 0, n)),
         domain=_rows(_orc_limit),
-        expected="verified",
     ))
 
     add(IdentityRecord(
         id="palindromes-avoiding-part",
         citation="Pal(n,k^) = sum_{j>=0} (-1)^j m(j, n-2j)",
-        lhs=lambda n, k: _count_pal_avoid(n, k),
+        lhs=_count_pal_avoid,
         rhs=_pal_avoid_printed,
         domain=_pal_points,
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n,k^) = sum_{j>=0} (-1)^ceil(j/2) m(j, n-jk)",
             rhs=cs.pal_hat,
@@ -1975,10 +1891,9 @@ def _build_registry() -> list[IdentityRecord]:
         id="palindromes-avoiding-part-same-parity",
         citation="Pal(n,k^) = sum_j (-1)^j (a_1(j,n-jk) - a(j,n-(j+1)k))"
                  " for n, k of equal parity",
-        lhs=lambda n, k: _count_pal_avoid(n, k),
+        lhs=_count_pal_avoid,
         rhs=_pal_avoid_same_parity_printed,
         domain=lambda g: ((n, k) for n, k in _pal_points(g) if (n - k) % 2 == 0),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n,k^) = sum_j (-1)^j (a_1(j, floor((n-2jk)/2))"
                      " - a(j, (n-(2j+1)k)/2)) for n, k of equal parity",
@@ -2005,10 +1920,9 @@ def _build_registry() -> list[IdentityRecord]:
         id="palindromes-avoiding-part-diff-parity",
         citation="Pal(n,k^) = sum_{j>=0} (-1)^j a_1(j, n-2k)"
                  " for n, k of different parity",
-        lhs=lambda n, k: _count_pal_avoid(n, k),
+        lhs=_count_pal_avoid,
         rhs=_pal_avoid_diff_parity_printed,
         domain=lambda g: ((n, k) for n, k in _pal_points(g) if (n - k) % 2 == 1),
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n,k^) = sum_{j>=0} (-1)^j a_1(j, floor((n-2jk)/2))"
                      " for n, k of different parity",
@@ -2037,7 +1951,6 @@ def _build_registry() -> list[IdentityRecord]:
         lhs=lambda n, k: cs.pal(n) - _count_pal_avoid(n, k),
         rhs=_pal_with_part_printed,
         domain=_pal_points,
-        expected="fails-as-printed",
         corrected=CorrectedForm(
             citation="Pal(n) - Pal(n,k^) = sum_{j>=1} (-1)^(j-1)"
                      " (m(2j-1, n-(2j-1)k) + m(2j, n-2jk))",

@@ -89,10 +89,6 @@ class Tile:
         if self.kind == "R" and self.length != 1:
             raise ValueError("red tiles have length 1")
 
-    @property
-    def code(self) -> int:
-        return 0 if self.kind == "R" else self.length
-
     def __str__(self) -> str:
         return "R" if self.kind == "R" else f"W{self.length}"
 
@@ -105,35 +101,39 @@ def _tile(code: int) -> Tile:
 
 @dataclass(frozen=True)
 class TwoTonedTiling:
-    """An ordered sequence of tiles covering a strip of unit cells."""
+    """An ordered sequence of tiles covering a strip of unit cells.
 
-    tiles: tuple[Tile, ...]
+    The tiling is stored as its tile codes; :attr:`tiles` builds the
+    :class:`Tile` objects on demand.
+    """
+
+    codes: Codes
 
     @classmethod
     def from_codes(cls, codes: Sequence[int]) -> "TwoTonedTiling":
-        return cls(tuple(map(_tile, codes)))
+        return cls(tuple(codes))
 
     @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(t.code for t in self.tiles)
+    def tiles(self) -> tuple[Tile, ...]:
+        return tuple(map(_tile, self.codes))
 
     @property
     def white_total(self) -> int:
-        return sum(t.length for t in self.tiles if t.kind == "W")
+        return sum(self.codes)
 
     @property
     def red_count(self) -> int:
-        return sum(1 for t in self.tiles if t.kind == "R")
+        return self.codes.count(0)
 
     @property
     def grid_length(self) -> int:
         return self.white_total + self.red_count
 
     def is_palindromic(self) -> bool:
-        return self.tiles == self.tiles[::-1]
+        return self.codes == self.codes[::-1]
 
     def __str__(self) -> str:
-        return " ".join(str(t) for t in self.tiles) if self.tiles else "(empty)"
+        return " ".join(map(str, self.tiles)) if self.codes else "(empty)"
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,6 +111,42 @@ class TestSeq:
             run_cli(capsys, "seq", "a", "--r", "1", "--range", "0..3",
                     "--l", "5")
         assert exc.value.code == 2
+
+    def test_help_lists_each_family_with_its_parameters(self, capsys):
+        # Each family's parameters are read off its function's signature.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "seq", "--help")
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        block = help_text.split("Families and their parameters:\n")[1]
+        assert block.split("\n\n")[0] == FAMILY_HELP
+
+
+FAMILY_HELP = """\
+  a        --r                      two-toned tilings with r reds and white total n
+  as       --s --r                  s-fold cumulative sums of a(r,.)
+  ak       --r --k                  tilings with white lengths capped at k
+  f        --k                      k-step Fibonacci numbers
+  fconv    --k --r                  r-th convolution of the k-step Fibonacci sequence
+  negf     --k                      k-step Fibonacci numbers at any integer index
+  pell     (no parameters)          Pell numbers
+  L        --k                      compositions with at least one part k
+  Ep       --m --k --p              compositions, parts <= k, exactly p parts m
+  S        --k                      occurrences of the part k over all compositions
+  G        --k                      compositions with largest part exactly k
+  Gr       --k --r                  compositions whose largest part k appears exactly r times
+  CF       --k                      compositions with the copies of k frozen
+  Cb       --k [--p]                compositions whose parts k are consecutive
+  Chat     --k [--m]                compositions avoiding the part k
+  Cmult    --k                      compositions with no part divisible by k
+  R        (no parameters)          runs over all compositions
+  Rk       --k                      runs of the value k over all compositions
+  E        (no parameters)          parts over all compositions
+  m        --r                      palindromic tilings with r reds
+  pal      (no parameters)          palindromic compositions
+  palhat   --k                      palindromic compositions avoiding the part k
+  Ca       --r                      tiles used by all tilings with r reds
+  runs     --k [--j]                runs over compositions with parts <= k (runs of j only, with --j)"""
 
 
 class TestTable:
@@ -255,7 +295,6 @@ class TestVerify:
             lhs=lambda n: identities.a(0, n),
             rhs=lambda n: identities.a(0, n) + 1,
             domain=lambda g: ((n,) for n in range(4)),
-            expected="verified",
         )
         monkeypatch.setattr(identities, "_REGISTRY",
                             identities.registry() [:3] + [broken])
@@ -264,6 +303,31 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["all_match"] is False
         assert "[FAIL] zz-corrupted" in err
+
+
+def run_module(*argv):
+    """Run ``python -m tilingkit`` in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "tilingkit", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestModuleEntryPoint:
+    def test_verify_writes_the_small_report(self, tmp_path):
+        target = tmp_path / "small.json"
+        proc = run_module("verify", "--scale", "small", "--quiet",
+                          "--out", str(target))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "7616d81678631d31a0b1622513d93dc49cb25aba61531d582e8ac445d032a2a3")
+
+    def test_unknown_family_is_usage_error(self):
+        proc = run_module("seq", "nope", "--range", "0..1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unknown family 'nope'" in proc.stderr
 
 
 class TestOracleCommand:

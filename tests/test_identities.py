@@ -39,6 +39,35 @@ class TestRegistryShape:
             if record.expected == "fails-as-printed":
                 assert record.corrected is not None
 
+    def test_no_record_compares_a_side_with_itself(self):
+        # A side that a corrected form or a probe leaves out is the record's.
+        probes = 0
+        for record in ident.registry():
+            assert record.lhs is not record.rhs, record.id
+            corr = record.corrected
+            if corr is not None:
+                lhs, rhs = corr.lhs or record.lhs, corr.rhs or record.rhs
+                assert lhs is not rhs, record.id
+            if record.probe is not None:
+                probes += 1
+                oracle = record.probe.oracle or record.lhs
+                for candidate in record.probe.candidates:
+                    assert candidate.fn is not oracle, (record.id, candidate.label)
+        assert probes == 8
+
+    def test_a_conjecture_carries_no_corrected_form(self):
+        # The status is read off the record, and this pair names two.
+        with pytest.raises(ValueError, match="no corrected form"):
+            ident.IdentityRecord(
+                id="conjecture-and-erratum",
+                citation="a(r,n) = a(r,n)",
+                lhs=ident.a,
+                rhs=ident.a_explicit,
+                domain=lambda g: ((1, 1),),
+                corrected=ident.CorrectedForm(citation="a(r,n) = a(r,n)"),
+                bound_doc=lambda g: {},
+            )
+
     def test_conjectures_are_never_marked_verified(self, small_report):
         for result in small_report.results:
             if result.expected == "conjecture":
@@ -196,7 +225,6 @@ class TestNegativeControl:
             lhs=lambda r, n: ident.a(r, n),
             rhs=lambda r, n: ident.a(r, n) + 1,
             domain=lambda g: ((r, n) for r in range(3) for n in range(3)),
-            expected="verified",
         )
         result = ident.evaluate_record(broken, ident.SCALES["small"])
         assert result.status == "mismatch"
@@ -214,7 +242,6 @@ class TestNegativeControl:
             lhs=lambda r, n: ident.a(r, n),
             rhs=lambda r, n: ident.a(r, n) + 1,
             domain=lambda g: ((r, n) for r in range(3) for n in range(3)),
-            expected="fails-as-printed",
             corrected=ident.CorrectedForm(
                 citation="a(r,n) = a(r,n) + 2",
                 rhs=lambda r, n: ident.a(r, n) + 2,
