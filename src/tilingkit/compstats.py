@@ -91,10 +91,12 @@ def exact_parts(n: int, k: int, p: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     total = 0
+    coeff = int(p >= 0)  # (-1)**(j-p) C(j, p), exact; 0 for p < 0 as in binom
     j = p
     while n - j * k >= 0:
-        total += (-1) ** (j - p) * binom(j, p) * a(j, n - j * k)
+        total += coeff * a(j, n - j * k)
         j += 1
+        coeff = -coeff * j // (j - p)
     return total
 
 
@@ -126,33 +128,22 @@ def total_runs_restricted(n: int, k: int) -> int:
 
 
 def C_hat(n: int, k: int) -> int:
-    """Compositions of ``n`` with no part ``k``: ``sum_j (-1)**j a(j, n - jk)``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0
-    j = 0
-    while n - j * k >= 0:
-        total += (-1) ** j * a(j, n - j * k)
-        j += 1
-    return total
+    """Compositions of ``n`` with no part ``k``: ``sum_j (-1)**j a(j, n - jk)``,
+    the ``p = 0`` case of :func:`exact_parts`."""
+    return exact_parts(n, k, 0)
 
 
 def C_hat_tilings(n: int, m: int, k: int) -> int:
     """Tilings of an ``(n+m)``-strip, ``m`` reds, white lengths never ``k``.
 
     Equals the number of compositions of ``n + mk`` with exactly ``m`` parts
-    ``k``:  ``sum_{j>=m} (-1)**(j-m) C(j, m) a(j, n - k(j - m))``.
+    ``k``:  ``exact_parts(n + mk, k, m)``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0 or m < 0:
         return 0
-    total = 0
-    j = m
-    while n - k * (j - m) >= 0:
-        total += (-1) ** (j - m) * binom(j, m) * a(j, n - k * (j - m))
-        j += 1
-    return total
+    return exact_parts(n + m * k, k, m)
 
 
 def G(n: int, k: int) -> int:

@@ -64,14 +64,13 @@ class GridScale:
     name: str
     limit: int          # formula-vs-formula parameter bound
     oracle_limit: int   # bound on grid sums that drive enumerations
-    conj1_bound: int    # cube bound for the cumulative closed-form conjecture
     runs_bound: int     # max n for the run-length conjecture scan
 
 
 SCALES = {
-    "small": GridScale("small", 8, 7, 8, 10),
-    "default": GridScale("default", 12, 10, 12, 18),
-    "large": GridScale("large", 16, 12, 16, 20),
+    "small": GridScale("small", 8, 7, 10),
+    "default": GridScale("default", 12, 10, 18),
+    "large": GridScale("large", 16, 12, 20),
 }
 
 
@@ -303,15 +302,16 @@ def erratum_probe(record_id: str, scale: str = "default") -> dict:
     if record.probe is None:
         raise ValueError(f"record {record_id!r} has no probe")
     grid = SCALES[scale]
+    # Every candidate is swept against the same oracle, so its value at
+    # each point is worked out once per probe.
+    oracle = lru_cache(maxsize=None)(record.probe.oracle or record.lhs)
     resolution: dict = {
         "record": record_id,
         "oracle": record.probe.oracle_label,
         "candidates": [],
     }
     for cand in record.probe.candidates:
-        outcome = _sweep(
-            record.probe.oracle or record.lhs, cand.fn, record.domain(grid)
-        )
+        outcome = _sweep(oracle, cand.fn, record.domain(grid))
         entry: dict = {
             "label": cand.label,
             "matches": outcome.counterexample is None,
@@ -616,12 +616,8 @@ def _printed_case_split_m(r: int, n: int) -> int:
 
 
 def _pal_avoid_printed(n: int, k: int) -> int:
-    total = 0
-    j = 0
-    while n - 2 * j >= 0:
-        total += (-1) ** j * cs.m_pal(j, n - 2 * j)
-        j += 1
-    return total
+    # The printed summand m(j, n-2j) steps by 2 whatever k is.
+    return _pal_avoid_plain_alternating(n, 2)
 
 
 def _pal_avoid_plain_alternating(n: int, k: int) -> int:
@@ -933,9 +929,9 @@ def _build_registry() -> list[IdentityRecord]:
                  " for s,r,n >= 1",
         lhs=a_s,
         rhs=_conjecture1_formula,
-        domain=lambda g: _conj1_points(*(g.conj1_bound,) * 3),
+        domain=lambda g: _conj1_points(g.limit, g.limit, g.limit),
         bound_doc=lambda g: {
-            "s": g.conj1_bound, "r": g.conj1_bound, "n": g.conj1_bound,
+            "s": g.limit, "r": g.limit, "n": g.limit,
             "domain": "1 <= s <= r + 1",
         },
         notes="the binomial range is empty for s > r + 1, where the equality"

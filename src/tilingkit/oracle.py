@@ -57,7 +57,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -125,24 +125,8 @@ class TwoTonedTiling:
     def red_count(self) -> int:
         return self.codes.count(0)
 
-    @property
-    def grid_length(self) -> int:
-        return self.white_total + self.red_count
-
-    def is_palindromic(self) -> bool:
-        return self.codes == self.codes[::-1]
-
     def __str__(self) -> str:
         return " ".join(map(str, self.tiles)) if self.codes else "(empty)"
-
-
-@dataclass(frozen=True)
-class Run:
-    """A maximal block of equal consecutive parts inside a composition."""
-
-    value: int
-    length: int
-    start_index: int
 
 
 @dataclass(frozen=True)
@@ -416,11 +400,7 @@ def _tiling_blocks(
         raise ValueError("r and n must be nonnegative")
     f = filter or TilingFilter()
     s = f.suffix_white_tiles
-    top = n + s if f.max_white_len is None else min(n + s, f.max_white_len)
-    lengths = tuple(
-        length for length in range(1, top + 1)
-        if length != f.forbidden_white_len
-    )
+    lengths = _part_lengths(n + s, f.max_white_len, f.forbidden_white_len)
     if f.palindromic:
         return _palindrome_blocks(r, n, lengths), lengths
     if s:
@@ -553,21 +533,6 @@ def count_palindromic_compositions(
     read when the count is called, like the census helpers."""
     lengths = _part_lengths(n, forbidden_part=forbidden_part)
     return _counted(_palindrome_blocks(0, n, lengths), lengths, DEFAULT_CEILING)
-
-
-def runs_of(parts: Sequence[int]) -> list[Run]:
-    """Maximal runs of equal consecutive parts, in order of appearance.
-
-    Concatenating the runs reproduces the composition; the number of parts
-    equals the sum of run lengths.
-    """
-    runs: list[Run] = []
-    start = 0
-    for value, run in groupby(parts):
-        length = len(list(run))
-        runs.append(Run(value=value, length=length, start_index=start))
-        start += length
-    return runs
 
 
 # ---------------------------------------------------------------------------

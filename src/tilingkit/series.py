@@ -13,7 +13,8 @@ only: O(order x nonzero denominator terms) integer operations, where the
 dense :meth:`TruncatedSeries.__truediv__` does O(order**2) Fraction ones.
 
 No symbolic manipulation happens here; generating-function claims are
-checked numerically, coefficient by coefficient, via :func:`verify_gf`.
+checked numerically, coefficient by coefficient: the identity registry
+compares :func:`expand` rows with sequence rows, as :func:`verify_gf` does.
 """
 
 from __future__ import annotations
@@ -66,11 +67,6 @@ class TruncatedSeries:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def _align(self, other: "TruncatedSeries") -> int:
         return min(self.order, other.order)

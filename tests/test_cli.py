@@ -96,6 +96,12 @@ class TestSeq:
         assert code == 0
         assert out == "2 2\n"
 
+    def test_negative_red_count_gives_zeros(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "Chat", "--k", "2", "--m", "-1",
+                               "--range", "0..5")
+        assert code == 0
+        assert out == "".join(f"{n} 0\n" for n in range(6))
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "seq", "bogus", "--range", "0..3")
         assert code == 2

@@ -124,6 +124,39 @@ class TestSpotValues:
                 assert cs.pal_hat(n, k) == cs.pal(n)
 
 
+class TestExactParts:
+    """``exact_parts`` is the one sum behind ``C_hat``, ``C_hat_tilings``,
+    ``C_b`` and ``C_b_exact``."""
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_matches_the_multiplicity_census(self, k):
+        for n in range(11):
+            hist = orc.count_by_part_multiplicity(n, k)
+            for p in range(n + 2):
+                assert cs.exact_parts(n, k, p) == hist.get(p, 0), (n, k, p)
+
+    def test_negative_arguments_give_zero(self):
+        for n in range(-4, 0):
+            for k in range(1, 4):
+                assert cs.exact_parts(n, k, 0) == 0
+                assert cs.exact_parts(n, k, 1) == 0
+                assert cs.exact_parts(-n, k, -1) == 0
+                assert cs.C_hat(n, k) == 0
+                assert cs.C_hat_tilings(n, 1, k) == 0
+        for m in range(-3, 0):
+            for n in range(6):
+                assert cs.C_hat_tilings(n, m, 2) == 0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, k):
+        for call in (lambda: cs.exact_parts(4, k, 1),
+                     lambda: cs.C_hat(4, k),
+                     lambda: cs.C_hat_tilings(4, 1, k),
+                     lambda: cs.C_hat_tilings(-1, -1, k)):
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                call()
+
+
 class TestOracleTwinSweep:
     """Exact agreement with enumeration on the full grid n <= FULL_GRID_N."""
 

@@ -135,6 +135,48 @@ class TestProbes:
         with pytest.raises(ValueError, match="no probe"):
             ident.erratum_probe("gf-two-tone")
 
+    def test_probe_evaluates_each_oracle_point_once(self, monkeypatch):
+        calls: list[int] = []
+
+        def oracle(n):
+            calls.append(n)
+            return 2 * n
+
+        probed = ident.IdentityRecord(
+            id="probe-control",
+            citation="f(n) = 2n + [n = 1]",
+            lhs=lambda n: 2 * n + (n == 1),
+            rhs=lambda n: 2 * n,
+            domain=lambda g: ((n,) for n in range(5)),
+            probe=ident.ProbeSpec(
+                oracle_label="counting oracle",
+                oracle=oracle,
+                candidates=(
+                    ident.ProbeCandidate("stated 2n + [n = 1]",
+                                         lambda n: 2 * n + (n == 1)),
+                    ident.ProbeCandidate("doubled n + n", lambda n: n + n),
+                    ident.ProbeCandidate("shifted 2n", lambda n: 2 * n),
+                ),
+            ),
+        )
+        monkeypatch.setattr(ident, "_REGISTRY", [probed])
+        resolution = ident.erratum_probe("probe-control", "small")
+        assert resolution == {
+            "record": "probe-control",
+            "oracle": "counting oracle",
+            "candidates": [
+                {"label": "stated 2n + [n = 1]", "matches": False, "points": 2,
+                 "counterexample": {"point": [1], "lhs": "2", "rhs": "3"}},
+                {"label": "doubled n + n", "matches": True, "points": 5},
+                {"label": "shifted 2n", "matches": True, "points": 5},
+            ],
+        }
+        # Three candidates sweep 12 points; the oracle sees each of 5 once.
+        assert sorted(calls) == list(range(5))
+        # The cache lives for one probe: a second probe evaluates afresh.
+        ident.erratum_probe("probe-control", "small")
+        assert len(calls) == 10
+
 
 class TestConjectureChecks:
     def test_cumulative_closed_form_scan(self):

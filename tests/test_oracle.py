@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from tilingkit import oracle as orc
 from tilingkit.oracle import (
     OracleScaleError,
-    Run,
     Tile,
     TilingFilter,
     TwoTonedTiling,
@@ -26,7 +25,6 @@ from tilingkit.oracle import (
     enumerate_palindromic_compositions,
     enumerate_palindromic_tilings,
     enumerate_tilings,
-    runs_of,
 )
 
 
@@ -43,10 +41,7 @@ class TestTileTypes:
         t = TwoTonedTiling.from_codes((0, 3, 0, 1))
         assert t.red_count == 2
         assert t.white_total == 4
-        assert t.grid_length == 6
         assert str(t) == "R W3 R W1"
-        assert not t.is_palindromic()
-        assert TwoTonedTiling.from_codes((1, 0, 1)).is_palindromic()
 
     def test_from_codes_shares_one_tile_per_code(self):
         first = TwoTonedTiling.from_codes((0, 3, 0))
@@ -181,35 +176,6 @@ class TestCompositions:
                 ), (n, k)
 
 
-class TestRuns:
-    def test_worked_example(self):
-        runs = runs_of((2, 2, 2, 4, 1, 1, 2))
-        assert runs == [
-            Run(2, 3, 0),
-            Run(4, 1, 3),
-            Run(1, 2, 4),
-            Run(2, 1, 6),
-        ]
-
-    def test_single_part(self):
-        assert runs_of((5,)) == [Run(5, 1, 0)]
-
-    def test_alternating_parts(self):
-        assert [r.length for r in runs_of((1, 2, 1))] == [1, 1, 1]
-
-    @given(st.lists(st.integers(1, 4), min_size=0, max_size=12))
-    @settings(max_examples=150)
-    def test_reconstruction(self, parts):
-        runs = runs_of(tuple(parts))
-        flat = [run.value for run in runs for _ in range(run.length)]
-        assert flat == parts
-        assert sum(run.length for run in runs) == len(parts)
-        # maximality: adjacent runs carry different values
-        assert all(
-            runs[i].value != runs[i + 1].value for i in range(len(runs) - 1)
-        )
-
-
 class TestPalindromicTilings:
     def test_counts_against_reference_row(self):
         # r = 2 row: 1 1 3 3 8 8 20 20 48 48
@@ -223,7 +189,7 @@ class TestPalindromicTilings:
     def test_every_output_is_a_palindrome(self):
         tilings = enumerate_palindromic_tilings(2, 6)
         assert len(tilings) == 20
-        assert all(t.is_palindromic() for t in tilings)
+        assert all(t.codes == t.codes[::-1] for t in tilings)
         assert len({t.codes for t in tilings}) == 20
 
     def test_centerless_palindromes(self):
