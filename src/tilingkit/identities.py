@@ -114,20 +114,15 @@ class CorrectedForm:
 
 
 @dataclass(frozen=True)
-class ProbeCandidate:
-    label: str
-    fn: Evaluator
-
-
-@dataclass(frozen=True)
 class ProbeSpec:
-    """Erratum probe: candidates compared against a brute-force value.
+    """Erratum probe: ``(label, fn)`` candidates compared against a
+    brute-force value.
 
     ``oracle`` defaults to the record's own ``lhs``.
     """
 
     oracle_label: str
-    candidates: tuple[ProbeCandidate, ...]
+    candidates: tuple[tuple[str, Evaluator], ...]
     oracle: Evaluator | None = None
 
 
@@ -152,12 +147,6 @@ class IdentityRecord:
         if self.bound_doc is not None:
             return "conjecture"
         return "verified" if self.corrected is None else "fails-as-printed"
-
-
-@dataclass
-class SweepOutcome:
-    points: int
-    counterexample: dict | None
 
 
 @dataclass
@@ -224,38 +213,38 @@ class VerificationReport:
         }
 
 
-def _sweep(lhs: Evaluator, rhs: Evaluator, points: Iterable[tuple]) -> SweepOutcome:
+def _sweep(
+    lhs: Evaluator, rhs: Evaluator, points: Iterable[tuple]
+) -> tuple[int, dict | None]:
+    """The number of points checked, and the first counterexample or None."""
     checked = 0
     for point in points:
         checked += 1
         left = _safe(lhs, point)
         right = _safe(rhs, point)
         if left != right:
-            return SweepOutcome(
-                checked,
-                {"point": list(point), "lhs": str(left), "rhs": str(right)},
-            )
-    return SweepOutcome(checked, None)
+            return checked, {"point": list(point), "lhs": str(left), "rhs": str(right)}
+    return checked, None
 
 
 def evaluate_record(record: IdentityRecord, grid: GridScale) -> RecordResult:
     start = time.perf_counter()
-    outcome = _sweep(record.lhs, record.rhs, record.domain(grid))
+    points, counterexample = _sweep(record.lhs, record.rhs, record.domain(grid))
     # A corrected form is validated even when the printed form unexpectedly
     # passes, so drift in either direction is caught.
     corr = record.corrected
-    corr_outcome = None
+    corr_points, corr_counterexample = 0, None
     if corr is not None:
-        corr_outcome = _sweep(
+        corr_points, corr_counterexample = _sweep(
             corr.lhs or record.lhs,
             corr.rhs or record.rhs,
             (corr.domain or record.domain)(grid),
         )
     if record.expected == "conjecture":
         status = "conjecture"
-    elif outcome.counterexample is None:
+    elif counterexample is None:
         status = "verified"
-    elif corr_outcome is not None and corr_outcome.counterexample is None:
+    elif corr is not None and corr_counterexample is None:
         status = "fails-as-printed"
     else:
         status = "mismatch"
@@ -264,11 +253,11 @@ def evaluate_record(record: IdentityRecord, grid: GridScale) -> RecordResult:
         citation=record.citation,
         expected=record.expected,
         status=status,
-        points=outcome.points,
-        counterexample=outcome.counterexample,
+        points=points,
+        counterexample=counterexample,
         corrected_citation=corr.citation if corr else None,
-        corrected_points=corr_outcome.points if corr_outcome else 0,
-        corrected_counterexample=corr_outcome.counterexample if corr_outcome else None,
+        corrected_points=corr_points,
+        corrected_counterexample=corr_counterexample,
         bound=record.bound_doc(grid) if record.bound_doc else None,
         notes=record.notes,
         seconds=time.perf_counter() - start,
@@ -310,15 +299,15 @@ def erratum_probe(record_id: str, scale: str = "default") -> dict:
         "oracle": record.probe.oracle_label,
         "candidates": [],
     }
-    for cand in record.probe.candidates:
-        outcome = _sweep(oracle, cand.fn, record.domain(grid))
+    for label, fn in record.probe.candidates:
+        points, counterexample = _sweep(oracle, fn, record.domain(grid))
         entry: dict = {
-            "label": cand.label,
-            "matches": outcome.counterexample is None,
-            "points": outcome.points,
+            "label": label,
+            "matches": counterexample is None,
+            "points": points,
         }
-        if outcome.counterexample is not None:
-            entry["counterexample"] = outcome.counterexample
+        if counterexample is not None:
+            entry["counterexample"] = counterexample
         resolution["candidates"].append(entry)
     return resolution
 
@@ -565,6 +554,13 @@ def _negfib_tiling_sum(n: int, k: int, shift: int) -> int:
         total += sign * a_s(j, j, arg)
         t += 1
     return total
+
+
+def _consecutive_block_series(n: int, k: int, p: int) -> Fraction:
+    # A block of p parts k sits between two compositions with no part k,
+    # so the count is coefficient n - kp of the square of their GF.
+    m = n - k * p
+    return ser.expand(ser.gf_avoid_part(k) ** 2, m)[m]
 
 
 def _tilings_max_white(r: int, n: int, k: int) -> int:
@@ -1139,8 +1135,8 @@ def _build_registry() -> list[IdentityRecord]:
             oracle=_tilings_max_white,
             oracle_label="exhaustive tiling enumeration with white lengths <= k",
             candidates=(
-                ProbeCandidate("stated recurrence", _bounded_white_stated),
-                ProbeCandidate("convolution of bounded-part counts", a_k),
+                ("stated recurrence", _bounded_white_stated),
+                ("convolution of bounded-part counts", a_k),
             ),
         ),
         notes="a red placed first is not reachable by removing a white tile;"
@@ -1254,9 +1250,9 @@ def _build_registry() -> list[IdentityRecord]:
         probe=ProbeSpec(
             oracle_label="occurrences of k counted over every composition of n",
             candidates=(
-                ProbeCandidate("stated headline 2^(n-2)(n+1)", _stated_headline),
-                ProbeCandidate("a(1, n-k)", lambda n, k: a(1, n - k)),
-                ProbeCandidate(
+                ("stated headline 2^(n-2)(n+1)", _stated_headline),
+                ("a(1, n-k)", lambda n, k: a(1, n - k)),
+                (
                     "total parts over all compositions (what the headline"
                     " actually equals)",
                     lambda n, k: cs.E_total(n),
@@ -1565,18 +1561,10 @@ def _build_registry() -> list[IdentityRecord]:
         domain=_pairs(_orc_limit, second_from=1),
     ))
 
-    def _gf_frozen(k: int) -> ser.RationalGF:
-        den = [0] * (2 * k + 1)
-        den[0] = 1
-        for i in range(1, k + 1):
-            den[i] -= 1
-        den[2 * k] -= 1
-        return ser.RationalGF.of((1,), den)
-
     add(IdentityRecord(
         id="gf-frozen-parts",
         citation="sum_n CF(n,k) x^n = 1/(1 - x - x^2 - ... - x^k - x^(2k))",
-        lhs=_gf_row(_gf_frozen),
+        lhs=_gf_row(lambda k: ser.gf_allowed_parts((*range(1, k + 1), 2 * k))),
         rhs=_seq_row(lambda k, i: cs.CF(i, k)),
         domain=_with_order(_rows(_fmt_limit, start=1)),
     ))
@@ -1617,13 +1605,9 @@ def _build_registry() -> list[IdentityRecord]:
             oracle_label="replace each part occurrence by all compositions"
                          " of that part and count the results",
             candidates=(
-                ProbeCandidate(
-                    "stated summand a_1(1,n-j) a(0,j)", _replaced_compositions_stated
-                ),
-                ProbeCandidate(
-                    "summand a(1,n-j) a(0,j)", cs.replaced_compositions_total
-                ),
-                ProbeCandidate("a_1(2, n-1)", _replaced_compositions_total),
+                ("stated summand a_1(1,n-j) a(0,j)", _replaced_compositions_stated),
+                ("summand a(1,n-j) a(0,j)", cs.replaced_compositions_total),
+                ("a_1(2, n-1)", _replaced_compositions_total),
             ),
         ),
         notes="the summand needs the occurrence count a(1,n-j), not its"
@@ -1654,13 +1638,9 @@ def _build_registry() -> list[IdentityRecord]:
             oracle_label="replace each part occurrence by the parts of its"
                          " compositions and count parts",
             candidates=(
-                ProbeCandidate(
-                    "stated summand a(1,n-j) a_1(1,n-j)", _replaced_parts_stated
-                ),
-                ProbeCandidate(
-                    "summand a(1,n-j) a_1(1,j-1)", cs.replaced_parts_total
-                ),
-                ProbeCandidate("a_1(3, n-1)", _replaced_parts_total),
+                ("stated summand a(1,n-j) a_1(1,n-j)", _replaced_parts_stated),
+                ("summand a(1,n-j) a_1(1,j-1)", cs.replaced_parts_total),
+                ("a_1(3, n-1)", _replaced_parts_total),
             ),
         ),
         notes="the second factor is the part total E(j) = a_1(1, j-1) of the"
@@ -1706,7 +1686,7 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="consecutive-parts-alternating",
         citation="C_b(n,k,p) = sum_{j>=1} (-1)^(j+1) j a(j, n-k(p+j-1))",
-        lhs=cs.C_b_exact,
+        lhs=_consecutive_block_series,
         rhs=lambda n, k, p: sum(
             (-1) ** (j + 1) * j * a(j, n - k * (p + j - 1))
             for j in range(1, (n - k * (p - 1)) // k + 2)
@@ -1833,8 +1813,8 @@ def _build_registry() -> list[IdentityRecord]:
         probe=ProbeSpec(
             oracle_label="exhaustive palindromic tiling enumeration",
             candidates=(
-                ProbeCandidate("stated case split", _printed_case_split_m),
-                ProbeCandidate(
+                ("stated case split", _printed_case_split_m),
+                (
                     "case split from the argument parity of the whole strip",
                     cs.m_pal,
                 ),
@@ -1869,13 +1849,9 @@ def _build_registry() -> list[IdentityRecord]:
         probe=ProbeSpec(
             oracle_label="exhaustive palindromic composition enumeration",
             candidates=(
-                ProbeCandidate("stated summand m(j, n-2j)", _pal_avoid_printed),
-                ProbeCandidate(
-                    "plain alternating m(j, n-jk)", _pal_avoid_plain_alternating
-                ),
-                ProbeCandidate(
-                    "paired-insertion sign (-1)^ceil(j/2) m(j, n-jk)", cs.pal_hat
-                ),
+                ("stated summand m(j, n-2j)", _pal_avoid_printed),
+                ("plain alternating m(j, n-jk)", _pal_avoid_plain_alternating),
+                ("paired-insertion sign (-1)^ceil(j/2) m(j, n-jk)", cs.pal_hat),
             ),
         ),
         notes="a red pair and a lone central red are single exclusion units,"
@@ -1898,11 +1874,11 @@ def _build_registry() -> list[IdentityRecord]:
         probe=ProbeSpec(
             oracle_label="exhaustive palindromic composition enumeration",
             candidates=(
-                ProbeCandidate(
+                (
                     "stated summand a_1(j,n-jk) - a(j,n-(j+1)k)",
                     _pal_avoid_same_parity_printed,
                 ),
-                ProbeCandidate(
+                (
                     "halved arguments a_1(j,(n-2jk)/2) - a(j,(n-(2j+1)k)/2)",
                     _pal_avoid_same_parity_corrected,
                 ),
@@ -1927,11 +1903,8 @@ def _build_registry() -> list[IdentityRecord]:
         probe=ProbeSpec(
             oracle_label="exhaustive palindromic composition enumeration",
             candidates=(
-                ProbeCandidate(
-                    "stated summand a_1(j, n-2k)",
-                    _pal_avoid_diff_parity_printed,
-                ),
-                ProbeCandidate(
+                ("stated summand a_1(j, n-2k)", _pal_avoid_diff_parity_printed),
+                (
                     "halved argument a_1(j, floor((n-2jk)/2))",
                     _pal_avoid_diff_parity_corrected,
                 ),

@@ -585,16 +585,10 @@ def count_by_part_multiplicity(
 ) -> dict[int, int]:
     """How many compositions of ``n`` contain ``k`` exactly ``p`` times, per ``p``.
 
-    Sliced out of :func:`part_multiplicity_census`; the ``p = 0`` class is
-    whatever the total does not account for.
+    The ``p = 0`` class is always reported, as 0 when every composition
+    has a part ``k``.
     """
-    census = part_multiplicity_census(n, max_part=max_part)
-    hist = {
-        mult: count for (part, mult), count in census.items() if part == k
-    }
-    total = count_compositions(n, max_part=max_part)
-    hist[0] = total - sum(hist.values())
-    return hist
+    return {0: 0, **Counter(comp.count(k) for comp in _census_walk(n, max_part))}
 
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
@@ -605,8 +599,9 @@ def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], 
 
 
 def total_parts(n: int) -> int:
-    """Number of parts summed over all compositions of ``n``."""
-    return sum(map(len, _census_walk(n)))
+    """Number of parts summed over all compositions of ``n``: the tiles of
+    the tilings with no red square."""
+    return tile_count_total(0, n)
 
 
 def largest_part_census(n: int) -> dict[tuple[int, int], int]:

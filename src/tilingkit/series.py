@@ -183,9 +183,6 @@ class RationalGF:
     def of(cls, num: Sequence[int], den: Sequence[int]) -> "RationalGF":
         return cls(tuple(num), tuple(den))
 
-    def __mul__(self, other: "RationalGF") -> "RationalGF":
-        return RationalGF(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
     def __pow__(self, e: int) -> "RationalGF":
         return RationalGF(poly_pow(self.num, e), poly_pow(self.den, e))
 

@@ -196,6 +196,8 @@ class TestOracleTwinSweep:
                 )
             for m in range(1, k + 1):
                 hist = multiplicity(n, m, k)
+                # The oracle's one-part fold against the census slice above.
+                assert orc.count_by_part_multiplicity(n, m, max_part=k) == hist
                 assert cs.L_restricted(n, m, k) == sum(
                     v for p, v in hist.items() if p >= 1
                 )

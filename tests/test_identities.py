@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from tilingkit import compstats as cs
 from tilingkit import identities as ident
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,8 +55,8 @@ class TestRegistryShape:
             if record.probe is not None:
                 probes += 1
                 oracle = record.probe.oracle or record.lhs
-                for candidate in record.probe.candidates:
-                    assert candidate.fn is not oracle, (record.id, candidate.label)
+                for label, fn in record.probe.candidates:
+                    assert fn is not oracle, (record.id, label)
         assert probes == 8
 
     def test_a_conjecture_carries_no_corrected_form(self):
@@ -152,10 +156,9 @@ class TestProbes:
                 oracle_label="counting oracle",
                 oracle=oracle,
                 candidates=(
-                    ident.ProbeCandidate("stated 2n + [n = 1]",
-                                         lambda n: 2 * n + (n == 1)),
-                    ident.ProbeCandidate("doubled n + n", lambda n: n + n),
-                    ident.ProbeCandidate("shifted 2n", lambda n: 2 * n),
+                    ("stated 2n + [n = 1]", lambda n: 2 * n + (n == 1)),
+                    ("doubled n + n", lambda n: n + n),
+                    ("shifted 2n", lambda n: 2 * n),
                 ),
             ),
         )
@@ -176,6 +179,17 @@ class TestProbes:
         # The cache lives for one probe: a second probe evaluates afresh.
         ident.erratum_probe("probe-control", "small")
         assert len(calls) == 10
+
+    def test_small_probe_digest(self):
+        # Refactors of the probes, their candidates and their oracles must
+        # leave every probe's resolution byte-identical.
+        probes = {r.id: ident.erratum_probe(r.id, "small")
+                  for r in ident.registry() if r.probe is not None}
+        assert len(probes) == 8
+        digest = hashlib.sha256(
+            json.dumps(probes, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "c7f26ae905e6e267111db69275235dbf360e4faf7bda74187367beda21e8dd0d")
 
 
 class TestConjectureChecks:
@@ -257,6 +271,10 @@ class TestMonotonicity:
         for result in report.results:
             assert result.status == expected_status[result.id]["status"], result.id
             assert result.matches_expected, result.id
+        # The bytes ``tilingkit verify --scale large`` writes.
+        payload = json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "699ac6239b1460ca9f163081be694b0f180d5b5f596e0bb43730ac0e5aaa751b")
 
 
 class TestNegativeControl:
@@ -298,6 +316,19 @@ class TestNegativeControl:
         }
 
 
+class TestIndependentSides:
+    def test_consecutive_parts_alternating_needs_no_exact_parts(self, monkeypatch):
+        # The inline alternating sum expands ``exact_parts``' terms, so the
+        # other side must reach the count without that sum.
+        def refuse(*args):
+            raise AssertionError("exact_parts was called")
+
+        monkeypatch.setattr(cs, "exact_parts", refuse)
+        result = ident.evaluate_record(
+            ident._record("consecutive-parts-alternating"), ident.SCALES["small"])
+        assert (result.status, result.points) == ("verified", 364)
+
+
 def test_tracer_census_caches_are_registry_caches():
     # The benchmark tracer reads ``cache_info()`` of each name it lists; the
     # list is parsed, not imported, so the test does not depend on ``bench``.
@@ -312,3 +343,16 @@ def test_tracer_census_caches_are_registry_caches():
     assert len(names) == 1 and names[0]
     for name in names[0]:
         assert callable(getattr(getattr(ident, name), "cache_info", None)), name
+
+
+def test_tracer_installs():
+    # The benchmark tracer wraps its functions by name, so a deleted name
+    # would stop ``bench/run.py --trace 1`` with a KeyError.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), str(root / "bench"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.Tracer().install()"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
