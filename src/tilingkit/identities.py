@@ -20,10 +20,12 @@ rendering is deterministic: no timestamps or wall-clock readings go into
 the document (they are kept on the in-memory results only), records are
 sorted by id, and every evaluator is a pure function.
 
-Evaluator values are exact ints or Fractions.  A closed form that leaves
-the integers, a generating function with no expansion, or a sum that does
-not terminate evaluates to a :class:`Defect`, which compares unequal to
-everything and therefore registers as a counterexample.
+Evaluator values are exact: ints, Fractions, or tuples of these (rows of a
+generating function).  A closed form that leaves the integers, a
+generating function with no expansion, a sum that does not terminate, or
+any other value (a float, say) evaluates to a :class:`Defect`, which
+compares unequal to everything and therefore registers as a
+counterexample.
 """
 
 from __future__ import annotations
@@ -97,10 +99,17 @@ Domain = Callable[[GridScale], Iterable[tuple]]
 
 
 def _safe(fn: Evaluator, point: tuple) -> object:
+    """``fn`` at ``point``.  A failure, or a value that is not an int, a
+    Fraction or a tuple of these, is a :class:`Defect`."""
     try:
-        return fn(*point)
+        value = fn(*point)
     except (NonIntegerResultError, ser.NotExpandableError) as exc:
         return Defect(str(exc))
+    if isinstance(value, (int, Fraction, Defect)) or (
+            isinstance(value, tuple)
+            and all(isinstance(v, (int, Fraction)) for v in value)):
+        return value
+    return Defect(f"inexact value {value!r}")
 
 
 @dataclass(frozen=True)
@@ -1070,7 +1079,8 @@ def _build_registry() -> list[IdentityRecord]:
         domain=lambda g: ((-n,) for n in range(1, 2 * g.limit + 1)),
         corrected=CorrectedForm(
             citation="negF(n,2) = (-1)^(n+1) F(-n,2) for n < 0",
-            rhs=lambda n: (-1) ** (n + 1) * fibonacci_k(-n, 2),
+            # (-1)^(n+1) as an int: a negative power of -1 is a float.
+            rhs=lambda n: (1 if n % 2 else -1) * fibonacci_k(-n, 2),
         ),
         notes="negatively indexed classical Fibonacci numbers alternate in"
               " sign; the reflection needs the (-1)^(n+1) factor",

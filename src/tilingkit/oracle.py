@@ -22,33 +22,43 @@ in ascending order; every filter reduces, once per call, to the sorted
 tuple of allowed lengths.  One generator, :func:`_walk`, yields the leaves
 in lexicographic order (red sorts before white, shorter white before
 longer), which keeps golden outputs stable; it serves every listing and
-every census but one.  The run census reads the same tree run by run:
-:func:`_run_walk` carries each composition's maximal runs of equal parts
-down the tree, packed one int per run, and yields them at each leaf, so
-:func:`run_census` folds runs without splitting any composition.  One
+every composition census but one.  The run census reads the same tree run
+by run: :func:`_run_walk` carries each composition's maximal runs of equal
+parts down the tree, packed one int per run, and yields them at each leaf,
+so :func:`run_census` folds runs without splitting any composition.  One
 counter, :func:`_count`, counts the same leaves, adding each one at its
-parent.  Palindromes are a walked half, an optional centre and the
-mirrored half; suffix tilings are a walked body and a tail of ``s`` white
-tiles.
+parent; the tiling census, :func:`_census`, does the same for an
+unrestricted tiling family and files each leaf under its longest white
+tile and its trailing white tiles.  Palindromes are a walked half, an
+optional centre and the mirrored half; suffix tilings are a walked body
+and a tail of ``s`` white tiles.
 
-The counter is the one guard.  A count raises :class:`OracleScaleError` as
-soon as it passes ``ceiling``, and every listing and every census is
-counted before it is walked, so a family of more than ``ceiling`` objects
-is refused before any object is built.  A white total that is not a
-multiple of the gcd of the allowed lengths has dead ends and no leaves,
-so the walk and the counter return at once for it.  The functions that
-take no ``ceiling`` (``count_palindromic_compositions`` and the census
-helpers) refuse past ``DEFAULT_CEILING``, read when they are called.
+The counters are the guard.  A count or a tiling census raises
+:class:`OracleScaleError` as soon as it passes ``ceiling``, and every
+listing and every composition census is counted before it is walked, so
+a family of more than ``ceiling`` objects is refused before any object
+is built.  A white total that is not a multiple of the gcd of the allowed
+lengths has dead ends and no leaves, so the walk and the counter return
+at once for it.  The functions that take no ``ceiling``
+(``count_palindromic_compositions`` and the census helpers) refuse past
+``DEFAULT_CEILING``, read when they are called.
 
 Each distinct walk is counted once per process.  The counter keeps the
 count of every walk it finishes in a module-level store keyed by ``(reds,
-white, lengths)``, and a later count of the same walk reads it.  A kept
-count refuses exactly where its walk would have, against the ceiling of
-the call that reads it, so a lowered ``DEFAULT_CEILING`` still refuses.  A
-refused walk keeps nothing, and no kept count is derived from another, so
-every count is still a sum over visited leaves.  Concurrent use needs no
-locking: a race only makes two threads walk the same family and store the
-same number.
+white, lengths)``, and a later count of the same walk reads it.  An
+unrestricted :func:`count_tilings` walks its family's census instead and
+keeps that too, keyed by ``(reds, white)``.  A count bounded only by a
+longest white tile ``k`` and a white suffix of ``s`` tiles is a subfamily
+of the unrestricted family of ``(reds, white + s)``: when that census is
+kept, the count is the number of its visited leaves with longest white
+tile at most ``k`` and at least ``s`` trailing white tiles.  A filtered
+count never starts a census, since a family under the ceiling can have an
+unrestricted parent far past it.  A kept count refuses exactly where its
+walk would have, against the ceiling of the call that reads it, so a
+lowered ``DEFAULT_CEILING`` still refuses.  A refused walk keeps nothing,
+so every count is still a sum over visited leaves.  Concurrent use needs
+no locking: a race only makes two threads walk the same family and store
+the same number.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from math import gcd
+from math import gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
@@ -227,13 +237,26 @@ def _run_walk(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 # The exact leaf count of every walk :func:`_count` has finished, keyed by
-# ``(reds, white, lengths)``.  An entry is only ever a count of visited
-# leaves, never derived from other entries.
+# ``(reds, white, lengths)``, and of every census :func:`count_tilings` has
+# read.  An entry is only ever a count of visited leaves.
 _COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
+
+# The census of every unrestricted tiling family :func:`_census` has walked,
+# keyed by ``(reds, white)``: the number of visited leaves per ``(longest
+# white tile, trailing white tiles)``.
+_CENSUSES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
 
 def _refusal(ceiling: int) -> OracleScaleError:
     return OracleScaleError(f"oracle scale exceeded: more than {ceiling} objects")
+
+
+def _kept(total: int, ceiling: int | None, seen: int = 0) -> int:
+    """A kept count, refused exactly where its walk would have been: when
+    ``seen`` plus a nonzero ``total`` passes ``ceiling``."""
+    if ceiling is not None and total and seen + total > ceiling:
+        raise _refusal(ceiling)
+    return total
 
 
 def _count(
@@ -255,9 +278,8 @@ def _count(
     total = _COUNTS.get(key)
     if total is None:
         total = _COUNTS[key] = _count_leaves(reds, white, lengths, ceiling, seen)
-    elif ceiling is not None and total and seen + total > ceiling:
-        raise _refusal(ceiling)
-    return total
+        return total
+    return _kept(total, ceiling, seen)
 
 
 def _count_leaves(
@@ -298,6 +320,70 @@ def _count_leaves(
             inner = [child for child in children if child]
             row = rows[state] = (inner, len(children) - len(inner))
         inner, leaves = row
+
+
+def _census(reds: int, white: int, ceiling: int | None) -> dict[tuple[int, int], int]:
+    """The census of the tilings with ``reds`` red squares and white total
+    ``white``, any white length allowed: how many have each ``(longest white
+    tile, trailing white tiles)``.  Each family is walked once per process;
+    a refused walk keeps nothing."""
+    census = _CENSUSES.get((reds, white))
+    if census is None:
+        census = _CENSUSES[reds, white] = _census_leaves(reds, white, ceiling)
+    return census
+
+
+def _census_leaves(
+    reds: int, white: int, ceiling: int | None
+) -> dict[tuple[int, int], int]:
+    """The walk behind :func:`_census`, over the tree :func:`_count_leaves`
+    walks for the lengths ``1..white``.  A node also carries the longest
+    white tile and the trailing white tiles above it, and its row names the
+    cell its leaf child (a node has at most one) adds 1 to."""
+    lengths = tuple(range(1, white + 1))
+    shift = white + 1
+    size = (reds + 1) * shift  # every state is below it
+    limit = inf if ceiling is None else ceiling
+    cells: dict[tuple[int, int], list[int]] = {}
+    rows: dict[int, tuple[list[int], list[int] | None]] = {}
+    total = 0
+    root = reds * shift + white
+    stack: list[int] = []
+    pop = stack.pop
+    extend = stack.extend
+    # As in _count_leaves, the root's row as if it had a parent.
+    inner, cell = ([root], None) if root else ([], cells.setdefault((0, 0), [0]))
+    while True:
+        extend(inner)
+        if cell is not None:
+            cell[0] += 1
+            total += 1
+            if total > limit:
+                raise _refusal(ceiling)
+        if not stack:
+            return {key: hits for key, (hits,) in cells.items()}
+        node = pop()
+        row = rows.get(node)
+        if row is None:
+            # A node is packed as ``state + size * (longest + shift *
+            # trailing)``; a red square ends the trailing white tiles.
+            marks, state = divmod(node, size)
+            trailing, longest = divmod(marks, shift)
+            inner, cell = [], None
+            for code in _moves(state, shift, lengths):
+                if code:
+                    child = state - code
+                    top = code if code > longest else longest
+                    run = trailing + 1
+                else:
+                    child = state - shift
+                    top, run = longest, 0
+                if child:
+                    inner.append(child + size * (top + shift * run))
+                else:
+                    cell = cells.setdefault((top, run), [0])
+            row = rows[node] = (inner, cell)
+        inner, cell = row
 
 
 # A family of objects is a sequence of blocks ``(reds, white, build)``: the
@@ -437,8 +523,23 @@ def count_tilings(
 
     The count is produced by walking the same enumeration tree leaf by
     leaf, never by a formula, so it is usable as an independent oracle.
+    An unrestricted count walks the census of its family; a count bounded
+    only by ``max_white_len = k`` and ``suffix_white_tiles = s`` reads the
+    census of ``(r, n + s)`` when one is kept, as its leaves with longest
+    white tile at most ``k`` and at least ``s`` trailing white tiles.
     """
-    return _counted(*_tiling_blocks(r, n, filter), ceiling)
+    blocks, lengths = _tiling_blocks(r, n, filter)
+    f = filter or TilingFilter()
+    if f == TilingFilter():
+        total = _COUNTS[r, n, lengths] = _kept(
+            sum(_census(r, n, ceiling).values()), ceiling)
+        return total
+    k, s = f.max_white_len, f.suffix_white_tiles
+    census = _CENSUSES.get((r, n + s))
+    if census is None or f.forbidden_white_len is not None or f.palindromic:
+        return _counted(blocks, lengths, ceiling)
+    return _kept(sum(count for (longest, trailing), count in census.items()
+                     if trailing >= s and (k is None or longest <= k)), ceiling)
 
 
 def enumerate_palindromic_tilings(

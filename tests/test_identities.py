@@ -8,12 +8,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tilingkit import compstats as cs
 from tilingkit import identities as ident
+from tilingkit import series as ser
+from tilingkit.sequences import NonIntegerResultError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -313,6 +316,57 @@ class TestNegativeControl:
         assert result.corrected_citation == "a(r,n) = a(r,n) + 2"
         assert result.corrected_counterexample == {
             "point": [0, 0], "lhs": "1", "rhs": "3",
+        }
+
+
+def _is_exact(value) -> bool:
+    if type(value) is tuple:
+        return all(type(v) in (int, Fraction) for v in value)
+    return type(value) in (int, Fraction)
+
+
+class TestExactValues:
+    def test_every_side_is_exact_at_small(self):
+        # Every side, corrected sides included, is an int, a Fraction, a
+        # tuple of these (a generating-function row) or a Defect.
+        grid = ident.SCALES["small"]
+        inexact = {}
+        for record in ident.registry():
+            forms = [(record.lhs, record.rhs, record.domain)]
+            corr = record.corrected
+            if corr is not None:
+                forms.append((corr.lhs or record.lhs, corr.rhs or record.rhs,
+                              corr.domain or record.domain))
+            for lhs, rhs, domain in forms:
+                for point in domain(grid):
+                    for side in (lhs, rhs):
+                        try:
+                            value = side(*point)
+                        except (NonIntegerResultError, ser.NotExpandableError):
+                            continue
+                        if not (isinstance(value, ident.Defect) or _is_exact(value)):
+                            inexact.setdefault(record.id, (point, value))
+        assert inexact == {}
+
+    def test_negfib2_reflection_stays_exact_past_float_precision(self):
+        record = next(r for r in ident.registry() if r.id == "negfib2-reflection")
+        for n in (-2, -3, -79, -80):
+            value = record.corrected.rhs(n)
+            assert type(value) is int
+            assert value == record.lhs(n), n
+
+    def test_inexact_value_is_a_counterexample(self):
+        floating = ident.IdentityRecord(
+            id="negative-control-float",
+            citation="a(r,n) = a(r,n)",
+            lhs=lambda r, n: ident.a(r, n),
+            rhs=lambda r, n: float(ident.a(r, n)),
+            domain=lambda g: ((r, n) for r in range(3) for n in range(3)),
+        )
+        result = ident.evaluate_record(floating, ident.SCALES["small"])
+        assert result.status == "mismatch"
+        assert result.counterexample == {
+            "point": [0, 0], "lhs": "1", "rhs": "<defect: inexact value 1.0>",
         }
 
 

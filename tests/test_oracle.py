@@ -500,8 +500,9 @@ def test_run_census_matches_plain_runs(n):
 
 @pytest.fixture
 def store():
-    """The count store, emptied for one test, so that a first count walks."""
-    with patch.dict(orc._COUNTS, clear=True):
+    """The count store, emptied for one test with the census store, so
+    that a first count walks."""
+    with patch.dict(orc._COUNTS, clear=True), patch.dict(orc._CENSUSES, clear=True):
         yield orc._COUNTS
 
 
@@ -606,3 +607,63 @@ def test_count_matches_the_walk_on_a_miss_and_on_a_hit(families, lengths):
             exact = sum(1 for _ in orc._walk(reds, white, lengths))
             assert orc._count(reds, white, lengths, exact) == exact
             assert orc._count(reds, white, lengths, None) == exact
+
+
+# ---------------------------------------------------------------------------
+# The census store: an unrestricted tiling count walks its family's census,
+# and a count bounded only by a white length and a white suffix reads a kept
+# census instead of walking.
+# ---------------------------------------------------------------------------
+
+def _trailing_whites(codes) -> int:
+    return len(codes) - 1 - max((i for i, c in enumerate(codes) if not c), default=-1)
+
+
+def test_census_counts_each_leaf_by_longest_and_trailing_white(store):
+    for r in range(5):
+        for n in range(8 - r):
+            naive = Counter((max(codes, default=0), _trailing_whites(codes))
+                            for codes in orc._walk(r, n, tuple(range(1, n + 1))))
+            assert count_tilings(r, n) == sum(naive.values())
+            assert orc._CENSUSES[r, n] == naive
+
+
+def test_census_reads_match_the_walk(store):
+    cells = [(r, n, TilingFilter(max_white_len=k, suffix_white_tiles=s))
+             for r in range(10) for n in range(10 - r)
+             for k in (None, *range(1, n + 2)) for s in range(n + 1)
+             if k is not None or s]
+    walked = {cell: count_tilings(*cell) for cell in cells}
+    assert orc._CENSUSES == {}  # a filtered count starts no census
+    for r, n, f in cells:
+        count_tilings(r, n + f.suffix_white_tiles)
+    store.clear()
+    assert {cell: count_tilings(*cell) for cell in cells} == walked
+    assert store == {}  # every filtered count was read, none walked
+
+
+def test_filtered_count_without_a_census_walks_its_own_family(store):
+    # The unrestricted family has 2**23 tilings, far past this ceiling.
+    bounded = TilingFilter(max_white_len=2)
+    assert count_tilings(0, 24, bounded, ceiling=10 ** 5) == 75_025
+    assert orc._CENSUSES == {}
+    with pytest.raises(OracleScaleError, match="more than 100000 objects"):
+        count_tilings(0, 24, ceiling=10 ** 5)
+    assert orc._CENSUSES == {}
+
+
+@pytest.mark.parametrize("f", [
+    TilingFilter(max_white_len=2),
+    TilingFilter(suffix_white_tiles=2),
+    TilingFilter(max_white_len=3, suffix_white_tiles=1),
+])
+def test_census_read_refuses_just_past_the_ceiling(store, f):
+    r, n = 2, 6
+    exact = count_tilings(r, n, f)
+    count_tilings(r, n + f.suffix_white_tiles)
+    store.clear()
+    for _ in range(2):
+        with pytest.raises(OracleScaleError, match=f"more than {exact - 1} objects"):
+            count_tilings(r, n, f, ceiling=exact - 1)
+        assert count_tilings(r, n, f, ceiling=exact) == exact
+    assert store == {}
