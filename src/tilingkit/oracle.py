@@ -22,22 +22,29 @@ in ascending order; every filter reduces, once per call, to the sorted
 tuple of allowed lengths.  One generator, :func:`_walk`, yields the leaves
 in lexicographic order (red sorts before white, shorter white before
 longer), which keeps golden outputs stable; it serves every listing and
-every composition census but one.  The run census reads the same tree run
-by run: :func:`_run_walk` carries each composition's maximal runs of equal
-parts down the tree, packed one int per run, and yields them at each leaf,
-so :func:`run_census` folds runs without splitting any composition.  One
-counter, :func:`_count`, counts the same leaves, adding each one at its
-parent; the tiling census, :func:`_census`, does the same for an
-unrestricted tiling family and files each leaf under its longest white
-tile and its trailing white tiles.  Palindromes are a walked half, an
-optional centre and the mirrored half; suffix tilings are a walked body
-and a tail of ``s`` white tiles.
+every composition census but one.  One counter, :func:`_count`, counts the
+same leaves, adding each one at its parent; the tiling census,
+:func:`_census`, does the same for an unrestricted tiling family and files
+each leaf under its longest white tile and its trailing white tiles.  The
+run census, :func:`_run_leaves`, also adds leaves at their parent, with
+each node carrying the last part and the length of its open run: on the
+way out of a node it credits that run with the leaves counted below the
+node, and a run of exactly ``l`` parts is those of at least ``l`` less
+those of at least ``l + 1``, so :func:`run_census` splits no composition
+and builds nothing per leaf.  Palindromes are a walked half, an optional
+centre and the mirrored half; suffix tilings are a walked body and a tail
+of ``s`` white tiles.
 
 The counters are the guard.  A count or a tiling census raises
 :class:`OracleScaleError` as soon as it passes ``ceiling``, and every
 listing and every composition census is counted before it is walked, so
 a family of more than ``ceiling`` objects is refused before any object
-is built.  A white total that is not a multiple of the gcd of the allowed
+is built.  An unrestricted family (every white length allowed) is refused
+before its walk when a lower bound on its size already passes the
+ceiling: 2**(white - 1) compositions of the white total with every red
+square first, or C(white + reds, reds) tilings with every white tile of
+length 1.  The bound only refuses; a family under it is still walked and
+counted.  A white total that is not a multiple of the gcd of the allowed
 lengths has dead ends and no leaves, so the walk and the counter return
 at once for it.  The functions that take no ``ceiling``
 (``count_palindromic_compositions`` and the census helpers) refuse past
@@ -67,7 +74,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from math import gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -207,35 +213,6 @@ def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
             push((codes + (code,), child))
 
 
-def _run_walk(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The compositions :func:`_walk` yields for ``(0, n, lengths)``, in the
-    same order, each as the tuple of its maximal runs of equal parts.  A
-    run ``(value, length)`` is packed as ``value * (n + 1) + length``, so a
-    repeated part adds 1 to the open run."""
-    if lengths and n % gcd(*lengths):
-        return  # no leaf, as in _walk
-    shift = n + 1
-    rows: dict[int, tuple[int, ...]] = {}
-    # An entry is (closed runs, last part, open run, rest); the root has no
-    # open run (0).
-    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, n)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        closed, last, run, rest = pop()
-        runs = closed + (run,) if run else closed
-        if not rest:
-            yield runs
-            continue
-        row = rows.get(rest)
-        if row is None:
-            # Largest part first: the stack pops the last entry first.
-            row = rows[rest] = lengths[:bisect_right(lengths, rest)][::-1]
-        for part in row:
-            push((closed, last, run + 1, rest - part) if part == last
-                 else (runs, part, part * shift + 1, rest - part))
-
-
 # The exact leaf count of every walk :func:`_count` has finished, keyed by
 # ``(reds, white, lengths)``, and of every census :func:`count_tilings` has
 # read.  An entry is only ever a count of visited leaves.
@@ -259,6 +236,33 @@ def _kept(total: int, ceiling: int | None, seen: int = 0) -> int:
     return total
 
 
+def _refuse_past_floor(
+    reds: int, white: int, ceiling: int | None, seen: int = 0
+) -> None:
+    """Refuse the tilings with ``reds`` red squares and white tiles of any
+    length totalling ``white`` before they are walked, when ``seen`` plus a
+    lower bound on their number passes ``ceiling``.  The bound is the larger
+    of 2**(white - 1) for white >= 1 (the compositions of ``white``, every
+    red square placed first) and C(white + reds, reds) (every white tile of
+    length 1); neither is worked out further than it needs to pass.  An
+    unrefused family is still walked, so no count comes from the bound."""
+    if ceiling is None:
+        return
+    room = ceiling - seen
+    # Every such family has an object; 2**(white - 1) > room exactly when
+    # white - 1 >= room.bit_length().
+    if room < 1 or white > room.bit_length():
+        raise _refusal(ceiling)
+    # C(m - k + i, i) for i = 1..k ends at C(white + reds, reds) and at
+    # least doubles at each step, so the loop stops after about log2(room).
+    k, m = min(reds, white), reds + white
+    bound = 1
+    for i in range(1, k + 1):
+        bound = bound * (m - k + i) // i
+        if bound > room:
+            raise _refusal(ceiling)
+
+
 def _count(
     reds: int,
     white: int,
@@ -271,12 +275,16 @@ def _count(
 
     Each family is walked once per process: a finished walk's count is
     kept in ``_COUNTS``, and a later call reads it and refuses exactly when
-    the walk would have.  A refused walk keeps nothing."""
+    the walk would have.  A refused walk keeps nothing.  An unrestricted
+    family (lengths ``1..white``) too large by its lower bound is refused
+    before it is walked."""
     if lengths and white % gcd(*lengths):
         return 0  # no leaf, as in _walk
     key = (reds, white, lengths)
     total = _COUNTS.get(key)
     if total is None:
+        if len(lengths) == white and lengths == tuple(range(1, white + 1)):
+            _refuse_past_floor(reds, white, ceiling, seen)
         total = _COUNTS[key] = _count_leaves(reds, white, lengths, ceiling, seen)
         return total
     return _kept(total, ceiling, seen)
@@ -326,9 +334,11 @@ def _census(reds: int, white: int, ceiling: int | None) -> dict[tuple[int, int],
     """The census of the tilings with ``reds`` red squares and white total
     ``white``, any white length allowed: how many have each ``(longest white
     tile, trailing white tiles)``.  Each family is walked once per process;
-    a refused walk keeps nothing."""
+    a refused walk keeps nothing, and a family too large by its lower bound
+    is refused before it is walked."""
     census = _CENSUSES.get((reds, white))
     if census is None:
+        _refuse_past_floor(reds, white, ceiling)
         census = _CENSUSES[reds, white] = _census_leaves(reds, white, ceiling)
     return census
 
@@ -384,6 +394,67 @@ def _census_leaves(
                     cell = cells.setdefault((top, run), [0])
             row = rows[node] = (inner, cell)
         inner, cell = row
+
+
+def _run_leaves(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The walk behind :func:`run_census`, over the tree :func:`_walk` walks
+    for ``(0, n, lengths)``.  A node also carries the last part ``v`` and
+    the length ``l`` of its open run.  On the way out of a node the walk
+    credits ``(v, l)`` with the leaves it counted below the node: summed
+    over the nodes, that is the number of runs of ``v`` at least ``l``
+    long, so the runs of exactly ``l`` are that number less the one for
+    ``l + 1``.  Leaves are added at their parent, as in
+    :func:`_count_leaves`, and credited to their own open run there."""
+    shift = n + 1
+    cells: dict[tuple[int, int], list[int]] = {}
+    rows: dict[int, tuple[list[int], list[int] | None, list[int]]] = {}
+    total = 0
+    # The root has no open run: its run (0, 0) is dropped below.
+    stack: list[int] = [n]
+    entered: list[tuple[list[int], int]] = []
+    pop = stack.pop
+    extend = stack.extend
+    enter = entered.append
+    leave = entered.pop
+    while stack:
+        node = pop()
+        if node < 0:  # every inner child of the node entered last is done
+            cell, before = leave()
+            cell[0] += total - before
+            continue
+        row = rows.get(node)
+        if row is None:
+            # A node is packed as ``rest + shift * (v + shift * l)``.  Its
+            # row is its inner children, the cell of its leaf child (a node
+            # has at most one) and the cell of its own run; the -1 ahead of
+            # the children is popped after them.
+            marks, rest = divmod(node, shift)
+            run, last = divmod(marks, shift)
+            inner, leaf = [], None
+            for part in lengths[:bisect_right(lengths, rest)]:
+                top, length = (last, run + 1) if part == last else (part, 1)
+                if part == rest:
+                    leaf = cells.setdefault((top, length), [0])
+                else:
+                    inner.append(rest - part + shift * (top + shift * length))
+            row = rows[node] = ([-1, *inner] if inner else inner, leaf,
+                                cells.setdefault((last, run), [0]))
+        inner, leaf, cell = row
+        if inner:
+            enter((cell, total))
+            extend(inner)
+        elif leaf is not None:
+            cell[0] += 1
+        if leaf is not None:
+            leaf[0] += 1
+            total += 1
+    at_least = {key: hits for key, (hits,) in cells.items()}
+    census = {}
+    for (value, length), hits in at_least.items():
+        exact = hits - at_least.get((value, length + 1), 0)
+        if value and exact:
+            census[value, length] = exact
+    return census
 
 
 # A family of objects is a sequence of blocks ``(reds, white, build)``: the
@@ -694,9 +765,7 @@ def count_by_part_multiplicity(
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
     """Counts of runs keyed by ``(part value, run length)`` over all compositions."""
-    census = Counter(chain.from_iterable(
-        _run_walk(n, _census_lengths(n, max_part))))
-    return {divmod(run, n + 1): count for run, count in census.items()}
+    return _run_leaves(n, _census_lengths(n, max_part))
 
 
 def total_parts(n: int) -> int:

@@ -277,10 +277,18 @@ def test_palindromic_composition_listing_refuses_just_past_the_ceiling():
     lambda: enumerate_palindromic_tilings(0, 50_000, ceiling=1000),
     lambda: orc.count_compositions(50_000, ceiling=1000),
     lambda: enumerate_compositions(50_000, ceiling=1000),
+    # Filtered families have no lower bound to refuse by: these still walk.
+    lambda: count_tilings(0, 50_000, TilingFilter(forbidden_white_len=7),
+                          ceiling=1000),
+    lambda: count_tilings(3, 50_000, TilingFilter(max_white_len=50_000 - 1),
+                          ceiling=1000),
+    lambda: orc.count_compositions(50_000, max_part=3, ceiling=1000),
+    lambda: enumerate_compositions(50_000, forbidden_part=2, ceiling=1000),
 ])
 def test_refusal_at_large_size_needs_little_memory(walk):
     # The ceiling bounds the work: a family far past it is refused after
     # about ``ceiling`` leaves, not after a table or stack of size n**2.
+    # An unrestricted family is refused by its lower bound, before any walk.
     tracemalloc.start()
     try:
         with pytest.raises(OracleScaleError):
@@ -493,6 +501,29 @@ def test_run_census_matches_plain_runs(n):
                    for value, length in census)
 
 
+@pytest.mark.parametrize("n", range(17))
+def test_run_census_agrees_with_the_part_walks(n):
+    # Each run of l parts v is l occurrences of v, so the census weighted by
+    # run length must give the part totals that the plain walk folds.
+    for max_part in [None, *range(1, n)]:  # max_part >= n is the None family
+        census = orc.run_census(n, max_part=max_part)
+        if max_part is None:
+            assert sum(length * count for (_, length), count in census.items()) \
+                == orc.total_parts(n)
+        top = n if max_part is None else max_part
+        assert all(value <= top for value, _ in census)
+        for k in range(1, top + 1):
+            assert sum(length * count for (value, length), count
+                       in census.items() if value == k) \
+                == orc.part_occurrences(n, k, max_part=max_part), (max_part, k)
+
+
+def test_run_census_of_a_deep_narrow_family_and_of_nothing():
+    # One composition 3000 parts deep: the walk keeps no recursion.
+    assert orc.run_census(3000, max_part=1) == {(1, 3000): 1}
+    assert orc.run_census(0) == {}
+
+
 # ---------------------------------------------------------------------------
 # The count store: a finished walk's count is kept, and a kept count refuses
 # exactly where the walk would have.
@@ -574,6 +605,52 @@ def test_refused_walk_and_dead_family_are_not_stored(store):
     with pytest.raises(OracleScaleError):
         count_tilings(1, 3, suffix, ceiling=exact - 1)
     assert store.items() < finished.items()
+
+
+@pytest.mark.parametrize("count, seen", [
+    *((lambda ceiling, n=n: orc.count_compositions(n, ceiling=ceiling), 0)
+      for n in (1, 2, 7, 12)),
+    *((lambda ceiling, r=r, n=n: count_tilings(r, n, ceiling=ceiling), 0)
+      for r, n in ((0, 0), (4, 0), (0, 9), (5, 1), (3, 3), (2, 6))),
+    # Through the objects counted before, as a family's later blocks are.
+    (lambda ceiling: orc._count(0, 5, (1, 2, 3, 4, 5), ceiling, 7), 7),
+    (lambda ceiling: orc._count(2, 4, (1, 2, 3, 4), ceiling, 3), 3),
+])
+def test_ceiling_holds_at_the_exact_size(store, count, seen):
+    # Where the lower bound is the exact size (2**(n-1) compositions, the
+    # C(r+1, r) tilings of white total 1, a lone object) the family is
+    # refused before its walk, elsewhere by the walk: both just past the
+    # size, with one message, on a miss and on a kept count.
+    exact = count(None)
+    store.clear()
+    orc._CENSUSES.clear()
+    for _ in range(2):
+        with pytest.raises(OracleScaleError) as refused:
+            count(seen + exact - 1)
+        assert str(refused.value) == \
+            f"oracle scale exceeded: more than {seen + exact - 1} objects"
+        assert count(seen + exact) == exact
+
+
+def test_unrestricted_family_past_its_lower_bound_is_not_walked(store):
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    with patch.object(orc, "_count_leaves", no_walk), \
+            patch.object(orc, "_census_leaves", no_walk):
+        for refused in (lambda: count_tilings(0, 40),
+                        lambda: count_tilings(3, 40),
+                        lambda: enumerate_tilings(2, 40),
+                        lambda: orc.count_compositions(30),
+                        lambda: orc.run_census(30),
+                        lambda: count_tilings(600, 600, ceiling=10 ** 6)):
+            with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+                refused()
+        # A filtered family has no such bound and is walked.
+        with pytest.raises(AssertionError, match="walked"):
+            count_tilings(0, 24, TilingFilter(max_white_len=2), ceiling=10 ** 5)
+    assert store == {}
+    assert orc._CENSUSES == {}
 
 
 def test_stored_empty_family_refuses_nothing(store):
