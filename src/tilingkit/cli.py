@@ -9,7 +9,8 @@ Subcommands
 ``oracle``     list or count objects by exhaustive enumeration
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal by
-the enumeration resource guard.  All big integers print in plain decimal.
+a resource guard (the enumeration ceiling, or the formula tables' bound).
+All big integers print in plain decimal.
 The environment variable ``TILINGKIT_ORACLE_CEILING`` overrides the
 enumeration guard (an integer; empty means the default).
 """
@@ -361,7 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # Raised while validating, before anything is printed.
                 print(f"tilingkit oracle: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-    except oracle.OracleScaleError as exc:
+    except (oracle.OracleScaleError, seq.TableScaleError) as exc:
         print(f"tilingkit: {exc}", file=sys.stderr)
         return EXIT_ORACLE_SCALE
     raise AssertionError("unreachable")

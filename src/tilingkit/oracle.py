@@ -21,8 +21,12 @@ tree whose nodes place a red square first, then each allowed white length
 in ascending order; every filter reduces, once per call, to the sorted
 tuple of allowed lengths.  One generator, :func:`_walk`, yields the leaves
 in lexicographic order (red sorts before white, shorter white before
-longer), which keeps golden outputs stable; it serves every listing and
-every composition census but one.  One counter, :func:`_count`, counts the
+longer), which keeps golden outputs stable; it serves every listing, the
+part fold, the largest-part census, the tile totals and the replacement
+sums.  The part fold, :func:`_fold_leaves`, files each composition under
+every part it uses, by the part's multiplicity and by whether its copies
+form one block; part occurrences, multiplicities, consecutive blocks and
+part totals are all read from it.  One counter, :func:`_count`, counts the
 same leaves, adding each one at its parent; the tiling census,
 :func:`_census`, does the same for an unrestricted tiling family and files
 each leaf under its longest white tile and its trailing white tiles.  The
@@ -60,12 +64,16 @@ of the unrestricted family of ``(reds, white + s)``: when that census is
 kept, the count is the number of its visited leaves with longest white
 tile at most ``k`` and at least ``s`` trailing white tiles.  A filtered
 count never starts a census, since a family under the ceiling can have an
-unrestricted parent far past it.  A kept count refuses exactly where its
-walk would have, against the ceiling of the call that reads it, so a
-lowered ``DEFAULT_CEILING`` still refuses.  A refused walk keeps nothing,
-so every count is still a sum over visited leaves.  Concurrent use needs
-no locking: a race only makes two threads walk the same family and store
-the same number.
+unrestricted parent far past it.  The part fold of a composition family is
+kept too, keyed by ``(0, white, lengths)`` like its count, and so is the
+tile total of a tiling family, keyed by ``(reds, white)``; the run census
+and the largest-part census are walked on each call.  A kept count
+refuses exactly where its walk would have, against the ceiling of the call
+that reads it, so a lowered ``DEFAULT_CEILING`` still refuses; a census
+helper counts its family that way before it reads a kept fold or total.
+A refused walk keeps nothing, so every count is still a sum over visited
+leaves.  Concurrent use needs no locking: a race only makes two threads
+walk the same family and store the same number.
 """
 
 from __future__ import annotations
@@ -222,6 +230,15 @@ _COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
 # keyed by ``(reds, white)``: the number of visited leaves per ``(longest
 # white tile, trailing white tiles)``.
 _CENSUSES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+
+# The part fold of every composition family a census helper has read, keyed
+# by ``(0, n, lengths)`` as in ``_COUNTS``: compositions per packed (part,
+# multiplicity, split) key, see :func:`_fold_leaves`.
+_FOLDS: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
+
+# The tile total of every tiling family :func:`tile_count_total` has read,
+# keyed by ``(reds, white)``.
+_TILES: dict[tuple[int, int], int] = {}
 
 
 def _refusal(ceiling: int) -> OracleScaleError:
@@ -732,9 +749,70 @@ def _census_walk(
     return _walk(reds, n, _census_lengths(n, max_part, reds))
 
 
+def _fold_leaves(n: int, lengths: tuple[int, ...]) -> dict[int, int]:
+    """The walk behind :func:`_part_fold`: for each part ``p`` of each
+    composition of ``(0, n, lengths)``, one more composition under the key
+    ``(p * (n + 1) + m) * 2 + split``, where ``m`` is the multiplicity of
+    ``p`` and ``split`` is 1 when its copies form more than one block.
+    Key 0, part 0 with multiplicity 0 in one block, counts every
+    composition."""
+    shift = n + 1
+    fold = {0: 0}
+    get = fold.get
+    for comp in _walk(0, n, lengths):
+        fold[0] += 1
+        # Each part, in order of first use, and whether a block of it
+        # starts after its first.
+        scattered: dict[int, bool] = {}
+        last = 0
+        for part in comp:
+            if part != last:
+                scattered[part] = part in scattered
+                last = part
+        for part, apart in scattered.items():
+            key = (part * shift + comp.count(part)) * 2 + apart
+            fold[key] = get(key, 0) + 1
+    return fold
+
+
+def _part_fold(
+    n: int, max_part: int | None
+) -> Iterator[tuple[int, int, int, int]]:
+    """The fold of the compositions of ``n`` with parts at most
+    ``max_part``, as ``(part, multiplicity, split, compositions)`` cells;
+    part 0 counts every composition.  Each family is folded once per
+    process, after :func:`_census_lengths` has let it through."""
+    lengths = _census_lengths(n, max_part)
+    fold = _FOLDS.get((0, n, lengths))
+    if fold is None:
+        fold = _FOLDS[0, n, lengths] = _fold_leaves(n, lengths)
+    shift = n + 1
+    for key, count in fold.items():
+        marks, split = divmod(key, 2)
+        part, multiplicity = divmod(marks, shift)
+        yield part, multiplicity, split, count
+
+
+def _part_histogram(
+    n: int, k: int, max_part: int | None = None, *, one_block: bool = False
+) -> dict[int, int]:
+    """How many compositions of ``n`` hold ``k`` exactly ``m`` times, per
+    ``m``, counting only those whose copies of ``k`` form one block when
+    ``one_block``; the ``m = 0`` class is always reported."""
+    histogram = {0: 0}
+    for part, multiplicity, split, count in _part_fold(n, max_part):
+        if not part:
+            histogram[0] += count  # every composition ...
+        elif part == k:
+            histogram[0] -= count  # ... less those with a part k
+            if not (one_block and split):
+                histogram[multiplicity] = histogram.get(multiplicity, 0) + count
+    return histogram
+
+
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
     """Total number of times ``k`` appears as a part over all compositions."""
-    return sum(comp.count(k) for comp in _census_walk(n, max_part))
+    return sum(m * count for m, count in _part_histogram(n, k, max_part).items())
 
 
 def part_multiplicity_census(
@@ -742,14 +820,15 @@ def part_multiplicity_census(
 ) -> dict[tuple[int, int], int]:
     """Counts of compositions keyed by ``(part value, multiplicity >= 1)``.
 
-    One enumeration covers every part value at once; pair with the total
+    One fold covers every part value at once; pair with the total
     composition count to recover the multiplicity-zero classes.
     """
-    return dict(Counter(
-        (part, comp.count(part))
-        for comp in _census_walk(n, max_part)
-        for part in dict.fromkeys(comp)
-    ))
+    census: dict[tuple[int, int], int] = {}
+    for part, multiplicity, _split, count in _part_fold(n, max_part):
+        if part:
+            key = (part, multiplicity)
+            census[key] = census.get(key, 0) + count
+    return census
 
 
 def count_by_part_multiplicity(
@@ -760,7 +839,7 @@ def count_by_part_multiplicity(
     The ``p = 0`` class is always reported, as 0 when every composition
     has a part ``k``.
     """
-    return {0: 0, **Counter(comp.count(k) for comp in _census_walk(n, max_part))}
+    return _part_histogram(n, k, max_part)
 
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
@@ -769,9 +848,9 @@ def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], 
 
 
 def total_parts(n: int) -> int:
-    """Number of parts summed over all compositions of ``n``: the tiles of
-    the tilings with no red square."""
-    return tile_count_total(0, n)
+    """Number of parts summed over all compositions of ``n``."""
+    return sum(multiplicity * count
+               for _part, multiplicity, _split, count in _part_fold(n, None))
 
 
 def largest_part_census(n: int) -> dict[tuple[int, int], int]:
@@ -787,20 +866,20 @@ def consecutive_part_census(n: int, k: int) -> dict[int, int]:
 
     A composition with no part ``k`` is counted under multiplicity 0.
     """
-    census: dict[int, int] = {}
-    for comp in _census_walk(n):
-        positions = [i for i, p in enumerate(comp) if p == k]
-        if positions and positions[-1] - positions[0] + 1 != len(positions):
-            continue
-        census[len(positions)] = census.get(len(positions), 0) + 1
-    return census
+    return {m: count for m, count
+            in _part_histogram(n, k, one_block=True).items() if count}
 
 
 def tile_count_total(r: int, n: int) -> int:
-    """Total number of tiles over every tiling with ``r`` reds and white total ``n``."""
+    """Total number of tiles over every tiling with ``r`` reds and white total
+    ``n``.  Each family's total is summed once per process."""
     if r < 0:
         raise ValueError("r and n must be nonnegative")
-    return sum(map(len, _census_walk(n, reds=r)))
+    lengths = _census_lengths(n, reds=r)
+    total = _TILES.get((r, n))
+    if total is None:
+        total = _TILES[r, n] = sum(map(len, _walk(r, n, lengths)))
+    return total
 
 
 def replaced_compositions_oracle(n: int) -> int:

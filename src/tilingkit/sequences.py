@@ -4,7 +4,9 @@ Values are plain Python ints (arbitrary precision).  Each family is a
 table of rows, ``rows[i][j]``, grown in place by :func:`_grow` from a
 per-family cell rule: one table for ``a`` (rows by ``r``), one per ``r``
 for ``a_s`` (rows by ``s``) and one per ``k`` for ``a_k`` (rows by ``r``).
-Filling is iterative and not meant for concurrent callers.
+Filling is iterative and not meant for concurrent callers.  A fill whose
+table would pass :data:`TABLE_BOUND` is refused with
+:class:`TableScaleError` before it starts.
 
 The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
 and ``F(i-1)`` share all but one term, so ``F(i) = 2 F(i-1) - F(i-1-k)``
@@ -29,6 +31,26 @@ from typing import Callable
 
 class NonIntegerResultError(ArithmeticError):
     """A closed form produced a non-integer value outside its validity domain."""
+
+
+class TableScaleError(RuntimeError):
+    """A table fill would pass :data:`TABLE_BOUND`."""
+
+
+# A fill that would make a table ``rows`` x ``columns`` is refused before it
+# starts when rows * columns * (rows + columns) passes this bound.  An entry
+# in row i and column j of these tables has at most about 2 (i + j) bits, so
+# the product follows the table's memory and not only its number of entries:
+# a(999, 999) is at the bound (10^6 entries, about 200 MB), and a single row
+# stops at about 44,700 entries.
+TABLE_BOUND = 2 * 10**9
+
+
+def _refuse_past_bound(rows: int, columns: int) -> None:
+    if rows * columns * (rows + columns) > TABLE_BOUND:
+        raise TableScaleError(
+            f"table scale exceeded: {rows} x {columns} entries"
+            f" pass the bound of {TABLE_BOUND}")
 
 
 def binom(n: int, k: int) -> int:
@@ -64,6 +86,7 @@ def _grow(
         return rows[r][n]
     except IndexError:
         pass
+    _refuse_past_bound(r + 1, n + 1)
     rows.extend([] for _ in range(len(rows), r + 1))
     for i in range(r + 1):
         row = rows[i]
@@ -171,6 +194,8 @@ def fibonacci_k(n: int, k: int) -> int:
     if n <= 0:
         return 0
     row = _FIB.setdefault(k, [0, 1, 1 if k else 0])
+    if len(row) <= n:
+        _refuse_past_bound(1, n + 1)
     while len(row) <= n:
         i = len(row)
         row.append(2 * row[-1] - (row[i - 1 - k] if i > k else 0))
@@ -192,6 +217,7 @@ def neg_fibonacci_k(n: int, k: int) -> int:
         raise ValueError("k must be >= 2")
     if n > 1 - k:
         return fibonacci_k(n, k)
+    _refuse_past_bound(1, k + 2 - n)
     if k not in _NEG_FIB:
         _NEG_FIB[k] = [fibonacci_k(i, k) for i in range(k + 1, 1 - k, -1)]
     down = _NEG_FIB[k]
@@ -244,6 +270,8 @@ def pell(n: int) -> int:
     """Pell numbers: ``P(0)=0, P(1)=1, P(n) = 2 P(n-1) + P(n-2)``."""
     if n < 0:
         return 0
+    if len(_PELL) <= n:
+        _refuse_past_bound(1, n + 1)
     while len(_PELL) <= n:
         _PELL.append(2 * _PELL[-1] + _PELL[-2])
     return _PELL[n]

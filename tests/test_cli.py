@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -311,13 +312,17 @@ class TestVerify:
         assert "[FAIL] zz-corrupted" in err
 
 
-def run_module(*argv):
+def run_module(*argv, **options):
     """Run ``python -m tilingkit`` in a fresh interpreter on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "tilingkit", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **options)
+
+
+def _one_gigabyte_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
 class TestModuleEntryPoint:
@@ -334,6 +339,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "unknown family 'nope'" in proc.stderr
+
+    def test_table_past_its_bound_is_refused_before_it_fills(self):
+        # Without the bound this fill grows a table row by row until memory
+        # runs out; the address-space limit and the timeout make that a
+        # failure of this test, not of the host.
+        proc = run_module("seq", "a", "--r", "99999999999999999999",
+                          "--range", "0..1", timeout=60,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 3, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "tilingkit: table scale exceeded: 100000000000000000000 x 1"
+            " entries pass the bound of 2000000000\n")
 
 
 class TestOracleCommand:

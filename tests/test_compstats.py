@@ -7,6 +7,7 @@ up to n = 14 stays fast.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -18,18 +19,16 @@ from tilingkit.sequences import a, a_s, fibonacci_k
 FULL_GRID_N = 14
 
 
-@lru_cache(maxsize=None)
-def _mult_census(n: int, cap: int | None):
-    census = orc.part_multiplicity_census(n, max_part=cap)
-    total = orc.count_compositions(n, max_part=cap)
-    return census, total
+@lru_cache(maxsize=1)
+def _listed(n: int, cap: int | None) -> list[tuple[int, ...]]:
+    # The sweeps ask for one (n, cap) at a time, so one listing is kept.
+    return orc.enumerate_compositions(n, max_part=cap)
 
 
 def multiplicity(n: int, k: int, cap: int | None) -> dict[int, int]:
-    census, total = _mult_census(n, cap)
-    hist = {m: c for (part, m), c in census.items() if part == k}
-    hist[0] = total - sum(hist.values())
-    return hist
+    """Compositions by multiplicity of ``k``, a plain count over the listed
+    compositions rather than a read of the oracle's part fold."""
+    return {0: 0, **Counter(comp.count(k) for comp in _listed(n, cap))}
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +195,7 @@ class TestOracleTwinSweep:
                 )
             for m in range(1, k + 1):
                 hist = multiplicity(n, m, k)
-                # The oracle's one-part fold against the census slice above.
+                # The oracle's part fold against the listing count above.
                 assert orc.count_by_part_multiplicity(n, m, max_part=k) == hist
                 assert cs.L_restricted(n, m, k) == sum(
                     v for p, v in hist.items() if p >= 1

@@ -329,7 +329,7 @@ def test_white_total_off_the_gcd_has_no_objects():
     assert count_tilings(3, 20, evens) == 286
 
 
-@pytest.mark.parametrize("census", [
+_CENSUS_HELPERS = [
     lambda n: orc.part_occurrences(n, 1),
     lambda n: orc.part_multiplicity_census(n),
     lambda n: orc.count_by_part_multiplicity(n, 1),
@@ -340,7 +340,10 @@ def test_white_total_off_the_gcd_has_no_objects():
     lambda n: orc.tile_count_total(0, n),
     lambda n: orc.replaced_compositions_oracle(n),
     lambda n: orc.replaced_parts_oracle(n),
-])
+]
+
+
+@pytest.mark.parametrize("census", _CENSUS_HELPERS)
 def test_census_helpers_refuse_past_the_default_ceiling(monkeypatch, census):
     monkeypatch.setattr(orc, "DEFAULT_CEILING", 20)
     census(5)  # 16 compositions
@@ -531,9 +534,12 @@ def test_run_census_of_a_deep_narrow_family_and_of_nothing():
 
 @pytest.fixture
 def store():
-    """The count store, emptied for one test with the census store, so
-    that a first count walks."""
-    with patch.dict(orc._COUNTS, clear=True), patch.dict(orc._CENSUSES, clear=True):
+    """The count store, emptied for one test with the census, part fold
+    and tile total stores, so that a first count walks."""
+    with patch.dict(orc._COUNTS, clear=True), \
+            patch.dict(orc._CENSUSES, clear=True), \
+            patch.dict(orc._FOLDS, clear=True), \
+            patch.dict(orc._TILES, clear=True):
         yield orc._COUNTS
 
 
@@ -588,6 +594,40 @@ def test_stored_count_refuses_past_a_lowered_default_ceiling(store, monkeypatch)
     monkeypatch.setattr(orc, "DEFAULT_CEILING", 63)
     with pytest.raises(OracleScaleError, match="more than 63 objects"):
         orc.count_palindromic_compositions(12)
+
+
+@pytest.mark.parametrize("census", _CENSUS_HELPERS)
+def test_kept_census_refuses_past_a_lowered_default_ceiling(
+    store, monkeypatch, census
+):
+    census(6)  # 32 compositions, kept at the default ceiling
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 20)
+    for _ in range(2):
+        assert _refusal_message(lambda: census(6)) == \
+            "oracle scale exceeded: more than 20 objects"
+
+
+def test_each_composition_family_is_folded_once(store, monkeypatch):
+    walks = []
+    walk = orc._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(orc, "_walk", counted)
+    n = 10
+    for k in range(1, n + 2):
+        orc.part_occurrences(n, k)
+        orc.count_by_part_multiplicity(n, k)
+        orc.consecutive_part_census(n, k)
+    orc.part_multiplicity_census(n)
+    orc.total_parts(n)
+    assert walks == [(0, n, tuple(range(1, n + 1)))]
+    # A tile total is summed once per family too.
+    for _ in range(2):
+        assert orc.tile_count_total(2, 4) == 321
+    assert walks[1:] == [(2, 4, (1, 2, 3, 4))]
 
 
 def test_refused_walk_and_dead_family_are_not_stored(store):

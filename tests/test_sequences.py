@@ -349,3 +349,41 @@ def test_tables_grown_in_any_order_match_plain_recurrences(queries):
     with _empty_tables():
         for name, *args in queries:
             assert getattr(sq, name)(*args) == _plain(name, *args), (name, args)
+
+
+
+def _entries() -> int:
+    """Entries held by the memo tables, past the seed row of each ``_FIB``."""
+    tables = [sq._A_ROWS, *sq._AS_TABLES.values(), *sq._AK_TABLES.values()]
+    return (sum(len(row) for table in tables for row in table)
+            + sum(len(row) - 3 for row in sq._FIB.values())
+            + sum(map(len, sq._NEG_FIB.values())) + len(sq._PELL))
+
+
+@pytest.mark.parametrize("fill, rows, columns", [
+    (lambda: a(3, 5), 4, 6),
+    (lambda: a_k(2, 6, 3), 3, 7),
+    (lambda: a_s(2, 0, 4), 3, 5),
+    (lambda: fibonacci_k(40, 3), 1, 41),
+    (lambda: neg_fibonacci_k(-30, 3), 1, 35),
+    (lambda: pell(50), 1, 51),
+])
+def test_fill_past_the_table_bound_is_refused_before_it_starts(
+    monkeypatch, fill, rows, columns
+):
+    # ``_PELL`` is not one of ``_TABLES``: it starts from its seed here.
+    monkeypatch.setattr(sq, "_PELL", [0, 1])
+    with _empty_tables():
+        expected = fill()
+    size = rows * columns * (rows + columns)
+    monkeypatch.setattr(sq, "_PELL", [0, 1])
+    with _empty_tables():
+        monkeypatch.setattr(sq, "TABLE_BOUND", size - 1)
+        before = _entries()
+        with pytest.raises(sq.TableScaleError,
+                           match=f"^table scale exceeded: {rows} x {columns}"
+                                 f" entries pass the bound of {size - 1}$"):
+            fill()
+        assert _entries() == before
+        monkeypatch.setattr(sq, "TABLE_BOUND", size)
+        assert fill() == expected
