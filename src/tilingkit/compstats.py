@@ -13,6 +13,7 @@ occurrences of the part 2 in the compositions of 4.
 
 from __future__ import annotations
 
+from . import sequences
 from .sequences import (
     a,
     a_s,
@@ -327,9 +328,18 @@ def m_pal(r: int, n: int) -> int:
 
 
 def pal(n: int) -> int:
-    """Palindromic compositions of ``n``: ``2 ** (n // 2)`` (1 for ``n = 0``)."""
+    """Palindromic compositions of ``n``: ``2 ** (n // 2)`` (1 for ``n = 0``).
+
+    A value of more than :data:`~tilingkit.sequences.TABLE_BOUND` bits is
+    refused with :class:`~tilingkit.sequences.TableScaleError` before it is
+    built."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    bits, bound = n // 2 + 1, sequences.TABLE_BOUND
+    if bits > bound:
+        raise sequences.TableScaleError(
+            f"table scale exceeded: pal({n}) has {bits} bits,"
+            f" past the bound of {bound}")
     return 1 << (n // 2)
 
 

@@ -353,6 +353,16 @@ class TestModuleEntryPoint:
             "tilingkit: table scale exceeded: 100000000000000000000 x 1"
             " entries pass the bound of 2000000000\n")
 
+    def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):
+        # Unbounded, 2**(n // 2) at this index needs about 6 GB.
+        proc = run_module("seq", "pal", "--range", "99999999999..99999999999",
+                          timeout=60, preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 3, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "tilingkit: table scale exceeded: pal(99999999999) has"
+            " 50000000000 bits, past the bound of 2000000000\n")
+
 
 class TestOracleCommand:
     def test_tilings_listing(self, capsys):

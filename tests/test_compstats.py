@@ -14,6 +14,7 @@ import pytest
 
 from tilingkit import compstats as cs
 from tilingkit import oracle as orc
+from tilingkit import sequences as sq
 from tilingkit.sequences import a, a_s, fibonacci_k
 
 FULL_GRID_N = 14
@@ -121,6 +122,15 @@ class TestSpotValues:
         for n in range(9):
             for k in range(n + 1, n + 4):
                 assert cs.pal_hat(n, k) == cs.pal(n)
+
+    def test_pal_past_the_table_bound_is_refused(self, monkeypatch):
+        # pal(18) = 2**9 has 10 bits; pal(20) would have 11.
+        monkeypatch.setattr(sq, "TABLE_BOUND", 10)
+        assert cs.pal(18) == cs.pal(19) == 512
+        with pytest.raises(sq.TableScaleError,
+                           match=r"^table scale exceeded: pal\(20\) has 11"
+                                 " bits, past the bound of 10$"):
+            cs.pal(20)
 
 
 class TestExactParts:

@@ -49,6 +49,15 @@ class TestTileTypes:
         assert first.tiles[1] is second.tiles[0]
         assert first.tiles[0] is first.tiles[2] is second.tiles[1]
 
+    def test_listed_tilings_keep_only_their_codes(self):
+        # A listing holds one tiling per object: no instance dict each.
+        tiling = enumerate_tilings(1, 2)[0]
+        assert not hasattr(tiling, "__dict__")
+        assert tiling == TwoTonedTiling((0, 1, 1))
+        assert hash(tiling) == hash(TwoTonedTiling.from_codes([0, 1, 1]))
+        with pytest.raises(AttributeError):
+            tiling.codes = ()
+
     def test_filter_validation(self):
         with pytest.raises(ValueError):
             TilingFilter(max_white_len=0)
@@ -784,3 +793,71 @@ def test_census_read_refuses_just_past_the_ceiling(store, f):
             count_tilings(r, n, f, ceiling=exact - 1)
         assert count_tilings(r, n, f, ceiling=exact) == exact
     assert store == {}
+
+
+# ---------------------------------------------------------------------------
+# The walk keeps the leaves below small nodes; that changes no leaf, no
+# order and no listing, and keeps little.
+# ---------------------------------------------------------------------------
+
+def _plain_walk(reds, white, lengths):
+    """The leaves of the walk's tree, depth first: red, then each of the
+    ascending ``lengths`` that fits."""
+    if not reds and not white:
+        yield ()
+    if reds:
+        for rest in _plain_walk(reds - 1, white, lengths):
+            yield (0, *rest)
+    for length in lengths:
+        if length > white:
+            break
+        for rest in _plain_walk(reds, white - length, lengths):
+            yield (length, *rest)
+
+
+@pytest.mark.parametrize("reds", range(5))
+def test_walk_yields_the_plain_walk_in_order(reds):
+    # Up to 13 squares, several levels above the kept size; the plain walk
+    # pays for every level at every leaf, so larger families take seconds.
+    for white in range(min(13, 14 - reds)):
+        every = tuple(range(1, white + 1))
+        for lengths in dict.fromkeys((every, every[:3], tuple(
+                p for p in every if p != 2), (2, 4), ())):
+            walked = orc._walk(reds, white, lengths)
+            plain = _plain_walk(reds, white, lengths)
+            assert all(leaf == expected for leaf, expected
+                       in itertools.zip_longest(walked, plain)), (
+                reds, white, lengths)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_palindrome_and_suffix_listings_filter_the_unrestricted_listing(r):
+    # Palindromes of white total n <= 8, and suffix tilings of n <= 8 with
+    # s <= 3 trailing white tiles, out of the listing of white total n + s.
+    for white in range(12):
+        every = [t.codes for t in enumerate_tilings(r, white)]
+        for s in range(max(0, white - 8), min(white, 3) + 1):
+            suffix = TilingFilter(suffix_white_tiles=s)
+            assert [t.codes for t in enumerate_tilings(
+                r, white - s, suffix)] == sorted(
+                c for c in every if len(c) >= s and all(c[len(c) - s:]))
+        if white > 8:
+            continue
+        assert [t.codes for t in enumerate_palindromic_tilings(r, white)] == (
+            sorted(c for c in every if c == c[::-1]))
+        for k in (None, 1, 2, 3) if not r else ():
+            assert enumerate_palindromic_compositions(
+                white, forbidden_part=k) == sorted(
+                c for c in every if c == c[::-1] and k not in c)
+
+
+def test_walk_streams_its_leaves():
+    # 131,072 leaves: kept every one, they would take several megabytes.
+    tracemalloc.start()
+    try:
+        leaves = sum(1 for _ in orc._walk(0, 18, tuple(range(1, 19))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert leaves == 2 ** 17
+    assert peak < 2 ** 18
