@@ -9,8 +9,10 @@ Subcommands
 ``oracle``     list or count objects by exhaustive enumeration
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal by
-a resource guard (the enumeration ceiling, or the formula tables' bound).
-All big integers print in plain decimal.
+a resource guard (the enumeration ceiling, the oracle's squares bound, the
+formula tables' bound, or the digit cap).  All big integers print in plain
+decimal, up to ``DIGIT_CAP`` digits; ``seq`` exits 3 with one line for a
+longer value.
 The environment variable ``TILINGKIT_ORACLE_CEILING`` overrides the
 enumeration guard (an integer; empty means the default).
 """
@@ -36,6 +38,11 @@ EXIT_ORACLE_SCALE = 3
 
 SEQ_FORMATS = ("bfile", "csv", "json", "pretty-table")
 TABLE_FORMATS = ("csv", "json", "pretty-table")
+
+# The most decimal digits a printed value may have: Python's default limit
+# on turning an int into a string.  A lower limit set for the interpreter
+# (``PYTHONINTMAXSTRDIGITS``) lowers the cap with it.
+DIGIT_CAP = 4300
 
 
 class _Family:
@@ -215,6 +222,11 @@ def _emit_sequence(
     return "\n".join(lines) + "\n"
 
 
+def _digit_cap() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(DIGIT_CAP, limit) if limit else DIGIT_CAP
+
+
 def _cmd_seq(args: argparse.Namespace) -> int:
     fam = FAMILIES.get(args.family)
     if fam is None:
@@ -240,6 +252,13 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"tilingkit seq: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    cap = _digit_cap()
+    past = 10 ** cap
+    for i, value in values:
+        if abs(value) >= past:
+            print(f"tilingkit seq: the value at n={i} has more than {cap}"
+                  " digits, past the printing cap", file=sys.stderr)
+            return EXIT_ORACLE_SCALE
     sys.stdout.write(_emit_sequence(args.family, values, args.format, params))
     return EXIT_OK
 

@@ -48,18 +48,29 @@ or tail in one comprehension, with no function called per leaf.
 
 The counters are the guard.  A count or a tiling census raises
 :class:`OracleScaleError` as soon as it passes ``ceiling``, and every
-listing and every composition census is counted before it is walked, so
-a family of more than ``ceiling`` objects is refused before any object
-is built.  An unrestricted family (every white length allowed) is refused
-before its walk when a lower bound on its size already passes the
-ceiling: 2**(white - 1) compositions of the white total with every red
-square first, or C(white + reds, reds) tilings with every white tile of
-length 1.  The bound only refuses; a family under it is still walked and
-counted.  A white total that is not a multiple of the gcd of the allowed
-lengths has dead ends and no leaves, so the walk and the counter return
-at once for it.  The functions that take no ``ceiling``
-(``count_palindromic_compositions`` and the census helpers) refuse past
-``DEFAULT_CEILING``, read when they are called.
+listing and every composition census is admitted by its roof, or
+counted, before it is walked, so a family of more than ``ceiling``
+objects is refused before any object is built.  The roof is an upper
+bound on a family's size, 2**(white - 1) * C(white + reds, reds) (1 for
+white 0): when the roofs of a listing's blocks sum to at most
+``ceiling``, the family cannot pass it and is walked once, with no guard
+count; otherwise it is counted exactly as before.  The other way round,
+a family whose lengths hold 1 is refused before its walk when a lower
+bound on its size already passes the ceiling: C(white + reds, reds)
+tilings with every white tile of length 1, 2**(white // m) for the next
+allowed length m, or 2**(white - 1) compositions of the white total with
+every red square first when every length is allowed.  Neither bound is a
+count: the floor only refuses and the roof only skips a guard walk, so
+every count still comes from a walk.  A family whose objects would cover
+more than ``SQUARES_BOUND`` squares is refused before its lengths are
+built, however few its objects, since its walk takes a node per square;
+when its floor, read off its first two allowed lengths, already passes
+the ceiling, it is refused as past the ceiling.  A white total that is
+not a multiple of the gcd of the allowed lengths has dead ends and no
+leaves, so the walk and the counter return at once for it.  The
+functions that take no ``ceiling`` (``count_palindromic_compositions``
+and the census helpers) refuse past ``DEFAULT_CEILING``, read when they
+are called.
 
 Each distinct walk is counted once per process.  The counter keeps the
 count of every walk it finishes in a module-level store keyed by ``(reds,
@@ -77,7 +88,8 @@ tile total of a tiling family, keyed by ``(reds, white)``; the run census
 and the largest-part census are walked on each call.  A kept count
 refuses exactly where its walk would have, against the ceiling of the call
 that reads it, so a lowered ``DEFAULT_CEILING`` still refuses; a census
-helper counts its family that way before it reads a kept fold or total.
+helper counts its family that way before it reads a kept fold or total,
+unless the family's roof is already at most that ceiling.
 A refused walk keeps nothing, so every count is still a sum over visited
 leaves.  Concurrent use needs no locking: a race only makes two threads
 walk the same family and store the same number.
@@ -89,17 +101,24 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from math import gcd, inf
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
+# The most squares (red squares plus white total) an object may cover.  A
+# walk takes a node per square on the way to each leaf, and a listing builds
+# a tuple of up to that many codes per object, so a family past it is
+# refused before its lengths are built: on a 2-vCPU host, listing the one
+# composition of 10,000 into ones takes about 0.25 s, of 100,000 about 20 s.
+SQUARES_BOUND = 10_000
 
 Composition = tuple[int, ...]
 Codes = tuple[int, ...]
 
 
 class OracleScaleError(RuntimeError):
-    """Enumeration would exceed the configured object ceiling."""
+    """Enumeration would exceed the object ceiling or the squares bound."""
 
 
 @dataclass(frozen=True, order=True)
@@ -293,21 +312,42 @@ def _kept(total: int, ceiling: int | None, seen: int = 0) -> int:
 
 
 def _refuse_past_floor(
-    reds: int, white: int, ceiling: int | None, seen: int = 0
+    reds: int,
+    white: int,
+    lengths: tuple[int, ...],
+    ceiling: int | None,
+    seen: int = 0,
 ) -> None:
-    """Refuse the tilings with ``reds`` red squares and white tiles of any
-    length totalling ``white`` before they are walked, when ``seen`` plus a
-    lower bound on their number passes ``ceiling``.  The bound is the larger
-    of 2**(white - 1) for white >= 1 (the compositions of ``white``, every
-    red square placed first) and C(white + reds, reds) (every white tile of
-    length 1); neither is worked out further than it needs to pass.  An
-    unrefused family is still walked, so no count comes from the bound."""
-    if ceiling is None:
+    """Refuse the tilings with ``reds`` red squares and white tiles of the
+    given ``lengths`` totalling ``white`` before they are walked, when
+    ``seen`` plus a lower bound on their number passes ``ceiling``.
+    ``lengths`` may be the first few allowed lengths only: fewer lengths
+    allow fewer tilings.  White total 0 has its one tiling whatever the
+    lengths; otherwise only lengths that hold 1 give a bound, the largest of
+
+    - C(white + reds, reds): every white tile of length 1;
+    - 2**(white // m), for the next length m: white // m disjoint blocks of
+      m unit tiles, each merged into one tile or not, every red square
+      first;
+    - 2**(white - 1) when every length up to ``white`` is allowed: the
+      compositions of ``white``, every red square first.
+
+    None is worked out further than it needs to pass.  An unrefused family
+    is still walked, so no count comes from the bound."""
+    if ceiling is None or white and lengths[:1] != (1,):
         return
     room = ceiling - seen
-    # Every such family has an object; 2**(white - 1) > room exactly when
-    # white - 1 >= room.bit_length().
-    if room < 1 or white > room.bit_length():
+    if room > 0 and reds + white < room.bit_length():
+        return  # every bound is at most 2**(reds + white) <= room
+    if not white:
+        exponent = 0
+    elif len(lengths) >= white and lengths[white - 1] == white:
+        exponent = white - 1  # the ascending lengths start 1, 2, ..., white
+    else:
+        exponent = white // lengths[1] if len(lengths) > 1 else 0
+    # The family has an object; 2**exponent > room exactly when exponent >=
+    # room.bit_length().
+    if room < 1 or exponent >= room.bit_length():
         raise _refusal(ceiling)
     # C(m - k + i, i) for i = 1..k ends at C(white + reds, reds) and at
     # least doubles at each step, so the loop stops after about log2(room).
@@ -317,6 +357,29 @@ def _refuse_past_floor(
         bound = bound * (m - k + i) // i
         if bound > room:
             raise _refusal(ceiling)
+
+
+def _roof(reds: int, white: int, room: int) -> int:
+    """An upper bound on the number of tilings with ``reds`` red squares
+    and white total ``white``, whatever lengths are allowed: 1 for white 0,
+    else 2**(white - 1) * C(white + reds, reds).  A tiling is a composition
+    of ``white`` with the red squares placed among its at most ``white``
+    tiles, in at most C(white + reds, reds) ways, and fewer lengths only
+    remove tilings.  As the floor, it is worked out only until it passes
+    ``room``; past it, the number returned is any one above ``room``."""
+    if not white or room < 1:
+        return 1  # white 0 has one tiling; a roof of 1 passes room < 1
+    if white > room.bit_length():  # 2**(white - 1) > room
+        return room + 1
+    # As in _refuse_past_floor, each step multiplies by C(m - k + i, i) /
+    # C(m - k + i - 1, i - 1) >= 1, so a step past room stays past it.
+    k, m = min(reds, white), reds + white
+    roof = 1 << (white - 1)
+    for i in range(1, k + 1):
+        roof = roof * (m - k + i) // i
+        if roof > room:
+            return room + 1
+    return roof
 
 
 def _count(
@@ -331,16 +394,14 @@ def _count(
 
     Each family is walked once per process: a finished walk's count is
     kept in ``_COUNTS``, and a later call reads it and refuses exactly when
-    the walk would have.  A refused walk keeps nothing.  An unrestricted
-    family (lengths ``1..white``) too large by its lower bound is refused
-    before it is walked."""
+    the walk would have.  A refused walk keeps nothing.  A family too
+    large by its lower bound is refused before it is walked."""
     if lengths and white % gcd(*lengths):
         return 0  # no leaf, as in _walk
     key = (reds, white, lengths)
     total = _COUNTS.get(key)
     if total is None:
-        if len(lengths) == white and lengths == tuple(range(1, white + 1)):
-            _refuse_past_floor(reds, white, ceiling, seen)
+        _refuse_past_floor(reds, white, lengths, ceiling, seen)
         total = _COUNTS[key] = _count_leaves(reds, white, lengths, ceiling, seen)
         return total
     return _kept(total, ceiling, seen)
@@ -386,27 +447,29 @@ def _count_leaves(
         inner, leaves = row
 
 
-def _census(reds: int, white: int, ceiling: int | None) -> dict[tuple[int, int], int]:
+def _census(
+    reds: int, white: int, lengths: tuple[int, ...], ceiling: int | None
+) -> dict[tuple[int, int], int]:
     """The census of the tilings with ``reds`` red squares and white total
-    ``white``, any white length allowed: how many have each ``(longest white
-    tile, trailing white tiles)``.  Each family is walked once per process;
-    a refused walk keeps nothing, and a family too large by its lower bound
-    is refused before it is walked."""
+    ``white``, any white length allowed (``lengths`` is ``1..white``): how
+    many have each ``(longest white tile, trailing white tiles)``.  Each
+    family is walked once per process; a refused walk keeps nothing, and a
+    family too large by its lower bound is refused before it is walked."""
     census = _CENSUSES.get((reds, white))
     if census is None:
-        _refuse_past_floor(reds, white, ceiling)
-        census = _CENSUSES[reds, white] = _census_leaves(reds, white, ceiling)
+        _refuse_past_floor(reds, white, lengths, ceiling)
+        census = _CENSUSES[reds, white] = _census_leaves(
+            reds, white, lengths, ceiling)
     return census
 
 
 def _census_leaves(
-    reds: int, white: int, ceiling: int | None
+    reds: int, white: int, lengths: tuple[int, ...], ceiling: int | None
 ) -> dict[tuple[int, int], int]:
     """The walk behind :func:`_census`, over the tree :func:`_count_leaves`
     walks for the lengths ``1..white``.  A node also carries the longest
     white tile and the trailing white tiles above it, and its row names the
     cell its leaf child (a node has at most one) adds 1 to."""
-    lengths = tuple(range(1, white + 1))
     shift = white + 1
     size = (reds + 1) * shift  # every state is below it
     limit = inf if ceiling is None else ceiling
@@ -583,14 +646,37 @@ def _counted(
     return sum(size for _block, size in _sizes(blocks, lengths, ceiling))
 
 
+def _admitted(
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+) -> Iterable[Block]:
+    """The blocks of a listing, admitted without a count when the sum of
+    their roofs is at most ``ceiling`` (or there is no ceiling).  The roofs
+    are summed block by block; once they pass ``ceiling``, the blocks seen
+    so far and the rest of the stream are counted by :func:`_sizes`
+    instead, which refuses a family past ``ceiling`` before any object is
+    built, and only the blocks with objects are kept."""
+    if ceiling is None:
+        return blocks
+    blocks = iter(blocks)
+    seen: list[Block] = []
+    room = ceiling
+    for block in blocks:
+        seen.append(block)
+        room -= _roof(block[0], block[1], room)
+        if room < 0:
+            return [block for block, size
+                    in _sizes(chain(seen, blocks), lengths, ceiling) if size]
+    return seen
+
+
 def _listing(
     blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
 ) -> list[Codes]:
-    """Every object of the blocks, sorted.  The blocks are counted first,
-    so a family past ``ceiling`` is refused before any object is built."""
-    full = [block for block, size in _sizes(blocks, lengths, ceiling) if size]
+    """Every object of the blocks, sorted.  The family is admitted by its
+    roof, or counted, before it is walked, so a family past ``ceiling`` is
+    refused before any object is built."""
     out: list[Codes] = []
-    for reds, white, tail, mirrored in full:
+    for reds, white, tail, mirrored in _admitted(blocks, lengths, ceiling):
         leaves = _walk(reds, white, lengths)
         if mirrored:
             out += [leaf + tail + leaf[::-1] for leaf in leaves]
@@ -607,13 +693,19 @@ def _listing(
 # ---------------------------------------------------------------------------
 
 def _tiling_blocks(
-    r: int, n: int, filter: TilingFilter | None
+    r: int, n: int, filter: TilingFilter | None, ceiling: int | None
 ) -> tuple[Iterable[Block], tuple[int, ...]]:
     if r < 0 or n < 0:
         raise ValueError("r and n must be nonnegative")
     f = filter or TilingFilter()
     s = f.suffix_white_tiles
-    lengths = _part_lengths(n + s, f.max_white_len, f.forbidden_white_len)
+    # With tiles of length 1 allowed, the tilings of (r, n) followed by s
+    # of them are suffix tilings, and the halves of (r // 2, n // 2) with a
+    # red, empty or unit centre are palindromes, unless r and n are odd.
+    floor = None if f.palindromic and r % 2 and n % 2 else (
+        (r // 2, n // 2) if f.palindromic else (r, n))
+    lengths = _part_lengths(n + s, f.max_white_len, f.forbidden_white_len,
+                            reds=r, floor=floor, ceiling=ceiling)
     if f.palindromic:
         return _palindrome_blocks(r, n, lengths), lengths
     if s:
@@ -634,7 +726,7 @@ def enumerate_tilings(
     long (white total ``n + s``) and the last ``s`` tiles are white.  The
     result is sorted lexicographically on tile codes.
     """
-    blocks, lengths = _tiling_blocks(r, n, filter)
+    blocks, lengths = _tiling_blocks(r, n, filter, ceiling)
     return [TwoTonedTiling(codes) for codes in _listing(blocks, lengths, ceiling)]
 
 
@@ -654,11 +746,11 @@ def count_tilings(
     census of ``(r, n + s)`` when one is kept, as its leaves with longest
     white tile at most ``k`` and at least ``s`` trailing white tiles.
     """
-    blocks, lengths = _tiling_blocks(r, n, filter)
+    blocks, lengths = _tiling_blocks(r, n, filter, ceiling)
     f = filter or TilingFilter()
     if f == TilingFilter():
         total = _COUNTS[r, n, lengths] = _kept(
-            sum(_census(r, n, ceiling).values()), ceiling)
+            sum(_census(r, n, lengths, ceiling).values()), ceiling)
         return total
     k, s = f.max_white_len, f.suffix_white_tiles
     census = _CENSUSES.get((r, n + s))
@@ -691,9 +783,21 @@ def _part_lengths(
     forbidden_part: int | None = None,
     allowed_parts: Iterable[int] | None = None,
     no_multiple_of: int | None = None,
+    *,
+    reds: int = 0,
+    floor: tuple[int, int] | None = None,
+    ceiling: int | None = None,
 ) -> tuple[int, ...]:
     """The parts a composition of ``n`` may use, ascending; every given
-    constraint applies.  Rejects arguments no walk can honour."""
+    constraint applies.  Rejects arguments no walk can honour.
+
+    The lengths are for a family of objects with ``reds`` red squares and
+    white total ``n``, which is refused before its lengths are built when
+    its objects cover more than ``SQUARES_BOUND`` squares.  ``floor`` names
+    the ``(reds, white)`` of tilings that, followed by tiles of length 1,
+    are objects of that family: when they pass ``ceiling`` by their lower
+    bound (see :func:`_refuse_past_floor`), such a family is refused as past
+    the ceiling instead."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if no_multiple_of is not None and no_multiple_of < 1:
@@ -704,13 +808,26 @@ def _part_lengths(
         parts = sorted(set(allowed_parts))
         if parts and parts[0] < 1:
             raise ValueError("allowed parts must be positive")
-    return tuple(
-        p for p in parts
-        if p <= n
-        and (max_part is None or p <= max_part)
-        and p != forbidden_part
-        and (no_multiple_of is None or p % no_multiple_of)
-    )
+
+    def allowed(p: int) -> bool:
+        return (p <= n
+                and (max_part is None or p <= max_part)
+                and p != forbidden_part
+                and (no_multiple_of is None or p % no_multiple_of > 0))
+
+    if reds + n > SQUARES_BOUND:
+        if floor is not None:
+            # The floor reads 1 and the next allowed length: with 1
+            # allowed, one forbidden part and the multiples of one number
+            # cannot remove all of 2..5, so the next length is among the
+            # first five candidates unless max_part stops short; a head
+            # without it only weakens the bound.
+            head = tuple(filter(allowed, parts[:5]))[:2]
+            if head[:1] == (1,):
+                _refuse_past_floor(*floor, head, ceiling)
+        raise OracleScaleError(
+            f"oracle scale exceeded: more than {SQUARES_BOUND} squares")
+    return tuple(filter(allowed, parts))
 
 
 def enumerate_compositions(
@@ -724,7 +841,7 @@ def enumerate_compositions(
 ) -> list[Composition]:
     """Compositions of ``n`` under the given constraints, in lexicographic order."""
     lengths = _part_lengths(n, max_part, forbidden_part, allowed_parts,
-                            no_multiple_of)
+                            no_multiple_of, floor=(0, n), ceiling=ceiling)
     return _listing([(0, n, (), False)], lengths, ceiling)
 
 
@@ -738,7 +855,7 @@ def count_compositions(
     ceiling: int | None = DEFAULT_CEILING,
 ) -> int:
     lengths = _part_lengths(n, max_part, forbidden_part, allowed_parts,
-                            no_multiple_of)
+                            no_multiple_of, floor=(0, n), ceiling=ceiling)
     return _count(0, n, lengths, ceiling)
 
 
@@ -749,7 +866,8 @@ def enumerate_palindromic_compositions(
     ceiling: int | None = DEFAULT_CEILING,
 ) -> list[Composition]:
     """Palindromic compositions of ``n``, built as half + optional center."""
-    lengths = _part_lengths(n, forbidden_part=forbidden_part)
+    lengths = _part_lengths(n, forbidden_part=forbidden_part,
+                            floor=(0, n // 2), ceiling=ceiling)
     return _listing(_palindrome_blocks(0, n, lengths), lengths, ceiling)
 
 
@@ -758,8 +876,10 @@ def count_palindromic_compositions(
 ) -> int:
     """Number of palindromic compositions; refuses past ``DEFAULT_CEILING``,
     read when the count is called, like the census helpers."""
-    lengths = _part_lengths(n, forbidden_part=forbidden_part)
-    return _counted(_palindrome_blocks(0, n, lengths), lengths, DEFAULT_CEILING)
+    ceiling = DEFAULT_CEILING
+    lengths = _part_lengths(n, forbidden_part=forbidden_part,
+                            floor=(0, n // 2), ceiling=ceiling)
+    return _counted(_palindrome_blocks(0, n, lengths), lengths, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +892,14 @@ def _census_lengths(
 ) -> tuple[int, ...]:
     """The allowed lengths of a census over the tilings with ``reds`` red
     squares and white total ``n``, so the compositions of ``n`` by default.
-    The objects are counted first, so a census past ``DEFAULT_CEILING``
-    (read when the census is called) is refused before it folds."""
-    lengths = _part_lengths(n, max_part)
-    _count(reds, n, lengths, DEFAULT_CEILING)
+    The family is admitted by its roof, or counted, before it is walked,
+    so a census past ``DEFAULT_CEILING`` (read when the census is called)
+    is refused before it folds."""
+    ceiling = DEFAULT_CEILING
+    lengths = _part_lengths(n, max_part, reds=reds, floor=(reds, n),
+                            ceiling=ceiling)
+    if ceiling is not None and _roof(reds, n, ceiling) > ceiling:
+        _count(reds, n, lengths, ceiling)
     return lengths
 
 

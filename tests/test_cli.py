@@ -44,6 +44,30 @@ class TestSeq:
         values = [int(line.split()[1]) for line in out.splitlines()]
         assert values == [1, 1, 4, 4, 13, 13, 38, 38, 104, 104]
 
+    @pytest.mark.parametrize("fmt", cli.SEQ_FORMATS)
+    def test_values_print_exactly_up_to_the_digit_cap(self, capsys, fmt):
+        # pal(28569) = 2**14284 has 4300 digits, pal(28570) 4301.
+        code, out, _ = run_cli(capsys, "seq", "pal", "--range",
+                               "28568..28569", "--format", fmt)
+        assert code == 0
+        assert str(2 ** 14284) in out and len(str(2 ** 14284)) == 4300
+        code, out, err = run_cli(capsys, "seq", "pal", "--range",
+                                 "28568..28570", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err == ("tilingkit seq: the value at n=28570 has more than"
+                       " 4300 digits, past the printing cap\n")
+
+    def test_digit_cap_follows_a_lower_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DIGIT_CAP", 5)
+        code, out, _ = run_cli(capsys, "seq", "pal", "--range", "32..33")
+        assert (code, out) == (0, "32 65536\n33 65536\n")
+        code, out, err = run_cli(capsys, "seq", "negf", "--k", "2",
+                                 "--range=-30..-20")
+        assert (code, out) == (3, "")
+        assert err == ("tilingkit seq: the value at n=-30 has more than 5"
+                       " digits, past the printing cap\n")
+
     def test_negative_range(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "negf", "--k", "3",
                                "--range=-9..1")
@@ -364,6 +388,39 @@ class TestModuleEntryPoint:
             " 50000000000 bits, past the bound of 2000000000\n")
 
 
+    @pytest.mark.parametrize("argv, n", [
+        (("seq", "a", "--r", "0", "--range", "20000..20000"), 20000),
+        (("seq", "pal", "--range", "30000..30000"), 30000),
+    ])
+    def test_value_past_the_digit_cap_is_refused_in_one_line(self, argv, n):
+        proc = run_module(*argv, timeout=60,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 3, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"tilingkit seq: the value at n={n} has more than 4300 digits,"
+            " past the printing cap\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("compositions", "--n", "100000000", "--count-only"),
+         "more than 10000000 objects"),
+        (("compositions", "--n", "100000000", "--forbid", "3", "--count-only"),
+         "more than 10000000 objects"),
+        (("tilings", "--r", "2", "--n", "100000000", "--forbid-white", "3",
+          "--count-only"), "more than 10000000 objects"),
+        (("compositions", "--n", "100000000", "--max", "1", "--count-only"),
+         "more than 10000 squares"),
+    ])
+    def test_huge_oracle_family_is_refused_before_it_is_built(self, argv,
+                                                             message):
+        # Each built a tuple of 10**8 lengths, a MemoryError under the limit.
+        proc = run_module("oracle", *argv, timeout=60,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 3, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == f"tilingkit: oracle scale exceeded: {message}\n"
+
+
 class TestOracleCommand:
     def test_tilings_listing(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "tilings", "--r", "1",
@@ -518,6 +575,86 @@ _TABLE_ARGV = st.builds(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_seq_and_table_argv_fuzz(capsys, argv):
     _assert_exit_contract(capsys, argv)
+
+
+# Runs each argv of a JSON list on stdin through ``cli.main`` in one
+# interpreter, with the formula tables' bound lowered as the tests lower the
+# oracle ceiling, and prints one JSON line per argv: its exit code and
+# whether its stderr held a traceback.  An exception that escapes
+# ``cli.main`` ends the run with the argv it came from on stderr.
+_ARGV_RUNNER = """
+import contextlib, io, json, sys
+from tilingkit import cli, sequences
+sequences.TABLE_BOUND = 10 ** 6
+for argv in json.load(sys.stdin):
+    print(json.dumps(argv), file=sys.__stderr__, flush=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, "Traceback" in err.getvalue()]), flush=True)
+"""
+
+
+def _assert_exit_contract_in_a_limited_interpreter(argvs):
+    # The address-space limit and the timeout turn a runaway input into a
+    # failure of the test, not of the host.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, TILINGKIT_ORACLE_CEILING="2000")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _ARGV_RUNNER],
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, timeout=120,
+                          preexec_fn=_one_gigabyte_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, (code, traceback) in zip(argvs, results):
+        assert code in (0, 1, 2, 3) and not traceback, argv
+
+
+_LARGE_ORACLE_ARGV = st.builds(
+    lambda kind, n, options, count_only: [
+        "oracle", kind, "--n", str(n),
+        *(item for flag, value in options.items() for item in (flag, str(value))),
+        *(["--count-only"] if count_only else []),
+    ],
+    kind=st.sampled_from(["tilings", "compositions", "palindromes"]),
+    n=st.one_of(st.integers(13, 20_000), st.integers(20_000, 10 ** 8)),
+    options=_ORACLE_OPTIONS,
+    count_only=st.booleans(),
+)
+
+
+@given(argvs=st.lists(_LARGE_ORACLE_ARGV, min_size=25, max_size=25))
+@settings(max_examples=8, deadline=None)
+def test_oracle_argv_fuzz_at_large_sizes(argvs):
+    _assert_exit_contract_in_a_limited_interpreter(argvs)
+
+
+_LARGE_SEQ_ARGV = st.builds(
+    lambda family, lo, width, fmt, params: [
+        "seq", family, "--range", f"{lo}..{lo + width}", "--format", fmt,
+        *(item for flag, value in params.items() for item in (flag, str(value))),
+    ],
+    family=st.sampled_from(sorted(cli.FAMILIES)),
+    # pal passes 4300 digits from n = 28570 on.
+    lo=st.integers(-30, 60_000),
+    width=st.integers(0, 3),
+    fmt=st.sampled_from(cli.SEQ_FORMATS),
+    params=st.fixed_dictionaries({}, optional={
+        f"--{p}": st.integers(-3, 12) for p in ("r", "s", "k", "m", "p", "j")
+    }),
+)
+
+
+@given(argvs=st.lists(_LARGE_SEQ_ARGV, min_size=25, max_size=25))
+@settings(max_examples=8, deadline=None)
+def test_seq_argv_fuzz_at_large_indices(argvs):
+    _assert_exit_contract_in_a_limited_interpreter(argvs)
 
 
 _VERIFY_ARGV = st.fixed_dictionaries({

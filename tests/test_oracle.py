@@ -286,7 +286,7 @@ def test_palindromic_composition_listing_refuses_just_past_the_ceiling():
     lambda: enumerate_palindromic_tilings(0, 50_000, ceiling=1000),
     lambda: orc.count_compositions(50_000, ceiling=1000),
     lambda: enumerate_compositions(50_000, ceiling=1000),
-    # Filtered families have no lower bound to refuse by: these still walk.
+    # Filtered families with lengths 1 and m have a lower bound too.
     lambda: count_tilings(0, 50_000, TilingFilter(forbidden_white_len=7),
                           ceiling=1000),
     lambda: count_tilings(3, 50_000, TilingFilter(max_white_len=50_000 - 1),
@@ -297,7 +297,8 @@ def test_palindromic_composition_listing_refuses_just_past_the_ceiling():
 def test_refusal_at_large_size_needs_little_memory(walk):
     # The ceiling bounds the work: a family far past it is refused after
     # about ``ceiling`` leaves, not after a table or stack of size n**2.
-    # An unrestricted family is refused by its lower bound, before any walk.
+    # A family whose lengths hold 1 is refused by its lower bound, before
+    # its lengths are built.
     tracemalloc.start()
     try:
         with pytest.raises(OracleScaleError):
@@ -695,7 +696,7 @@ def test_unrestricted_family_past_its_lower_bound_is_not_walked(store):
                         lambda: count_tilings(600, 600, ceiling=10 ** 6)):
             with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
                 refused()
-        # A filtered family has no such bound and is walked.
+        # A filtered family under its weaker bound is walked.
         with pytest.raises(AssertionError, match="walked"):
             count_tilings(0, 24, TilingFilter(max_white_len=2), ceiling=10 ** 5)
     assert store == {}
@@ -861,3 +862,248 @@ def test_walk_streams_its_leaves():
         tracemalloc.stop()
     assert leaves == 2 ** 17
     assert peak < 2 ** 18
+
+
+# ---------------------------------------------------------------------------
+# The roof: an upper bound on a family's size that lets a listing or a census
+# skip its guard count, and the floor and the squares bound that refuse a
+# family before its lengths are built.
+# ---------------------------------------------------------------------------
+
+_ROOF_LENGTHS = [None, (), (1,), (2,), (1, 2), (2, 3), (1, 3, 5), (1, 2, 4, 8),
+                 (3, 4, 5, 6, 7, 8, 9, 10), "all but 2"]
+
+
+def _lengths_for(white, lengths):
+    if lengths is None:
+        return tuple(range(1, white + 1))
+    if lengths == "all but 2":
+        return tuple(p for p in range(1, white + 1) if p != 2)
+    return lengths
+
+
+@pytest.mark.parametrize("lengths", _ROOF_LENGTHS)
+def test_roof_bounds_every_walked_family(lengths):
+    for reds in range(7):
+        for white in range(11):
+            allowed = _lengths_for(white, lengths)
+            size = orc._count(reds, white, allowed, None)
+            roof = orc._roof(reds, white, 10 ** 18)
+            assert size <= roof, (reds, white, allowed)
+            # Worked out only until it passes the room: past it exactly when
+            # the whole roof is.
+            for room in (-1, 0, 1, size - 1, size, roof - 1, roof, 2 * roof):
+                assert (orc._roof(reds, white, room) > room) == (roof > room)
+
+
+@pytest.mark.parametrize("lengths", _ROOF_LENGTHS)
+def test_roof_bounds_every_palindrome_and_suffix_block_sum(lengths):
+    for reds in range(7):
+        for n in range(11):
+            allowed = _lengths_for(n + 3, lengths)
+            families = [list(orc._palindrome_blocks(reds, n, allowed))]
+            families += [list(orc._suffix_blocks(reds, n + s, s, allowed))
+                         for s in range(1, 4)]
+            for blocks in families:
+                sizes = [orc._count(r, w, allowed, None) for r, w, _, _ in blocks]
+                roofs = [orc._roof(r, w, 10 ** 18) for r, w, _, _ in blocks]
+                assert all(map(int.__le__, sizes, roofs))
+                assert sum(sizes) <= sum(roofs)
+
+
+def _no_count(*args):
+    raise AssertionError("counted")
+
+
+_UNDER_THE_ROOF = [
+    lambda: enumerate_tilings(2, 6),
+    lambda: enumerate_tilings(3, 5, TilingFilter(max_white_len=2)),
+    lambda: enumerate_tilings(2, 4, TilingFilter(suffix_white_tiles=2)),
+    lambda: enumerate_tilings(4, 8, TilingFilter(palindromic=True,
+                                                 forbidden_white_len=1)),
+    lambda: enumerate_compositions(12, forbidden_part=2),
+    lambda: enumerate_compositions(10, ceiling=None),
+    lambda: enumerate_palindromic_compositions(16, forbidden_part=3),
+    lambda: orc.part_occurrences(9, 2),
+    lambda: orc.part_multiplicity_census(9),
+    lambda: orc.count_by_part_multiplicity(9, 1),
+    lambda: orc.run_census(9, max_part=3),
+    lambda: orc.total_parts(9),
+    lambda: orc.largest_part_census(9),
+    lambda: orc.consecutive_part_census(9, 1),
+    lambda: orc.tile_count_total(2, 6),
+]
+
+
+@pytest.mark.parametrize("walk", _UNDER_THE_ROOF)
+def test_listing_and_census_under_the_roof_never_count(store, walk):
+    expected = walk()
+    store.clear()
+    orc._FOLDS.clear()
+    orc._TILES.clear()
+    with patch.object(orc, "_count_leaves", _no_count):
+        assert walk() == expected
+    assert store == {}
+
+
+@pytest.mark.parametrize("listing, count, args, family", [
+    # Families whose roof is their size: 2**(n - 1) compositions, the r + 1
+    # tilings of white total 1, and the one tiling of white total 0.
+    (enumerate_compositions, orc.count_compositions, (9,), (0, 9)),
+    (enumerate_tilings, count_tilings, (5, 1), (5, 1)),
+    (enumerate_tilings, count_tilings, (3, 0), (3, 0)),
+])
+def test_family_just_past_its_roof_refuses_at_the_ceiling(
+    store, listing, count, args, family
+):
+    size = count(*args, ceiling=None)
+    assert orc._roof(*family, 10 ** 18) == size
+    with patch.object(orc, "_count_leaves", _no_count):
+        assert len(listing(*args, ceiling=size)) == size
+    store.clear()
+    orc._CENSUSES.clear()
+    for _ in range(2):  # on a miss, and on a kept count
+        assert _refusal_message(lambda: listing(*args, ceiling=size - 1)) == \
+            f"oracle scale exceeded: more than {size - 1} objects"
+
+
+def test_listing_past_its_roof_is_counted_before_it_is_built(store, monkeypatch):
+    # 89 compositions of 10 into parts 1 and 2 under a roof of 512: a
+    # ceiling between the two counts the family and lists it, one below
+    # its size refuses it, and neither builds an object first.
+    built = []
+    walk = orc._walk
+
+    def recorded(*args):
+        built.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(orc, "_walk", recorded)
+    assert len(enumerate_compositions(10, max_part=2, ceiling=511)) == 89
+    assert store == {(0, 10, (1, 2)): 89}
+    built.clear()
+    store.clear()
+    for _ in range(2):
+        assert _refusal_message(
+            lambda: enumerate_compositions(10, max_part=2, ceiling=88)) == \
+            "oracle scale exceeded: more than 88 objects"
+    assert built == []
+    # A palindrome stream past its roof is counted block by block, and the
+    # blocks after the refusing one are never drawn.
+    drawn = []
+    blocks = orc._palindrome_blocks
+
+    def drawing(*args):
+        for block in blocks(*args):
+            drawn.append(block)
+            yield block
+
+    monkeypatch.setattr(orc, "_palindrome_blocks", drawing)
+    size = len(enumerate_palindromic_compositions(20, forbidden_part=1,
+                                                  ceiling=None))
+    drawn.clear()
+    built.clear()
+    store.clear()
+    with pytest.raises(OracleScaleError, match="more than 3 objects"):
+        enumerate_palindromic_compositions(20, forbidden_part=1, ceiling=3)
+    assert 0 < len(drawn) < 11 and size > 3
+    assert built == []
+
+
+@pytest.mark.parametrize("lengths", [(1, 2), (1, 3), (1, 2, 5), (1, 4, 6),
+                                     (1,), (1, 7)])
+def test_filtered_floor_is_a_lower_bound(lengths):
+    # The floor never passes a family's walked size, for the whole lengths
+    # and for the first one or two of them.
+    for reds in range(6):
+        for white in range(13):
+            size = orc._count(reds, white, lengths, None)
+            for head in (lengths, lengths[:2], lengths[:1]):
+                orc._refuse_past_floor(reds, white, head, size)
+                orc._refuse_past_floor(reds, white, head, size + 4, 4)
+            if size:
+                with pytest.raises(OracleScaleError):
+                    orc._count(reds, white, lengths, size - 1)
+
+
+def test_filtered_floor_refuses_before_any_walk(store):
+    with patch.object(orc, "_count_leaves", _no_count), \
+            patch.object(orc, "_walk", _no_count):
+        for refused in (
+            lambda: orc.count_compositions(60, forbidden_part=3, ceiling=1000),
+            lambda: orc.count_compositions(60, max_part=2, ceiling=10 ** 6),
+            lambda: enumerate_compositions(40, allowed_parts=(1, 2, 9),
+                                           ceiling=1000),
+            lambda: count_tilings(2, 100, TilingFilter(max_white_len=1),
+                                  ceiling=1000),
+            lambda: count_tilings(1, 60, TilingFilter(forbidden_white_len=3,
+                                                      palindromic=True),
+                                  ceiling=1000),
+            lambda: enumerate_tilings(0, 40, TilingFilter(forbidden_white_len=2,
+                                                          suffix_white_tiles=3),
+                                      ceiling=1000),
+        ):
+            assert _refusal_message(refused).startswith(
+                "oracle scale exceeded: more than ")
+    assert store == {}
+    # A floor only stands for objects that exist: an odd palindrome of odd
+    # white total, or a suffix of unit tiles none may use, refuses nothing.
+    for empty in (TilingFilter(palindromic=True),
+                  TilingFilter(forbidden_white_len=1, suffix_white_tiles=2)):
+        r, n = (1, 61) if empty.palindromic else (0, 0)
+        assert count_tilings(r, n, empty, ceiling=0) == 0
+        assert enumerate_tilings(r, n, empty, ceiling=0) == []
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: orc.count_compositions(10 ** 8),
+    lambda: orc.count_compositions(10 ** 8, forbidden_part=3),
+    lambda: count_tilings(2, 10 ** 8, TilingFilter(forbidden_white_len=3)),
+    lambda: enumerate_palindromic_compositions(10 ** 8, forbidden_part=4),
+    lambda: orc.run_census(10 ** 8, max_part=9),
+])
+def test_huge_family_is_refused_before_its_lengths_are_built(refused):
+    # 10**8 lengths would take about 3 GB; the floor refuses first.
+    tracemalloc.start()
+    try:
+        assert _refusal_message(refused) == \
+            f"oracle scale exceeded: more than {orc.DEFAULT_CEILING} objects"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_objects_past_the_squares_bound_are_refused(monkeypatch):
+    # A family with no floor to refuse by, however few its objects.
+    for refused in (
+        lambda: orc.count_compositions(10 ** 8, max_part=1),
+        lambda: orc.count_compositions(10 ** 8, no_multiple_of=1),
+        lambda: enumerate_compositions(10 ** 8, allowed_parts=(2,)),
+        lambda: count_tilings(10 ** 8, 0),
+    ):
+        assert _refusal_message(refused) == \
+            f"oracle scale exceeded: more than {orc.SQUARES_BOUND} squares"
+    monkeypatch.setattr(orc, "SQUARES_BOUND", 40)
+    assert enumerate_compositions(40, max_part=1) == [(1,) * 40]
+    assert count_tilings(3, 37, TilingFilter(max_white_len=1), ceiling=None) \
+        == 9880
+    for refused in (lambda: enumerate_compositions(41, max_part=1),
+                    lambda: count_tilings(3, 38, TilingFilter(max_white_len=1),
+                                          ceiling=None),
+                    lambda: orc.run_census(41, max_part=1)):
+        assert _refusal_message(refused) == \
+            "oracle scale exceeded: more than 40 squares"
+
+
+def test_family_without_a_floor_refuses_after_about_ceiling_leaves(store):
+    # Parts of at least 2 give no floor: the walk counts until it passes.
+    tracemalloc.start()
+    try:
+        assert _refusal_message(lambda: orc.count_compositions(
+            5000, forbidden_part=1, ceiling=1000)) == \
+            "oracle scale exceeded: more than 1000 objects"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
