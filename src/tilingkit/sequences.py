@@ -2,10 +2,13 @@
 
 Values are plain Python ints (arbitrary precision).  Each family is a
 table of rows, ``rows[i][j]``, grown in place by :func:`_grow` from a
-per-family cell rule: one table for ``a`` (rows by ``r``), one per ``r``
-for ``a_s`` (rows by ``s``) and one per ``k`` for ``a_k`` (rows by ``r``).
-Filling is iterative and not meant for concurrent callers.  A fill whose
-table would pass :data:`TABLE_BOUND` is refused with
+per-family row rule, which extends one row in a single loop: one table for
+``a`` (rows by ``r``), one per ``r`` for ``a_s`` (rows by ``s``) and one per
+``k`` for ``a_k`` (rows by ``r``).  A row is never longer than the row
+above it, so a fill calls the rule only for the rows from the first short
+one on.  Filling is iterative and not meant for concurrent callers.  A
+fill whose table would pass :data:`TABLE_BOUND`, or an ``a_k`` fill whose
+convolutions would pass :data:`WORK_BOUND`, is refused with
 :class:`TableScaleError` before it starts.
 
 The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
@@ -34,7 +37,7 @@ class NonIntegerResultError(ArithmeticError):
 
 
 class TableScaleError(RuntimeError):
-    """A table fill would pass :data:`TABLE_BOUND`."""
+    """A table fill would pass :data:`TABLE_BOUND` or :data:`WORK_BOUND`."""
 
 
 # A fill that would make a table ``rows`` x ``columns`` is refused before it
@@ -45,12 +48,24 @@ class TableScaleError(RuntimeError):
 # stops at about 44,700 entries.
 TABLE_BOUND = 2 * 10**9
 
+# Each entry past the first row of an ``a_k`` table is a convolution of up
+# to ``columns`` products, so such a fill costs about ``columns`` times its
+# table's measure: it is also refused when
+# (rows - 1) * columns * (rows + columns) * columns passes this bound.
+# a_k(30, 300, 5) takes a tenth of it, and a fill just under the bound,
+# such as a_k(250, 250, 3) or a_k(1, 2150, 3), takes 1-2 s on a 2-vCPU host.
+WORK_BOUND = 5 * TABLE_BOUND
 
-def _refuse_past_bound(rows: int, columns: int) -> None:
+
+def _refuse_past_bound(rows: int, columns: int, convolution: bool = False) -> None:
     if rows * columns * (rows + columns) > TABLE_BOUND:
         raise TableScaleError(
             f"table scale exceeded: {rows} x {columns} entries"
             f" pass the bound of {TABLE_BOUND}")
+    if convolution and (rows - 1) * columns * (rows + columns) * columns > WORK_BOUND:
+        raise TableScaleError(
+            f"table work exceeded: {rows - 1} convolution rows of {columns}"
+            f" entries pass the bound of {WORK_BOUND}")
 
 
 def binom(n: int, k: int) -> int:
@@ -72,26 +87,31 @@ Rows = list[list[int]]
 
 
 def _grow(
-    rows: Rows, r: int, n: int, cell: Callable[..., int], key: int = 0
+    rows: Rows, r: int, n: int, fill: Callable[[Rows, int, int, int], None],
+    key: int = 0, convolution: bool = False,
 ) -> int:
     """Grow ``rows[0..r]`` in place to length ``n + 1``; return ``rows[r][n]``.
 
-    ``cell(rows, i, j, key)`` gives the entry at ``(i, j)`` from the entries
-    before it in row ``i`` and from rows ``0..i-1``, which are grown first;
-    ``key`` is the parameter that picked the table.  So no row is longer
-    than the row above it, and a filled ``rows[r][n]`` means every entry it
-    could depend on is filled too.
+    ``fill(rows, i, n, key)`` is the row rule: it extends ``rows[i]`` to
+    length ``n + 1`` from the entries before them in that row and from rows
+    ``0..i-1``, which are grown first; ``key`` is the parameter that picked
+    the table.  So no row is longer than the row above it, and the rows
+    shorter than ``n + 1`` are those from the first short one on: the rule
+    is called for these rows only, once each.  ``convolution`` marks a table
+    whose entries past row 0 are convolutions, whose fill is also held to
+    :data:`WORK_BOUND`.
     """
     try:
         return rows[r][n]
     except IndexError:
         pass
-    _refuse_past_bound(r + 1, n + 1)
+    _refuse_past_bound(r + 1, n + 1, convolution)
     rows.extend([] for _ in range(len(rows), r + 1))
-    for i in range(r + 1):
-        row = rows[i]
-        for j in range(len(row), n + 1):
-            row.append(cell(rows, i, j, key))
+    first = r  # walk up from row r while the row above is short too
+    while first and len(rows[first - 1]) <= n:
+        first -= 1
+    for i in range(first, r + 1):
+        fill(rows, i, n, key)
     return rows[r][n]
 
 
@@ -100,13 +120,20 @@ def _grow(
 _A_ROWS: Rows = []  # _A_ROWS[r][n] = a(r, n)
 
 
-def _a_cell(rows: Rows, r: int, n: int, _key: int) -> int:
-    if n == 0:
-        return 1
+def _a_fill(rows: Rows, r: int, n: int, _key: int) -> None:
+    row = rows[r]
+    if not row:
+        row.append(1)
+    j = len(row)
     if r == 0:
-        return 1 << (n - 1)
+        row.extend([1 << (i - 1) for i in range(j, n + 1)])
+        return
     above = rows[r - 1]
-    return above[n] + 2 * rows[r][n - 1] - above[n - 1]
+    append = row.append
+    last = row[-1]
+    for up_left, up in zip(above[j - 1:n], above[j:n + 1]):
+        last = up + 2 * last - up_left
+        append(last)
 
 
 def a(r: int, n: int) -> int:
@@ -119,7 +146,7 @@ def a(r: int, n: int) -> int:
     """
     if r < 0 or n < 0:
         return 0
-    return _grow(_A_ROWS, r, n, _a_cell)
+    return _grow(_A_ROWS, r, n, _a_fill)
 
 
 def a_explicit(r: int, n: int) -> int:
@@ -141,10 +168,18 @@ def a_explicit(r: int, n: int) -> int:
 _AS_TABLES: dict[int, Rows] = {}  # _AS_TABLES[r][s][n] = a_s(s, r, n)
 
 
-def _as_cell(rows: Rows, s: int, n: int, r: int) -> int:
+def _as_fill(rows: Rows, s: int, n: int, r: int) -> None:
+    row = rows[s]
+    j = len(row)
     if s == 0:
-        return a(r, n)
-    return rows[s - 1][n] + (rows[s][n - 1] if n else 0)
+        a(r, n)
+        row.extend(_A_ROWS[r][j:n + 1])
+        return
+    append = row.append
+    last = row[-1] if j else 0
+    for up in rows[s - 1][j:n + 1]:
+        last += up
+        append(last)
 
 
 def a_s(s: int, r: int, n: int) -> int:
@@ -157,7 +192,7 @@ def a_s(s: int, r: int, n: int) -> int:
         raise ValueError("s must be nonnegative")
     if r < 0 or n < 0:
         return 0
-    return _grow(_AS_TABLES.setdefault(r, []), s, n, _as_cell, r)
+    return _grow(_AS_TABLES.setdefault(r, []), s, n, _as_fill, r)
 
 
 def a_s_binomial(s: int, r: int, n: int) -> int:
@@ -196,9 +231,8 @@ def fibonacci_k(n: int, k: int) -> int:
     row = _FIB.setdefault(k, [0, 1, 1 if k else 0])
     if len(row) <= n:
         _refuse_past_bound(1, n + 1)
-    while len(row) <= n:
-        i = len(row)
-        row.append(2 * row[-1] - (row[i - 1 - k] if i > k else 0))
+        for i in range(len(row), n + 1):
+            row.append(2 * row[-1] - (row[i - 1 - k] if i > k else 0))
     return row[n]
 
 
@@ -230,10 +264,16 @@ def neg_fibonacci_k(n: int, k: int) -> int:
 _AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
 
 
-def _ak_cell(rows: Rows, r: int, n: int, k: int) -> int:
+def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
+    row = rows[r]
+    j = len(row)
     if r == 0:
-        return fibonacci_k(n + 1, k)
-    return sum(map(mul, rows[0][:n + 1], rows[r - 1][n::-1]))
+        fibonacci_k(n + 1, k)
+        row.extend(_FIB[k][j + 1:n + 2])
+        return
+    row0 = rows[0]
+    back = rows[r - 1][n::-1]  # back[n - i] = rows[r - 1][i]
+    row.extend([sum(map(mul, row0, back[n - i:])) for i in range(j, n + 1)])
 
 
 def a_k(r: int, n: int, k: int) -> int:
@@ -248,7 +288,8 @@ def a_k(r: int, n: int, k: int) -> int:
         raise ValueError("k must be nonnegative")
     if r < 0 or n < 0:
         return 0
-    return _grow(_AK_TABLES.setdefault(k, []), r, n, _ak_cell, k)
+    return _grow(_AK_TABLES.setdefault(k, []), r, n, _ak_fill, k,
+                 convolution=True)
 
 
 def fibonacci_k_conv(n: int, k: int, r: int) -> int:

@@ -377,6 +377,17 @@ class TestModuleEntryPoint:
             "tilingkit: table scale exceeded: 100000000000000000000 x 1"
             " entries pass the bound of 2000000000\n")
 
+    def test_convolution_past_the_work_bound_is_refused_before_it_fills(self):
+        # Unbounded, this fill takes about 30 s.
+        proc = run_module("seq", "ak", "--r", "600", "--k", "3",
+                          "--range", "600..600", timeout=60,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 3, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "tilingkit: table work exceeded: 600 convolution rows of 601"
+            " entries pass the bound of 10000000000\n")
+
     def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):
         # Unbounded, 2**(n // 2) at this index needs about 6 GB.
         proc = run_module("seq", "pal", "--range", "99999999999..99999999999",
@@ -578,14 +589,16 @@ def test_seq_and_table_argv_fuzz(capsys, argv):
 
 
 # Runs each argv of a JSON list on stdin through ``cli.main`` in one
-# interpreter, with the formula tables' bound lowered as the tests lower the
-# oracle ceiling, and prints one JSON line per argv: its exit code and
-# whether its stderr held a traceback.  An exception that escapes
-# ``cli.main`` ends the run with the argv it came from on stderr.
+# interpreter, with the formula tables' bound lowered to its first argument
+# (if given) as the tests lower the oracle ceiling, and prints one JSON line
+# per argv: its exit code and whether its stderr held a traceback.  An
+# exception that escapes ``cli.main`` ends the run with the argv it came
+# from on stderr.
 _ARGV_RUNNER = """
 import contextlib, io, json, sys
 from tilingkit import cli, sequences
-sequences.TABLE_BOUND = 10 ** 6
+if len(sys.argv) > 1:
+    sequences.TABLE_BOUND = int(sys.argv[1])
 for argv in json.load(sys.stdin):
     print(json.dumps(argv), file=sys.__stderr__, flush=True)
     err = io.StringIO()
@@ -599,13 +612,15 @@ for argv in json.load(sys.stdin):
 """
 
 
-def _assert_exit_contract_in_a_limited_interpreter(argvs):
+def _assert_exit_contract_in_a_limited_interpreter(argvs, table_bound=10 ** 6):
     # The address-space limit and the timeout turn a runaway input into a
-    # failure of the test, not of the host.
+    # failure of the test, not of the host.  ``table_bound=None`` keeps the
+    # shipped bound.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, TILINGKIT_ORACLE_CEILING="2000")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _ARGV_RUNNER],
+    bound = [] if table_bound is None else [str(table_bound)]
+    proc = subprocess.run([sys.executable, "-c", _ARGV_RUNNER, *bound],
                           input=json.dumps(argvs), capture_output=True,
                           text=True, env=env, timeout=120,
                           preexec_fn=_one_gigabyte_address_space)
@@ -655,6 +670,31 @@ _LARGE_SEQ_ARGV = st.builds(
 @settings(max_examples=8, deadline=None)
 def test_seq_argv_fuzz_at_large_indices(argvs):
     _assert_exit_contract_in_a_limited_interpreter(argvs)
+
+
+_CONVOLUTION_SEQ_ARGV = st.builds(
+    lambda family, lo, width, params: [
+        "seq", family, "--range", f"{lo}..{lo + width}", "--k", "3",
+        *(item for flag, value in params.items() for item in (flag, str(value))),
+    ],
+    family=st.sampled_from(["ak", "fconv", "Ep", "palhat", "Gr", "runs"]),
+    lo=st.one_of(st.integers(-3, 3000), st.integers(2900, 3000)),
+    width=st.integers(0, 3),
+    # A family reads only its own parameters; --m is mostly in 1..k.
+    params=st.fixed_dictionaries(
+        {"--r": st.integers(-1, 12), "--m": st.integers(0, 4),
+         "--p": st.integers(-1, 12)},
+        optional={"--j": st.integers(-1, 4)}),
+)
+
+
+@given(argvs=st.lists(_CONVOLUTION_SEQ_ARGV, min_size=16, max_size=16))
+@settings(max_examples=5, deadline=None)
+def test_convolution_seq_argv_fuzz_at_the_shipped_bounds(argvs):
+    # ak, fconv, Ep, Gr and runs read a_k's convolution rows and palhat
+    # reads a_s rows: at n up to 3000 each answers or exits 3 under the
+    # shipped TABLE_BOUND and WORK_BOUND.
+    _assert_exit_contract_in_a_limited_interpreter(argvs, table_bound=None)
 
 
 _VERIFY_ARGV = st.fixed_dictionaries({

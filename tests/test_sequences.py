@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilingkit import compstats as cs
 from tilingkit import oracle as orc
 from tilingkit import sequences as sq
 from tilingkit.sequences import (
@@ -387,3 +388,105 @@ def test_fill_past_the_table_bound_is_refused_before_it_starts(
         assert _entries() == before
         monkeypatch.setattr(sq, "TABLE_BOUND", size)
         assert fill() == expected
+
+
+@pytest.mark.parametrize("fill, rows, columns", [
+    (lambda: a_k(2, 6, 3), 3, 7),
+    (lambda: a_k(1, 40, 2), 2, 41),
+    (lambda: fibonacci_k_conv(9, 4, 3), 4, 9),
+])
+def test_convolution_fill_past_the_work_bound_is_refused_before_it_starts(
+    monkeypatch, fill, rows, columns
+):
+    with _empty_tables():
+        expected = fill()
+    work = (rows - 1) * columns * (rows + columns) * columns
+    with _empty_tables():
+        monkeypatch.setattr(sq, "WORK_BOUND", work - 1)
+        before = _entries()
+        with pytest.raises(sq.TableScaleError,
+                           match=f"^table work exceeded: {rows - 1} convolution"
+                                 f" rows of {columns} entries pass the bound"
+                                 f" of {work - 1}$"):
+            fill()
+        assert _entries() == before
+        monkeypatch.setattr(sq, "WORK_BOUND", work)
+        assert fill() == expected
+
+
+# -- row rules: deterministic call counts ---------------------------------------
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """Record ``(rule, row, length before the call, n)`` per row-rule call."""
+    calls = []
+    grow = sq._grow
+
+    def recording_grow(rows, r, n, fill, *args, **kwargs):
+        def rule(rows, i, n, key):
+            calls.append((fill.__name__, i, len(rows[i]), n))
+            fill(rows, i, n, key)
+        return grow(rows, r, n, rule, *args, **kwargs)
+
+    monkeypatch.setattr(sq, "_grow", recording_grow)
+    return calls
+
+
+@pytest.mark.parametrize("name, value, table", [
+    ("_a_fill", a, lambda: sq._A_ROWS),
+    ("_ak_fill", lambda r, n: a_k(r, n, 3), lambda: sq._AK_TABLES.get(3, [])),
+    ("_as_fill", lambda s, n: a_s(s, 2, n), lambda: sq._AS_TABLES.get(2, [])),
+])
+def test_a_fill_calls_its_rule_only_for_rows_shorter_than_the_column(
+    rule_calls, name, value, table
+):
+    # Rows only, columns only, both, a hit, and a new row past short rows.
+    queries = [(3, 10), (6, 10), (6, 14), (2, 12), (7, 4), (5, 20), (5, 20)]
+    with _empty_tables():
+        for i, n in queries:
+            lengths = [len(row) for row in table()]
+            del rule_calls[:]
+            value(i, n)
+            short = [row for row in range(i + 1)
+                     if row >= len(lengths) or lengths[row] <= n]
+            own = [(row, length) for rule, row, length, _ in rule_calls
+                   if rule == name]
+            assert own == [(row, lengths[row] if row < len(lengths) else 0)
+                           for row in short], (i, n)
+            assert all(len(row) > n for row in table()[:i + 1])
+
+
+def test_a_s_fill_reads_its_a_row_once(monkeypatch):
+    a_calls = []
+
+    def counted_a(r, n):
+        a_calls.append((r, n))
+        return a(r, n)
+
+    monkeypatch.setattr(sq, "a", counted_a)
+    with _empty_tables():
+        assert a_s(2, 3, 50) == a_s_binomial(2, 3, 50)
+        assert a_calls == [(3, 50)]
+        assert a_s(4, 3, 80) == a_s_binomial(4, 3, 80)
+        assert a_calls == [(3, 50), (3, 80)]
+        # A hit, then rows 5 and 6 from rows already long enough.
+        assert a_s(1, 3, 60) == a_s_binomial(1, 3, 60)
+        assert a_s(6, 3, 80) == a_s_binomial(6, 3, 80)
+        assert a_calls == [(3, 50), (3, 80)]
+
+
+def _plain_pal_hat(n, k):
+    """A palindrome with no part k: a composition of the half with no part
+    k, then a centre part other than k, or none when n is even."""
+    half = [1]
+    for m in range(1, n // 2 + 1):
+        half.append(sum(half[m - p] for p in range(1, m + 1) if p != k))
+    return (half[n // 2] if n % 2 == 0 else 0) + sum(
+        half[(n - c) // 2] for c in range(n % 2 or 2, n + 1, 2) if c != k)
+
+
+def test_pal_hat_fills_each_row_in_one_rule_call(rule_calls):
+    with _empty_tables():
+        assert cs.pal_hat(1300, 3) == _plain_pal_hat(1300, 3)
+        rows = len(sq._A_ROWS) + sum(map(len, sq._AS_TABLES.values()))
+    assert len(rule_calls) <= rows
