@@ -46,12 +46,15 @@ def L_restricted(n: int, m: int, k: int) -> int:
 def L_p(n: int, m: int, k: int, p: int) -> int:
     """Compositions of ``n``, parts at most ``k``, with at least ``p`` parts ``m``.
 
-    ``sum_{j>=p} (-1)**(j-p) C(j-1, p-1) F(n+1-jm, k, j)``.
+    ``sum_{j>=p} (-1)**(j-p) C(j-1, p-1) F(n+1-jm, k, j)``.  The run of
+    convolution fills this takes is refused before it starts when it would
+    pass the table bounds (:func:`~tilingkit.sequences.refuse_past_bounds`).
     """
     if not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
     if p < 1:
         raise ValueError("p must be >= 1")
+    sequences.refuse_past_bounds((j, n - j * m) for j in range(p, n // m + 1))
     total = 0
     j = p
     while n + 1 - j * m > 0:
@@ -68,12 +71,13 @@ def E_p(n: int, m: int, k: int, p: int) -> int:
     """Compositions of ``n``, parts at most ``k``, with exactly ``p`` parts ``m``.
 
     ``sum_{j>=p} (-1)**(j-p) C(j, p) F(n+1-jm, k, j)``; equivalently
-    ``L_p - L_{p+1}``.
+    ``L_p - L_{p+1}``.  Refused before it starts as :func:`L_p` is.
     """
     if not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
     if p < 0:
         raise ValueError("p must be >= 0")
+    sequences.refuse_past_bounds((j, n - j * m) for j in range(p, n // m + 1))
     total = 0
     j = max(p, 0)
     while n + 1 - j * m > 0:

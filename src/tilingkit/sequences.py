@@ -8,8 +8,8 @@ per-family row rule, which extends one row in a single loop: one table for
 above it, so a fill calls the rule only for the rows from the first short
 one on.  Filling is iterative and not meant for concurrent callers.  A
 fill whose table would pass :data:`TABLE_BOUND`, or an ``a_k`` fill whose
-convolutions would pass :data:`WORK_BOUND`, is refused with
-:class:`TableScaleError` before it starts.
+convolutions would pass five times it (:func:`refuse_past_bounds`), is refused
+with :class:`TableScaleError` before it starts.
 
 The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
 and ``F(i-1)`` share all but one term, so ``F(i) = 2 F(i-1) - F(i-1-k)``
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -37,7 +37,7 @@ class NonIntegerResultError(ArithmeticError):
 
 
 class TableScaleError(RuntimeError):
-    """A table fill would pass :data:`TABLE_BOUND` or :data:`WORK_BOUND`."""
+    """A table fill would pass :data:`TABLE_BOUND` or its work bound."""
 
 
 # A fill that would make a table ``rows`` x ``columns`` is refused before it
@@ -48,24 +48,42 @@ class TableScaleError(RuntimeError):
 # stops at about 44,700 entries.
 TABLE_BOUND = 2 * 10**9
 
-# Each entry past the first row of an ``a_k`` table is a convolution of up
-# to ``columns`` products, so such a fill costs about ``columns`` times its
-# table's measure: it is also refused when
-# (rows - 1) * columns * (rows + columns) * columns passes this bound.
-# a_k(30, 300, 5) takes a tenth of it, and a fill just under the bound,
-# such as a_k(250, 250, 3) or a_k(1, 2150, 3), takes 1-2 s on a 2-vCPU host.
-WORK_BOUND = 5 * TABLE_BOUND
-
-
-def _refuse_past_bound(rows: int, columns: int, convolution: bool = False) -> None:
+def _refuse_past_bound(rows: int, columns: int) -> None:
     if rows * columns * (rows + columns) > TABLE_BOUND:
         raise TableScaleError(
             f"table scale exceeded: {rows} x {columns} entries"
             f" pass the bound of {TABLE_BOUND}")
-    if convolution and (rows - 1) * columns * (rows + columns) * columns > WORK_BOUND:
+
+
+def refuse_past_bounds(corners: Iterable[tuple[int, int]]) -> None:
+    """Refuse a run of ``a_k(r, n, k)`` calls, one per ``(r, n)`` in
+    ``corners`` and in that order, before the first of them starts.
+
+    Each call's table is held to :data:`TABLE_BOUND` as the call itself
+    would hold it.  The run leaves row ``i`` of the table as long as the
+    longest column asked of a row ``r >= i``; each entry past row 0 is a
+    convolution of up to its row's length of products, so a row of length
+    ``c`` in a table of ``rows`` rows costs about ``c`` times its share
+    ``c * (rows + c)`` of the table measure, and the run is also refused
+    when these costs sum past ``5 * TABLE_BOUND``.  For one call the sum is
+    (rows - 1) * columns * (rows + columns) * columns: a_k(30, 300, 5) takes
+    a tenth of the bound, and a fill just under it, such as a_k(250, 250, 3)
+    or a_k(1, 2150, 3), takes 1-2 s on a 2-vCPU host.
+    """
+    lengths: list[int] = []  # lengths[i]: the longest column asked of row i
+    for r, n in corners:
+        if r < 0 or n < 0:
+            continue
+        _refuse_past_bound(r + 1, n + 1)
+        lengths.extend(0 for _ in range(len(lengths), r + 1))
+        lengths[r] = max(lengths[r], n + 1)
+    for i in range(len(lengths) - 2, 0, -1):
+        lengths[i] = max(lengths[i], lengths[i + 1])
+    rows, bound = len(lengths), 5 * TABLE_BOUND
+    if sum(c * c * (rows + c) for c in lengths[1:]) > bound:
         raise TableScaleError(
-            f"table work exceeded: {rows - 1} convolution rows of {columns}"
-            f" entries pass the bound of {WORK_BOUND}")
+            f"table work exceeded: {rows - 1} convolution rows of up to"
+            f" {lengths[1]} entries pass the bound of {bound}")
 
 
 def binom(n: int, k: int) -> int:
@@ -88,7 +106,7 @@ Rows = list[list[int]]
 
 def _grow(
     rows: Rows, r: int, n: int, fill: Callable[[Rows, int, int, int], None],
-    key: int = 0, convolution: bool = False,
+    key: int = 0,
 ) -> int:
     """Grow ``rows[0..r]`` in place to length ``n + 1``; return ``rows[r][n]``.
 
@@ -97,15 +115,13 @@ def _grow(
     ``0..i-1``, which are grown first; ``key`` is the parameter that picked
     the table.  So no row is longer than the row above it, and the rows
     shorter than ``n + 1`` are those from the first short one on: the rule
-    is called for these rows only, once each.  ``convolution`` marks a table
-    whose entries past row 0 are convolutions, whose fill is also held to
-    :data:`WORK_BOUND`.
+    is called for these rows only, once each.
     """
     try:
         return rows[r][n]
     except IndexError:
         pass
-    _refuse_past_bound(r + 1, n + 1, convolution)
+    _refuse_past_bound(r + 1, n + 1)
     rows.extend([] for _ in range(len(rows), r + 1))
     first = r  # walk up from row r while the row above is short too
     while first and len(rows[first - 1]) <= n:
@@ -288,8 +304,12 @@ def a_k(r: int, n: int, k: int) -> int:
         raise ValueError("k must be nonnegative")
     if r < 0 or n < 0:
         return 0
-    return _grow(_AK_TABLES.setdefault(k, []), r, n, _ak_fill, k,
-                 convolution=True)
+    rows = _AK_TABLES.setdefault(k, [])
+    try:
+        return rows[r][n]
+    except IndexError:
+        refuse_past_bounds(((r, n),))
+    return _grow(rows, r, n, _ak_fill, k)
 
 
 def fibonacci_k_conv(n: int, k: int, r: int) -> int:

@@ -385,8 +385,8 @@ class TestModuleEntryPoint:
         assert proc.returncode == 3, proc.stderr[-500:]
         assert proc.stdout == ""
         assert proc.stderr == (
-            "tilingkit: table work exceeded: 600 convolution rows of 601"
-            " entries pass the bound of 10000000000\n")
+            "tilingkit: table work exceeded: 600 convolution rows of up to"
+            " 601 entries pass the bound of 10000000000\n")
 
     def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):
         # Unbounded, 2**(n // 2) at this index needs about 6 GB.
@@ -693,7 +693,7 @@ _CONVOLUTION_SEQ_ARGV = st.builds(
 def test_convolution_seq_argv_fuzz_at_the_shipped_bounds(argvs):
     # ak, fconv, Ep, Gr and runs read a_k's convolution rows and palhat
     # reads a_s rows: at n up to 3000 each answers or exits 3 under the
-    # shipped TABLE_BOUND and WORK_BOUND.
+    # shipped TABLE_BOUND and its work bound.
     _assert_exit_contract_in_a_limited_interpreter(argvs, table_bound=None)
 
 

@@ -390,27 +390,35 @@ def test_fill_past_the_table_bound_is_refused_before_it_starts(
         assert fill() == expected
 
 
-@pytest.mark.parametrize("fill, rows, columns", [
-    (lambda: a_k(2, 6, 3), 3, 7),
-    (lambda: a_k(1, 40, 2), 2, 41),
-    (lambda: fibonacci_k_conv(9, 4, 3), 4, 9),
+@pytest.mark.parametrize("fill, lengths", [
+    (lambda: a_k(2, 20, 3), [21] * 3),
+    (lambda: a_k(1, 40, 2), [41] * 2),
+    (lambda: fibonacci_k_conv(9, 4, 3), [9] * 4),
+    # Runs of fills: a_k(j, 30 - j, 3) for j = 2..30, a_k(j, 24 - 2j, 3)
+    # for j = 1..12.
+    (lambda: cs.E_p(30, 1, 3, 2), [29] * 3 + list(range(28, 0, -1))),
+    (lambda: cs.L_p(24, 2, 3, 1), [23] * 2 + list(range(21, 0, -2))),
 ])
 def test_convolution_fill_past_the_work_bound_is_refused_before_it_starts(
-    monkeypatch, fill, rows, columns
+    monkeypatch, fill, lengths
 ):
+    # ``lengths`` are the row lengths of the a_k table the fill leaves; each
+    # row past row 0 costs c * c * (rows + c), against 5 * TABLE_BOUND.
     with _empty_tables():
         expected = fill()
-    work = (rows - 1) * columns * (rows + columns) * columns
+    rows = len(lengths)
+    work = sum(c * c * (rows + c) for c in lengths[1:])
+    bound = (work - 1) // 5  # the largest bound whose work bound refuses
     with _empty_tables():
-        monkeypatch.setattr(sq, "WORK_BOUND", work - 1)
+        monkeypatch.setattr(sq, "TABLE_BOUND", bound)
         before = _entries()
         with pytest.raises(sq.TableScaleError,
                            match=f"^table work exceeded: {rows - 1} convolution"
-                                 f" rows of {columns} entries pass the bound"
-                                 f" of {work - 1}$"):
+                                 f" rows of up to {lengths[1]} entries pass the"
+                                 f" bound of {5 * bound}$"):
             fill()
         assert _entries() == before
-        monkeypatch.setattr(sq, "WORK_BOUND", work)
+        monkeypatch.setattr(sq, "TABLE_BOUND", bound + 1)
         assert fill() == expected
 
 
