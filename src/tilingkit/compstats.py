@@ -54,7 +54,7 @@ def L_p(n: int, m: int, k: int, p: int) -> int:
         raise ValueError("need 1 <= m <= k")
     if p < 1:
         raise ValueError("p must be >= 1")
-    sequences.refuse_past_bounds((j, n - j * m) for j in range(p, n // m + 1))
+    sequences.refuse_past_bounds(p, n // m, n, m)
     total = 0
     j = p
     while n + 1 - j * m > 0:
@@ -77,7 +77,7 @@ def E_p(n: int, m: int, k: int, p: int) -> int:
         raise ValueError("need 1 <= m <= k")
     if p < 0:
         raise ValueError("p must be >= 0")
-    sequences.refuse_past_bounds((j, n - j * m) for j in range(p, n // m + 1))
+    sequences.refuse_past_bounds(p, n // m, n, m)
     total = 0
     j = max(p, 0)
     while n + 1 - j * m > 0:

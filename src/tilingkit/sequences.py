@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -55,35 +55,39 @@ def _refuse_past_bound(rows: int, columns: int) -> None:
             f" pass the bound of {TABLE_BOUND}")
 
 
-def refuse_past_bounds(corners: Iterable[tuple[int, int]]) -> None:
-    """Refuse a run of ``a_k(r, n, k)`` calls, one per ``(r, n)`` in
-    ``corners`` and in that order, before the first of them starts.
+def refuse_past_bounds(first: int, last: int, n: int, step: int = 0) -> None:
+    """Refuse the run of calls ``a_k(j, n - j * step, k)`` for ``j`` from
+    ``first`` to ``last`` (``0 <= first``, ``step >= 0``) before the first
+    of them starts.
 
     Each call's table is held to :data:`TABLE_BOUND` as the call itself
-    would hold it.  The run leaves row ``i`` of the table as long as the
-    longest column asked of a row ``r >= i``; each entry past row 0 is a
-    convolution of up to its row's length of products, so a row of length
-    ``c`` in a table of ``rows`` rows costs about ``c`` times its share
-    ``c * (rows + c)`` of the table measure, and the run is also refused
-    when these costs sum past ``5 * TABLE_BOUND``.  For one call the sum is
-    (rows - 1) * columns * (rows + columns) * columns: a_k(30, 300, 5) takes
-    a tenth of the bound, and a fill just under it, such as a_k(250, 250, 3)
-    or a_k(1, 2150, 3), takes 1-2 s on a 2-vCPU host.
+    would hold it.  The run leaves rows ``0..first`` as long as its first
+    call asks and each later row as long as its own call asks.  Each entry
+    past row 0 is a convolution of up to its row's length of products, so a
+    row of length ``c`` in a table of ``rows`` rows costs about ``c`` times
+    its share ``c * (rows + c)`` of the table measure, and the run is also
+    refused when these costs sum past ``5 * TABLE_BOUND``.  For one call
+    (``first == last``) the sum is (rows - 1) * columns * (rows + columns)
+    * columns: a_k(30, 300, 5) takes a tenth of the bound, and a fill just
+    under it, such as a_k(250, 250, 3) or a_k(1, 2150, 3), takes 1-2 s on a
+    2-vCPU host.
     """
-    lengths: list[int] = []  # lengths[i]: the longest column asked of row i
-    for r, n in corners:
-        if r < 0 or n < 0:
-            continue
-        _refuse_past_bound(r + 1, n + 1)
-        lengths.extend(0 for _ in range(len(lengths), r + 1))
-        lengths[r] = max(lengths[r], n + 1)
-    for i in range(len(lengths) - 2, 0, -1):
-        lengths[i] = max(lengths[i], lengths[i + 1])
-    rows, bound = len(lengths), 5 * TABLE_BOUND
-    if sum(c * c * (rows + c) for c in lengths[1:]) > bound:
+    if last < first:
+        return
+    rows, columns, bound = last + 1, n - first * step + 1, 5 * TABLE_BOUND
+    if (rows * columns * (rows + columns) <= TABLE_BOUND
+            and (rows - 1) * columns * columns * (rows + columns) <= bound):
+        return  # every call's table, and the run's work, fit in this one
+    _refuse_past_bound(first + 1, columns)
+    work = first * columns * columns * (rows + columns)
+    for j in range(first + 1, last + 1):
+        c = n - j * step + 1
+        _refuse_past_bound(j + 1, c)
+        work += c * c * (rows + c)
+    if work > bound:
         raise TableScaleError(
-            f"table work exceeded: {rows - 1} convolution rows of up to"
-            f" {lengths[1]} entries pass the bound of {bound}")
+            f"table work exceeded: {rows} rows of up to {columns} entries"
+            f" pass the bound of {bound}")
 
 
 def binom(n: int, k: int) -> int:
@@ -308,7 +312,7 @@ def a_k(r: int, n: int, k: int) -> int:
     try:
         return rows[r][n]
     except IndexError:
-        refuse_past_bounds(((r, n),))
+        refuse_past_bounds(r, r, n)
     return _grow(rows, r, n, _ak_fill, k)
 
 

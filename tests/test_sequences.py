@@ -413,9 +413,9 @@ def test_convolution_fill_past_the_work_bound_is_refused_before_it_starts(
         monkeypatch.setattr(sq, "TABLE_BOUND", bound)
         before = _entries()
         with pytest.raises(sq.TableScaleError,
-                           match=f"^table work exceeded: {rows - 1} convolution"
-                                 f" rows of up to {lengths[1]} entries pass the"
-                                 f" bound of {5 * bound}$"):
+                           match=f"^table work exceeded: {rows} rows of up to"
+                                 f" {lengths[0]} entries pass the bound of"
+                                 f" {5 * bound}$"):
             fill()
         assert _entries() == before
         monkeypatch.setattr(sq, "TABLE_BOUND", bound + 1)
