@@ -1338,7 +1338,9 @@ def _build_registry() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="avoid-part-complement",
         citation="C(n,k^) = C(n) - L(n,k)",
-        lhs=cs.C_hat,
+        # The series side, not C_hat: its sum of (-1)^j a(j, n - jk) is
+        # a(0, n) less L(n, k), the same terms as the rhs.
+        lhs=lambda n, k: ser.expand(ser.gf_avoid_part(k), n)[n],
         rhs=lambda n, k: a(0, n) - cs.L(n, k),
         domain=_triangle(_twice_limit),
     ))

@@ -1,10 +1,9 @@
 """Brute-force enumeration of two-toned tilings and integer compositions.
 
 This module is the ground-truth side of the library.  Every count here is
-obtained by visiting actual combinatorial objects one at a time; nothing
-is shared with the closed forms and recurrences in :mod:`tilingkit.sequences`
-or :mod:`tilingkit.compstats`, so agreement between the two sides is a real
-check and not a tautology.
+a number of visited objects; nothing is shared with the closed forms and
+recurrences in :mod:`tilingkit.sequences` or :mod:`tilingkit.compstats`, so
+agreement between the two sides is a real check and not a tautology.
 
 Objects
 -------
@@ -19,91 +18,76 @@ Internally a tiling is a tuple of integer codes, ``0`` for a red square and
 no red squares, its parts the white tiles.  Every object is a leaf of one
 tree whose nodes place a red square first, then each allowed white length
 in ascending order; every filter reduces, once per call, to the sorted
-tuple of allowed lengths.  One generator, :func:`_walk`, yields the leaves
-in lexicographic order (red sorts before white, shorter white before
-longer), which keeps golden outputs stable; it serves every listing, the
-part fold, the largest-part census, the tile totals and the replacement
-sums.  Near the leaves it runs no loop per node: a node with at most six
-squares left (red squares plus white total) keeps, for the rest of the
-walk, the codes of every leaf below it, built once from its children's,
-and the walk yields the node's codes joined to each of them.  One walk
-keeps at most 377 such tuples, and every leaf it yields is still a tuple
-built for it, so every fold over the walk is still a sum over visited
-objects.  The part fold, :func:`_fold_leaves`, files each composition under
-every part it uses, by the part's multiplicity and by whether its copies
-form one block; part occurrences, multiplicities, consecutive blocks and
-part totals are all read from it.  One counter, :func:`_count`, counts the
-same leaves, adding each one at its parent; the tiling census,
-:func:`_census`, does the same for an unrestricted tiling family and files
-each leaf under its longest white tile and its trailing white tiles.  The
-run census, :func:`_run_leaves`, also adds leaves at their parent, with
-each node carrying the last part and the length of its open run: on the
-way out of a node it credits that run with the leaves counted below the
-node, and a run of exactly ``l`` parts is those of at least ``l`` less
-those of at least ``l + 1``, so :func:`run_census` splits no composition
-and builds nothing per leaf.  Palindromes are a walked half, an optional
-centre and the mirrored half; suffix tilings are a walked body and a tail
-of ``s`` white tiles.  A listing joins each block's leaves to its centre
-or tail in one comprehension, with no function called per leaf.
+tuple of allowed lengths.  Four walks cover that tree:
 
-The counters are the guard.  A count or a tiling census raises
-:class:`OracleScaleError` as soon as it passes ``ceiling``, and every
-listing and every composition census is admitted by its roof, or
-counted, before it is walked, so a family of more than ``ceiling``
-objects is refused before any object is built.  The roof is an upper
-bound on a family's size, 2**(white - 1) * C(white + reds, reds) (1 for
-white 0): when the roofs of a listing's blocks sum to at most
-``ceiling``, the family cannot pass it and is walked once, with no guard
-count; otherwise it is counted exactly as before.  The other way round,
-a family whose lengths hold 1 is refused before its walk when a lower
-bound on its size already passes the ceiling: C(white + reds, reds)
-tilings with every white tile of length 1, 2**(white // m) for the next
-allowed length m, or 2**(white - 1) compositions of the white total with
-every red square first when every length is allowed.  Neither bound is a
-count: the floor only refuses and the roof only skips a guard walk, so
-every count still comes from a walk.  A family whose objects would cover
-more than ``SQUARES_BOUND`` squares is refused before its lengths are
-built, however few its objects, since its walk takes a node per square;
-when its floor, read off its first two allowed lengths, already passes
-the ceiling, it is refused as past the ceiling.  A white total that is
-not a multiple of the gcd of the allowed lengths has dead ends and no
-leaves, so the walk and the counter return at once for it.  The
-functions that take no ``ceiling`` (``count_palindromic_compositions``
-and the census helpers) refuse past ``DEFAULT_CEILING``, read when they
-are called.
+- the listing, :func:`_walk`, yields the leaves in lexicographic order (red
+  before white, shorter white before longer), which keeps golden outputs
+  stable.  A node with at most six squares left keeps the codes of every
+  leaf below it for the rest of the walk, so near the leaves it runs no
+  loop per node; every leaf is still a tuple built for it.  Palindromes
+  are a walked half, an optional centre and the mirrored half; suffix
+  tilings a walked body and a tail of ``s`` white tiles.  It also sums
+  :func:`tile_count_total`.
+- the count, :func:`_count_leaves`, adds each leaf at its parent.
+- the marked census, :func:`_tally`, also adds each leaf at its parent, and
+  files it under the final *marks* its path carried down from the root,
+  one ``step`` per tile.  Each census is a step: the tiling census by
+  (longest white tile, trailing white tiles); the part fold by (last part,
+  per part its multiplicity and whether its copies form one block), from
+  which part occurrences, multiplicities, consecutive blocks, part totals
+  and the replacement sums are read; the largest-part census by (largest
+  part, its multiplicity).
+- the run census, :func:`_run_leaves`, carries the last part and the
+  length of its open run, and on the way out of a node credits that run
+  with the leaves counted below it; a run of exactly ``l`` parts is those
+  of at least ``l`` less those of at least ``l + 1``.
 
-Each distinct walk is counted once per process.  The counter keeps the
-count of every walk it finishes in a module-level store keyed by ``(reds,
-white, lengths)``, and a later count of the same walk reads it.  An
-unrestricted :func:`count_tilings` walks its family's census instead and
-keeps that too, keyed by ``(reds, white)``.  A count bounded only by a
-longest white tile ``k`` and a white suffix of ``s`` tiles is a subfamily
-of the unrestricted family of ``(reds, white + s)``: when that census is
-kept, the count is the number of its visited leaves with longest white
-tile at most ``k`` and at least ``s`` trailing white tiles.  A filtered
-count never starts a census, since a family under the ceiling can have an
-unrestricted parent far past it.  The part fold of a composition family is
-kept too, keyed by ``(0, white, lengths)`` like its count, and so is the
-tile total of a tiling family, keyed by ``(reds, white)``; the run census
-and the largest-part census are walked on each call.  A kept count
-refuses exactly where its walk would have, against the ceiling of the call
-that reads it, so a lowered ``DEFAULT_CEILING`` still refuses; a census
-helper counts its family that way before it reads a kept fold or total,
-unless the family's roof is already at most that ceiling.
-A refused walk keeps nothing, so every count is still a sum over visited
-leaves.  Concurrent use needs no locking: a race only makes two threads
-walk the same family and store the same number.
+No walk consults a formula: every count, cell and credit is a number of
+visited leaves.  The counters are the guard.  A count or a tiling census
+raises :class:`OracleScaleError` as soon as it passes ``ceiling``, and
+every listing and every composition census is admitted by its roof, or
+counted, before it is walked, so a family past ``ceiling`` is refused
+before any object is built.  The roof, 2**(white - 1) * C(white + reds,
+reds) (1 for white 0), bounds a family's size from above: when the roofs of
+a listing's blocks sum to at most ``ceiling``, it is walked once with no
+guard count.  The floor bounds it from below for lengths that hold 1:
+C(white + reds, reds), 2**(white // m) for the next allowed length m, or
+2**(white - 1) when every length is allowed; a family whose floor passes
+the ceiling is refused before its walk.  Neither bound is a count: the floor
+only refuses and the roof only skips a guard walk.  A family covering more
+than ``SQUARES_BOUND`` squares is refused before its lengths are built (as
+past the ceiling when its floor, read off its first two lengths, already
+passes it), and a white total that is not a multiple of the gcd of the
+lengths has no leaves, so no walk starts.  The functions that take no
+``ceiling`` (``count_palindromic_compositions`` and the census helpers)
+refuse past ``DEFAULT_CEILING``, read when they are called.
+
+Each family is walked once per process, into a module-level store: a
+count by ``(reds, white, lengths)``, the census of an unrestricted tiling
+family by ``(reds, white)``, the part fold of a composition family by
+``(0, white, lengths)`` and a tile total by ``(reds, white)``; the run
+census and the largest-part census are walked on each call.  An
+unrestricted :func:`count_tilings` reads its family's census, and a count
+bounded only by a longest white tile ``k`` and a white suffix of ``s``
+tiles reads a kept census of ``(reds, white + s)``: its leaves with longest
+white tile at most ``k`` and at least ``s`` trailing white tiles.  A
+filtered count never starts a census, since a family under the ceiling can
+have an unrestricted parent far past it.  A kept count refuses exactly
+where its walk would have, against the ceiling of the call that reads it,
+and a census helper counts its family that way before it reads a kept
+fold or total, unless its roof is already at most that ceiling.  A refused
+walk keeps nothing.  Concurrent use needs no locking: a race only makes
+two threads walk the same family and store the same number.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import gcd, inf
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
 # The most squares (red squares plus white total) an object may cover.  A
@@ -115,6 +99,8 @@ SQUARES_BOUND = 10_000
 
 Composition = tuple[int, ...]
 Codes = tuple[int, ...]
+# What a marked walk carries down its tree, one tuple per node; see _tally.
+Marks = tuple
 
 
 class OracleScaleError(RuntimeError):
@@ -291,7 +277,7 @@ _CENSUSES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
 # The part fold of every composition family a census helper has read, keyed
 # by ``(0, n, lengths)`` as in ``_COUNTS``: compositions per packed (part,
-# multiplicity, split) key, see :func:`_fold_leaves`.
+# multiplicity, split) key, see :func:`_part_fold`.
 _FOLDS: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
 
 # The tile total of every tiling family :func:`tile_count_total` has read,
@@ -458,22 +444,39 @@ def _census(
     census = _CENSUSES.get((reds, white))
     if census is None:
         _refuse_past_floor(reds, white, lengths, ceiling)
-        census = _CENSUSES[reds, white] = _census_leaves(
-            reds, white, lengths, ceiling)
+        census = _CENSUSES[reds, white] = _tally(
+            reds, white, lengths, _longest_step, (0, 0), ceiling)
     return census
 
 
-def _census_leaves(
-    reds: int, white: int, lengths: tuple[int, ...], ceiling: int | None
-) -> dict[tuple[int, int], int]:
-    """The walk behind :func:`_census`, over the tree :func:`_count_leaves`
-    walks for the lengths ``1..white``.  A node also carries the longest
-    white tile and the trailing white tiles above it, and its row names the
-    cell its leaf child (a node has at most one) adds 1 to."""
+def _longest_step(marks: tuple[int, int], code: int) -> tuple[int, int]:
+    """The marks of the tiling census, ``(longest white tile, trailing
+    white tiles)``: a red square ends the trailing white tiles."""
+    longest, trailing = marks
+    if not code:
+        return longest, 0
+    return code if code > longest else longest, trailing + 1
+
+
+def _tally(
+    reds: int,
+    white: int,
+    lengths: tuple[int, ...],
+    step: Callable[[Marks, int], Marks],
+    start: Marks,
+    ceiling: int | None,
+) -> dict[Marks, int]:
+    """The leaves of the tree :func:`_count_leaves` walks, counted per final
+    marks: the root's are ``start``, a child's ``step(marks, code)``.  A
+    node is its state plus an interned id of its marks; its row names its
+    inner children and the cell its leaf child (a node has at most one)
+    adds 1 to.  Refuses as soon as the leaves pass ``ceiling``."""
     shift = white + 1
     size = (reds + 1) * shift  # every state is below it
     limit = inf if ceiling is None else ceiling
-    cells: dict[tuple[int, int], list[int]] = {}
+    ids: dict[Marks, int] = {start: 0}
+    marked = [start]
+    cells: dict[Marks, list[int]] = {}
     rows: dict[int, tuple[list[int], list[int] | None]] = {}
     total = 0
     root = reds * shift + white
@@ -481,7 +484,7 @@ def _census_leaves(
     pop = stack.pop
     extend = stack.extend
     # As in _count_leaves, the root's row as if it had a parent.
-    inner, cell = ([root], None) if root else ([], cells.setdefault((0, 0), [0]))
+    inner, cell = ([root], None) if root else ([], cells.setdefault(start, [0]))
     while True:
         extend(inner)
         if cell is not None:
@@ -490,27 +493,25 @@ def _census_leaves(
             if total > limit:
                 raise _refusal(ceiling)
         if not stack:
-            return {key: hits for key, (hits,) in cells.items()}
+            return {marks: hits for marks, (hits,) in cells.items()}
         node = pop()
         row = rows.get(node)
         if row is None:
-            # A node is packed as ``state + size * (longest + shift *
-            # trailing)``; a red square ends the trailing white tiles.
-            marks, state = divmod(node, size)
-            trailing, longest = divmod(marks, shift)
+            # A node is packed as ``state + size * id``.
+            mark_id, state = divmod(node, size)
+            marks = marked[mark_id]
             inner, cell = [], None
             for code in _moves(state, shift, lengths):
-                if code:
-                    child = state - code
-                    top = code if code > longest else longest
-                    run = trailing + 1
-                else:
-                    child = state - shift
-                    top, run = longest, 0
+                child = state - (code or shift)
+                after = step(marks, code)
                 if child:
-                    inner.append(child + size * (top + shift * run))
+                    child_id = ids.get(after)
+                    if child_id is None:
+                        child_id = ids[after] = len(marked)
+                        marked.append(after)
+                    inner.append(child + size * child_id)
                 else:
-                    cell = cells.setdefault((top, run), [0])
+                    cell = cells.setdefault(after, [0])
             row = rows[node] = (inner, cell)
         inner, cell = row
 
@@ -884,7 +885,7 @@ def count_palindromic_compositions(
 
 # ---------------------------------------------------------------------------
 # Exhaustive statistics used as oracle twins for the formula modules.
-# Each one folds over the walk of real objects; none consults a closed form.
+# Each one is read off a walk of real objects; none consults a closed form.
 # ---------------------------------------------------------------------------
 
 def _census_lengths(
@@ -903,38 +904,14 @@ def _census_lengths(
     return lengths
 
 
-def _census_walk(
-    n: int, max_part: int | None = None, reds: int = 0
-) -> Iterator[Codes]:
-    """The objects a census folds over, once :func:`_census_lengths` has let
-    them through."""
-    return _walk(reds, n, _census_lengths(n, max_part, reds))
-
-
-def _fold_leaves(n: int, lengths: tuple[int, ...]) -> dict[int, int]:
-    """The walk behind :func:`_part_fold`: for each part ``p`` of each
-    composition of ``(0, n, lengths)``, one more composition under the key
-    ``(p * (n + 1) + m) * 2 + split``, where ``m`` is the multiplicity of
-    ``p`` and ``split`` is 1 when its copies form more than one block.
-    Key 0, part 0 with multiplicity 0 in one block, counts every
-    composition."""
-    shift = n + 1
-    fold = {0: 0}
-    get = fold.get
-    for comp in _walk(0, n, lengths):
-        fold[0] += 1
-        # Each part, in order of first use, and whether a block of it
-        # starts after its first.
-        scattered: dict[int, bool] = {}
-        last = 0
-        for part in comp:
-            if part != last:
-                scattered[part] = part in scattered
-                last = part
-        for part, apart in scattered.items():
-            key = (part * shift + comp.count(part)) * 2 + apart
-            fold[key] = get(key, 0) + 1
-    return fold
+def _fold_step(marks: Marks, part: int) -> Marks:
+    """The marks of the part fold, ``(last part, cells)``: ``cells[p]`` is
+    2 * (copies of ``p``), plus 1 once a second block of ``p`` starts."""
+    last, cells = marks
+    cell = cells[part]
+    if cell and part != last:
+        cell |= 1
+    return part, cells[:part] + (cell + 2,) + cells[part + 1:]
 
 
 def _part_fold(
@@ -942,13 +919,22 @@ def _part_fold(
 ) -> Iterator[tuple[int, int, int, int]]:
     """The fold of the compositions of ``n`` with parts at most
     ``max_part``, as ``(part, multiplicity, split, compositions)`` cells;
-    part 0 counts every composition.  Each family is folded once per
-    process, after :func:`_census_lengths` has let it through."""
+    part 0 counts every composition.  Each family is tallied once per
+    process, after :func:`_census_lengths` has let it through, and kept
+    under the packed keys ``(part * (n + 1) + multiplicity) * 2 + split``."""
     lengths = _census_lengths(n, max_part)
+    shift = n + 1
     fold = _FOLDS.get((0, n, lengths))
     if fold is None:
-        fold = _FOLDS[0, n, lengths] = _fold_leaves(n, lengths)
-    shift = n + 1
+        fold = {0: 0}
+        tally = _tally(0, n, lengths, _fold_step, (0, (0,) * shift), None)
+        for (_last, cells), count in tally.items():
+            fold[0] += count
+            for part, cell in enumerate(cells):
+                if cell:
+                    key = (part * shift + (cell >> 1)) * 2 + (cell & 1)
+                    fold[key] = fold.get(key, 0) + count
+        _FOLDS[0, n, lengths] = fold
     for key, count in fold.items():
         marks, split = divmod(key, 2)
         part, multiplicity = divmod(marks, shift)
@@ -974,7 +960,7 @@ def _part_histogram(
 
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
     """Total number of times ``k`` appears as a part over all compositions."""
-    return sum(m * count for m, count in _part_histogram(n, k, max_part).items())
+    return _occurrences(n, max_part).get(k, 0)
 
 
 def part_multiplicity_census(
@@ -1009,18 +995,34 @@ def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], 
     return _run_leaves(n, _census_lengths(n, max_part))
 
 
+def _occurrences(n: int, max_part: int | None = None) -> dict[int, int]:
+    """How often each part occurs over the compositions of ``n`` with parts
+    at most ``max_part``: each a count of visited parts, read off the fold."""
+    occurrences: dict[int, int] = {}
+    for part, multiplicity, _split, count in _part_fold(n, max_part):
+        if part:
+            occurrences[part] = occurrences.get(part, 0) + multiplicity * count
+    return occurrences
+
+
 def total_parts(n: int) -> int:
     """Number of parts summed over all compositions of ``n``."""
-    return sum(multiplicity * count
-               for _part, multiplicity, _split, count in _part_fold(n, None))
+    return sum(_occurrences(n).values())
+
+
+def _largest_step(marks: tuple[int, int], part: int) -> tuple[int, int]:
+    """The marks of the largest-part census: (largest part, its copies)."""
+    top, copies = marks
+    if part > top:
+        return part, 1
+    return (top, copies + 1) if part == top else marks
 
 
 def largest_part_census(n: int) -> dict[tuple[int, int], int]:
     """Counts of compositions keyed by ``(largest part, its multiplicity)``."""
-    return dict(Counter(
-        (max(comp), comp.count(max(comp)))
-        for comp in _census_walk(n) if comp
-    ))
+    census = _tally(0, n, _census_lengths(n), _largest_step, (0, 0), None)
+    census.pop((0, 0), None)  # the empty composition of 0
+    return census
 
 
 def consecutive_part_census(n: int, k: int) -> dict[int, int]:
@@ -1045,15 +1047,12 @@ def tile_count_total(r: int, n: int) -> int:
 
 
 def replaced_compositions_oracle(n: int) -> int:
-    """For every part ``j`` occurring anywhere, add the number of compositions of ``j``.
-
-    The per-part counts are themselves enumerated, once per distinct part.
-    """
-    inner = {j: count_compositions(j) for j in range(1, n + 1)}
-    return sum(inner[j] for comp in _census_walk(n) for j in comp)
+    """For every part ``j`` occurring anywhere, add the number of compositions of ``j``."""
+    return sum(count_compositions(j) * occurrences
+               for j, occurrences in _occurrences(n).items())
 
 
 def replaced_parts_oracle(n: int) -> int:
     """For every part ``j`` occurring anywhere, add the total part count of ``j``."""
-    inner = {j: total_parts(j) for j in range(1, n + 1)}
-    return sum(inner[j] for comp in _census_walk(n) for j in comp)
+    return sum(total_parts(j) * occurrences
+               for j, occurrences in _occurrences(n).items())

@@ -194,6 +194,20 @@ class TestProbes:
         assert digest == (
             "c7f26ae905e6e267111db69275235dbf360e4faf7bda74187367beda21e8dd0d")
 
+    @pytest.mark.skipif(
+        not os.environ.get("TILINGKIT_LARGE_SCALE"),
+        reason="set TILINGKIT_LARGE_SCALE=1 to run the probes at their default scale",
+    )
+    def test_default_probe_digest(self):
+        # Every probe at its own default scale, digested as the small ones.
+        probes = {r.id: ident.erratum_probe(r.id)
+                  for r in ident.registry() if r.probe is not None}
+        assert len(probes) == 8
+        digest = hashlib.sha256(
+            json.dumps(probes, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "7560ecc7bb4d12b43a38e8f6271fc1d47815e006a02c2c0251f4a73bc2deb686")
+
 
 class TestConjectureChecks:
     def test_cumulative_closed_form_scan(self):

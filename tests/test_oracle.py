@@ -512,6 +512,23 @@ def test_run_census_matches_plain_runs(n):
         assert all(type(value) is int and type(length) is int
                    and 1 <= value <= n and 1 <= length <= n
                    for value, length in census)
+        # The fold's readers against plain folds of the same compositions.
+        assert orc.part_multiplicity_census(n, max_part=max_part) == Counter(
+            (p, c.count(p)) for c in kept for p in set(c)), max_part
+        if max_part is None:
+            for k in range(1, 5):
+                assert orc.consecutive_part_census(n, k) == Counter(
+                    c.count(k) for c in kept
+                    if len([v for v, _ in itertools.groupby(c) if v == k]) <= 1)
+            assert orc.largest_part_census(n) == Counter(
+                (max(c), c.count(max(c))) for c in kept if c)
+            parts = {j: len(_compositions_by_cuts(j)) for j in range(1, n + 1)}
+            total = {j: sum(map(len, _compositions_by_cuts(j)))
+                     for j in range(1, n + 1)}
+            assert orc.replaced_compositions_oracle(n) == sum(
+                parts[j] for c in kept for j in c)
+            assert orc.replaced_parts_oracle(n) == sum(
+                total[j] for c in kept for j in c)
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -619,12 +636,17 @@ def test_kept_census_refuses_past_a_lowered_default_ceiling(
 
 def test_each_composition_family_is_folded_once(store, monkeypatch):
     walks = []
-    walk = orc._walk
+    tally, walk = orc._tally, orc._walk
+
+    def tallied(*args):
+        walks.append(args[:3])
+        return tally(*args)
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
 
+    monkeypatch.setattr(orc, "_tally", tallied)
     monkeypatch.setattr(orc, "_walk", counted)
     n = 10
     for k in range(1, n + 2):
@@ -687,7 +709,7 @@ def test_unrestricted_family_past_its_lower_bound_is_not_walked(store):
         raise AssertionError("walked")
 
     with patch.object(orc, "_count_leaves", no_walk), \
-            patch.object(orc, "_census_leaves", no_walk):
+            patch.object(orc, "_tally", no_walk):
         for refused in (lambda: count_tilings(0, 40),
                         lambda: count_tilings(3, 40),
                         lambda: enumerate_tilings(2, 40),
