@@ -65,19 +65,20 @@ refuse past ``DEFAULT_CEILING``, read when they are called.
 Each family is walked once per process, into a module-level store: a
 count by ``(reds, white, lengths)``, the census of an unrestricted tiling
 family by ``(reds, white)``, the part fold of a composition family by
-``(0, white, lengths)`` and a tile total by ``(reds, white)``; the run
-census and the largest-part census are walked on each call.  An
-unrestricted :func:`count_tilings` reads its family's census, and a count
-bounded only by a longest white tile ``k`` and a white suffix of ``s``
-tiles reads a kept census of ``(reds, white + s)``: its leaves with longest
-white tile at most ``k`` and at least ``s`` trailing white tiles.  A
-filtered count never starts a census, since a family under the ceiling can
-have an unrestricted parent far past it.  A kept count refuses exactly
-where its walk would have, against the ceiling of the call that reads it,
-and a census helper counts its family that way before it reads a kept
-fold or total, unless its roof is already at most that ceiling.  A refused
-walk keeps nothing.  Concurrent use needs no locking: a race only makes
-two threads walk the same family and store the same number.
+``(0, white, lengths)`` (its total and, per part and multiplicity, its
+compositions and those whose copies form one block) and a tile total by
+``(reds, white)``; the run census and the largest-part census are walked
+on each call.  An unrestricted :func:`count_tilings` reads its family's
+census, and a count bounded only by a longest white tile ``k`` and a
+white suffix of ``s`` tiles reads a kept census of ``(reds, white + s)``:
+its leaves with longest white tile at most ``k`` and at least ``s``
+trailing white tiles.  A filtered count never starts a census, since a
+family under the ceiling can have an unrestricted parent far past it.  A
+kept count refuses exactly where its walk would have, against the ceiling
+of the call that reads it, and a census helper counts its family that way
+before it reads a kept fold or total, unless its roof is already at most
+that ceiling.  A refused walk keeps nothing.  Concurrent use needs no
+locking: a race only walks a family twice and stores the same number.
 """
 
 from __future__ import annotations
@@ -276,9 +277,10 @@ _COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
 _CENSUSES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
 # The part fold of every composition family a census helper has read, keyed
-# by ``(0, n, lengths)`` as in ``_COUNTS``: compositions per packed (part,
-# multiplicity, split) key, see :func:`_part_fold`.
-_FOLDS: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
+# by ``(0, n, lengths)`` as in ``_COUNTS``: ``(total, rows)``, the number of
+# compositions and ``rows[part][multiplicity] = [compositions, of which the
+# copies of part form one block]`` for every multiplicity at least 1.
+_FOLDS: dict[tuple[int, int, tuple[int, ...]], tuple[int, dict]] = {}
 
 # The tile total of every tiling family :func:`tile_count_total` has read,
 # keyed by ``(reds, white)``.
@@ -333,16 +335,9 @@ def _refuse_past_floor(
         exponent = white // lengths[1] if len(lengths) > 1 else 0
     # The family has an object; 2**exponent > room exactly when exponent >=
     # room.bit_length().
-    if room < 1 or exponent >= room.bit_length():
+    if (room < 1 or exponent >= room.bit_length()
+            or _capped_binomial(reds, white, 1, room) > room):
         raise _refusal(ceiling)
-    # C(m - k + i, i) for i = 1..k ends at C(white + reds, reds) and at
-    # least doubles at each step, so the loop stops after about log2(room).
-    k, m = min(reds, white), reds + white
-    bound = 1
-    for i in range(1, k + 1):
-        bound = bound * (m - k + i) // i
-        if bound > room:
-            raise _refusal(ceiling)
 
 
 def _roof(reds: int, white: int, room: int) -> int:
@@ -351,21 +346,25 @@ def _roof(reds: int, white: int, room: int) -> int:
     else 2**(white - 1) * C(white + reds, reds).  A tiling is a composition
     of ``white`` with the red squares placed among its at most ``white``
     tiles, in at most C(white + reds, reds) ways, and fewer lengths only
-    remove tilings.  As the floor, it is worked out only until it passes
-    ``room``; past it, the number returned is any one above ``room``."""
+    remove tilings.  Past ``room``, it is any number above it."""
     if not white or room < 1:
         return 1  # white 0 has one tiling; a roof of 1 passes room < 1
     if white > room.bit_length():  # 2**(white - 1) > room
         return room + 1
-    # As in _refuse_past_floor, each step multiplies by C(m - k + i, i) /
-    # C(m - k + i - 1, i - 1) >= 1, so a step past room stays past it.
+    return _capped_binomial(reds, white, 1 << (white - 1), room)
+
+
+def _capped_binomial(reds: int, white: int, scale: int, room: int) -> int:
+    """``scale * C(white + reds, reds)``, or ``room + 1`` once it passes
+    ``room``: each of its min(reds, white) steps at least doubles it, so a
+    step past ``room`` stays past it."""
     k, m = min(reds, white), reds + white
-    roof = 1 << (white - 1)
+    product = scale
     for i in range(1, k + 1):
-        roof = roof * (m - k + i) // i
-        if roof > room:
+        product = product * (m - k + i) // i
+        if product > room:
             return room + 1
-    return roof
+    return product
 
 
 def _count(
@@ -914,31 +913,29 @@ def _fold_step(marks: Marks, part: int) -> Marks:
     return part, cells[:part] + (cell + 2,) + cells[part + 1:]
 
 
-def _part_fold(
-    n: int, max_part: int | None
-) -> Iterator[tuple[int, int, int, int]]:
-    """The fold of the compositions of ``n`` with parts at most
-    ``max_part``, as ``(part, multiplicity, split, compositions)`` cells;
-    part 0 counts every composition.  Each family is tallied once per
-    process, after :func:`_census_lengths` has let it through, and kept
-    under the packed keys ``(part * (n + 1) + multiplicity) * 2 + split``."""
+def _part_fold(n: int, max_part: int | None) -> tuple[int, dict]:
+    """The fold ``(total, rows)`` of the compositions of ``n`` with parts at
+    most ``max_part``, as kept in ``_FOLDS``.  Each family is tallied once
+    per process, after :func:`_census_lengths` has let it through."""
     lengths = _census_lengths(n, max_part)
-    shift = n + 1
     fold = _FOLDS.get((0, n, lengths))
     if fold is None:
-        fold = {0: 0}
-        tally = _tally(0, n, lengths, _fold_step, (0, (0,) * shift), None)
+        rows: dict[int, dict[int, list[int]]] = {}
+        tally = _tally(0, n, lengths, _fold_step, (0, (0,) * (n + 1)), None)
         for (_last, cells), count in tally.items():
-            fold[0] += count
             for part, cell in enumerate(cells):
                 if cell:
-                    key = (part * shift + (cell >> 1)) * 2 + (cell & 1)
-                    fold[key] = fold.get(key, 0) + count
-        _FOLDS[0, n, lengths] = fold
-    for key, count in fold.items():
-        marks, split = divmod(key, 2)
-        part, multiplicity = divmod(marks, shift)
-        yield part, multiplicity, split, count
+                    counts = rows.setdefault(part, {}).setdefault(cell >> 1, [0, 0])
+                    counts[0] += count
+                    if not cell & 1:
+                        counts[1] += count
+        fold = _FOLDS[0, n, lengths] = (sum(tally.values()), rows)
+    return fold
+
+
+def _copies(row: dict[int, list[int]]) -> int:
+    """How often a part occurs over a family, read off its row of the fold."""
+    return sum(multiplicity * count for multiplicity, (count, _) in row.items())
 
 
 def _part_histogram(
@@ -947,20 +944,17 @@ def _part_histogram(
     """How many compositions of ``n`` hold ``k`` exactly ``m`` times, per
     ``m``, counting only those whose copies of ``k`` form one block when
     ``one_block``; the ``m = 0`` class is always reported."""
-    histogram = {0: 0}
-    for part, multiplicity, split, count in _part_fold(n, max_part):
-        if not part:
-            histogram[0] += count  # every composition ...
-        elif part == k:
-            histogram[0] -= count  # ... less those with a part k
-            if not (one_block and split):
-                histogram[multiplicity] = histogram.get(multiplicity, 0) + count
+    total, rows = _part_fold(n, max_part)
+    row = rows.get(k, {})
+    histogram = {0: total - sum(count for count, _ in row.values())}
+    for multiplicity, (count, blocks) in row.items():
+        histogram[multiplicity] = blocks if one_block else count
     return histogram
 
 
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
     """Total number of times ``k`` appears as a part over all compositions."""
-    return _occurrences(n, max_part).get(k, 0)
+    return _copies(_part_fold(n, max_part)[1].get(k, {}))
 
 
 def part_multiplicity_census(
@@ -971,12 +965,9 @@ def part_multiplicity_census(
     One fold covers every part value at once; pair with the total
     composition count to recover the multiplicity-zero classes.
     """
-    census: dict[tuple[int, int], int] = {}
-    for part, multiplicity, _split, count in _part_fold(n, max_part):
-        if part:
-            key = (part, multiplicity)
-            census[key] = census.get(key, 0) + count
-    return census
+    return {(part, multiplicity): count
+            for part, row in _part_fold(n, max_part)[1].items()
+            for multiplicity, (count, _) in row.items()}
 
 
 def count_by_part_multiplicity(
@@ -998,11 +989,7 @@ def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], 
 def _occurrences(n: int, max_part: int | None = None) -> dict[int, int]:
     """How often each part occurs over the compositions of ``n`` with parts
     at most ``max_part``: each a count of visited parts, read off the fold."""
-    occurrences: dict[int, int] = {}
-    for part, multiplicity, _split, count in _part_fold(n, max_part):
-        if part:
-            occurrences[part] = occurrences.get(part, 0) + multiplicity * count
-    return occurrences
+    return {part: _copies(row) for part, row in _part_fold(n, max_part)[1].items()}
 
 
 def total_parts(n: int) -> int:

@@ -10,11 +10,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from tilingkit import compstats as cs
 from tilingkit import identities as ident
+from tilingkit import oracle as orc
 from tilingkit import series as ser
 from tilingkit.sequences import NonIntegerResultError
 
@@ -384,6 +386,49 @@ class TestExactValues:
         }
 
 
+def _sides(record):
+    """Every side of a record with the domain it is swept over: ``lhs``,
+    ``rhs``, the corrected sides it states, the probe oracle and the
+    probe candidates."""
+    yield "lhs", record.lhs, record.domain
+    yield "rhs", record.rhs, record.domain
+    corr = record.corrected
+    if corr is not None:
+        for label, fn in (("corrected lhs", corr.lhs), ("corrected rhs", corr.rhs)):
+            if fn is not None:
+                yield label, fn, corr.domain or record.domain
+    if record.probe is not None:
+        yield "probe oracle", record.probe.oracle or record.lhs, record.domain
+        for label, fn in record.probe.candidates:
+            yield f"candidate {label}", fn, record.domain
+
+
+def _modules_reached(fn, points) -> set[str]:
+    """The tilingkit modules other than ``identities`` whose functions run
+    while ``fn`` is evaluated at ``points``, every registry cache emptied
+    first so that no kept value hides a call."""
+    for value in vars(ident).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    reached: set[str] = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            package, _, module = frame.f_globals.get("__name__", "").rpartition(".")
+            if package == "tilingkit":
+                reached.add(module)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for point in points:
+            ident._safe(fn, point)
+    finally:
+        sys.setprofile(previous)
+    reached.discard("identities")
+    return reached
+
+
 class TestIndependentSides:
     def test_consecutive_parts_alternating_needs_no_exact_parts(self, monkeypatch):
         # The inline alternating sum expands ``exact_parts``' terms, so the
@@ -395,6 +440,27 @@ class TestIndependentSides:
         result = ident.evaluate_record(
             ident._record("consecutive-parts-alternating"), ident.SCALES["small"])
         assert (result.status, result.points) == ("verified", 364)
+
+    def test_oracle_sides_reach_no_formula_module(self):
+        # A side that counts objects must not also evaluate a closed form
+        # or a recurrence, or the two sides of a record stop being
+        # independent.  The one mixed side is palindromes-with-part's lhs,
+        # cs.pal(n) less the oracle's palindromes avoiding k.  ``series``
+        # is allowed: gf-allowed-parts expands a series of oracle counts.
+        grid = ident.SCALES["small"]
+        mixed = set()
+        with patch.dict(orc._COUNTS, clear=True), \
+                patch.dict(orc._CENSUSES, clear=True), \
+                patch.dict(orc._FOLDS, clear=True), \
+                patch.dict(orc._TILES, clear=True):
+            for record in ident.registry():
+                for label, fn, domain in _sides(record):
+                    points = list(domain(grid))
+                    reached = _modules_reached(
+                        fn, dict.fromkeys((points[len(points) // 2], points[-1])))
+                    if "oracle" in reached and reached & {"sequences", "compstats"}:
+                        mixed.add((record.id, label))
+        assert mixed == {("palindromes-with-part", "lhs")}
 
 
 def test_tracer_census_caches_are_registry_caches():
