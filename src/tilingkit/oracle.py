@@ -29,14 +29,17 @@ tuple of allowed lengths.  Four walks cover that tree:
   tilings a walked body and a tail of ``s`` white tiles.  It also sums
   :func:`tile_count_total`.
 - the count, :func:`_count_leaves`, adds each leaf at its parent.
-- the marked census, :func:`_tally`, also adds each leaf at its parent, and
-  files it under the final *marks* its path carried down from the root,
-  one ``step`` per tile.  Each census is a step: the tiling census by
-  (longest white tile, trailing white tiles); the part fold by (last part,
-  per part its multiplicity and whether its copies form one block), from
-  which part occurrences, multiplicities, consecutive blocks, part totals
-  and the replacement sums are read; the largest-part census by (largest
-  part, its multiplicity).
+- the marked census, :func:`_tally`, files each leaf under the final
+  *marks* its path carried down from the root, one ``step`` per tile.  As
+  in the listing, a node with at most six squares left keeps the cells of
+  the leaves below it, one entry per leaf; a node above those adds 1 to
+  every cell its kept children hold each time it is popped, so every leaf
+  still adds exactly 1 and no subtree count is kept.  Each census is a
+  step: the tiling census by (longest white tile, trailing white tiles);
+  the part fold by (last part, per part its multiplicity and whether its
+  copies form one block), from which part occurrences, multiplicities,
+  consecutive blocks, part totals and the replacement sums are read; the
+  largest-part census by (largest part, its multiplicity).
 - the run census, :func:`_run_leaves`, carries the last part and the
   length of its open run, and on the way out of a node credits that run
   with the leaves counted below it; a run of exactly ``l`` parts is those
@@ -212,10 +215,13 @@ def _moves(state: int, shift: int, lengths: tuple[int, ...]) -> Codes:
 
 
 # A node with at most this many squares left (red squares plus white total)
-# keeps the codes of every leaf below it for the rest of the walk.  Such a
-# node has at most 66 leaves, and one walk keeps at most 377 tuples of at
-# most six codes.  Eight squares would keep up to 2,584 and listed about
-# 3 % faster; four keep at most 55 and listed about 18 % slower.
+# keeps its leaves for the rest of the walk: :func:`_walk` the codes of each,
+# :func:`_tally` one cell per leaf.  Such a node has at most 66 leaves.  One
+# listing keeps at most 377 tuples of at most six codes; one tally keeps a
+# list of at most 66 cells per kept (state, marks) pair and, per node above
+# them, a row of at most 168 cells.  Eight squares would keep up to 2,584
+# and listed about 3 % faster; four keep at most 55 and listed about 18 %
+# slower.
 _KEPT_SQUARES = 6
 
 
@@ -278,9 +284,13 @@ _CENSUSES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
 # The part fold of every composition family a census helper has read, keyed
 # by ``(0, n, lengths)`` as in ``_COUNTS``: ``(total, rows)``, the number of
-# compositions and ``rows[part][multiplicity] = [compositions, of which the
-# copies of part form one block]`` for every multiplicity at least 1.
-_FOLDS: dict[tuple[int, int, tuple[int, ...]], tuple[int, dict]] = {}
+# compositions and, per part that occurs, a tuple ``rows[part]`` indexed by
+# multiplicity, ``rows[part][m] = (compositions, of which the copies of part
+# form one block)``; multiplicity 0 and the multiplicities no composition
+# has read ``(0, 0)``.  Tuples of ints keep the 56 folds of a ``default``
+# verify in about 82 KB, against 128 KB as dicts of two-item lists.
+_FOLDS: dict[tuple[int, int, tuple[int, ...]],
+             tuple[int, dict[int, tuple[tuple[int, int], ...]]]] = {}
 
 # The tile total of every tiling family :func:`tile_count_total` has read,
 # keyed by ``(reds, white)``.
@@ -457,6 +467,28 @@ def _longest_step(marks: tuple[int, int], code: int) -> tuple[int, int]:
     return code if code > longest else longest, trailing + 1
 
 
+def _marked_ends(
+    state: int,
+    marks: Marks,
+    shift: int,
+    lengths: tuple[int, ...],
+    step: Callable[[Marks, int], Marks],
+    kept: dict[tuple[int, Marks], list[list[int]]],
+) -> list[list[int]]:
+    """The cells of the leaves below a node with at most ``_KEPT_SQUARES``
+    squares left and marks ``marks``, one entry per leaf, built from its
+    children's and kept in ``kept`` for the rest of the walk; a leaf's is
+    its own cell."""
+    key = (state, marks)
+    ends = kept.get(key)
+    if ends is None:
+        ends = kept[key] = [] if state else [[0]]
+        for code in _moves(state, shift, lengths):
+            ends += _marked_ends(state - (code or shift), step(marks, code),
+                                 shift, lengths, step, kept)
+    return ends
+
+
 def _tally(
     reds: int,
     white: int,
@@ -467,52 +499,62 @@ def _tally(
 ) -> dict[Marks, int]:
     """The leaves of the tree :func:`_count_leaves` walks, counted per final
     marks: the root's are ``start``, a child's ``step(marks, code)``.  A
-    node is its state plus an interned id of its marks; its row names its
-    inner children and the cell its leaf child (a node has at most one)
-    adds 1 to.  Refuses as soon as the leaves pass ``ceiling``."""
+    node is its state plus an interned id of its marks.  Below a node with
+    at most ``_KEPT_SQUARES`` squares left, the cells of its leaves are
+    kept, one per leaf (see :func:`_marked_ends`); a node above it has a row
+    of its inner children and the cells of the leaves below its kept
+    children, each of which gets 1 when the node is popped.  Refuses as
+    soon as the leaves pass ``ceiling``."""
     shift = white + 1
     size = (reds + 1) * shift  # every state is below it
     limit = inf if ceiling is None else ceiling
     ids: dict[Marks, int] = {start: 0}
     marked = [start]
-    cells: dict[Marks, list[int]] = {}
-    rows: dict[int, tuple[list[int], list[int] | None]] = {}
+    kept: dict[tuple[int, Marks], list[list[int]]] = {}
+    rows: dict[int, tuple[list[int], list[list[int]]]] = {}
     total = 0
-    root = reds * shift + white
     stack: list[int] = []
     pop = stack.pop
     extend = stack.extend
     # As in _count_leaves, the root's row as if it had a parent.
-    inner, cell = ([root], None) if root else ([], cells.setdefault(start, [0]))
+    root = reds * shift + white
+    if reds + white > _KEPT_SQUARES:
+        inner, ends = [root], []
+    else:
+        inner, ends = [], _marked_ends(root, start, shift, lengths, step, kept)
     while True:
         extend(inner)
-        if cell is not None:
-            cell[0] += 1
-            total += 1
+        if ends:
+            for cell in ends:
+                cell[0] += 1
+            total += len(ends)
             if total > limit:
                 raise _refusal(ceiling)
         if not stack:
-            return {marks: hits for marks, (hits,) in cells.items()}
+            # A leaf's cell is kept under its state, 0.
+            return {marks: cells[0][0] for (state, marks), cells in kept.items()
+                    if not state}
         node = pop()
         row = rows.get(node)
         if row is None:
             # A node is packed as ``state + size * id``.
             mark_id, state = divmod(node, size)
             marks = marked[mark_id]
-            inner, cell = [], None
+            squares = sum(divmod(state, shift))
+            inner, ends = [], []
             for code in _moves(state, shift, lengths):
                 child = state - (code or shift)
                 after = step(marks, code)
-                if child:
+                if squares - (code or 1) > _KEPT_SQUARES:
                     child_id = ids.get(after)
                     if child_id is None:
                         child_id = ids[after] = len(marked)
                         marked.append(after)
                     inner.append(child + size * child_id)
                 else:
-                    cell = cells.setdefault(after, [0])
-            row = rows[node] = (inner, cell)
-        inner, cell = row
+                    ends += _marked_ends(child, after, shift, lengths, step, kept)
+            row = rows[node] = (inner, ends)
+        inner, ends = row
 
 
 def _run_leaves(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
@@ -913,29 +955,35 @@ def _fold_step(marks: Marks, part: int) -> Marks:
     return part, cells[:part] + (cell + 2,) + cells[part + 1:]
 
 
-def _part_fold(n: int, max_part: int | None) -> tuple[int, dict]:
+def _part_fold(
+    n: int, max_part: int | None
+) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
     """The fold ``(total, rows)`` of the compositions of ``n`` with parts at
     most ``max_part``, as kept in ``_FOLDS``.  Each family is tallied once
     per process, after :func:`_census_lengths` has let it through."""
     lengths = _census_lengths(n, max_part)
     fold = _FOLDS.get((0, n, lengths))
     if fold is None:
-        rows: dict[int, dict[int, list[int]]] = {}
+        found: dict[int, dict[int, list[int]]] = {}
         tally = _tally(0, n, lengths, _fold_step, (0, (0,) * (n + 1)), None)
         for (_last, cells), count in tally.items():
             for part, cell in enumerate(cells):
                 if cell:
-                    counts = rows.setdefault(part, {}).setdefault(cell >> 1, [0, 0])
+                    counts = found.setdefault(part, {}).setdefault(cell >> 1, [0, 0])
                     counts[0] += count
                     if not cell & 1:
                         counts[1] += count
+        # One shared (0, 0) fills multiplicity 0 and every gap.
+        rows = {part: tuple(tuple(row.get(multiplicity, (0, 0)))
+                            for multiplicity in range(max(row) + 1))
+                for part, row in found.items()}
         fold = _FOLDS[0, n, lengths] = (sum(tally.values()), rows)
     return fold
 
 
-def _copies(row: dict[int, list[int]]) -> int:
+def _copies(row: tuple[tuple[int, int], ...]) -> int:
     """How often a part occurs over a family, read off its row of the fold."""
-    return sum(multiplicity * count for multiplicity, (count, _) in row.items())
+    return sum(multiplicity * count for multiplicity, (count, _) in enumerate(row))
 
 
 def _part_histogram(
@@ -945,16 +993,17 @@ def _part_histogram(
     ``m``, counting only those whose copies of ``k`` form one block when
     ``one_block``; the ``m = 0`` class is always reported."""
     total, rows = _part_fold(n, max_part)
-    row = rows.get(k, {})
-    histogram = {0: total - sum(count for count, _ in row.values())}
-    for multiplicity, (count, blocks) in row.items():
-        histogram[multiplicity] = blocks if one_block else count
+    row = rows.get(k, ())
+    histogram = {0: total - sum(count for count, _ in row)}
+    for multiplicity, (count, blocks) in enumerate(row):
+        if count:
+            histogram[multiplicity] = blocks if one_block else count
     return histogram
 
 
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
     """Total number of times ``k`` appears as a part over all compositions."""
-    return _copies(_part_fold(n, max_part)[1].get(k, {}))
+    return _copies(_part_fold(n, max_part)[1].get(k, ()))
 
 
 def part_multiplicity_census(
@@ -967,7 +1016,7 @@ def part_multiplicity_census(
     """
     return {(part, multiplicity): count
             for part, row in _part_fold(n, max_part)[1].items()
-            for multiplicity, (count, _) in row.items()}
+            for multiplicity, (count, _) in enumerate(row) if count}
 
 
 def count_by_part_multiplicity(

@@ -777,6 +777,56 @@ def test_census_counts_each_leaf_by_longest_and_trailing_white(store):
             assert orc._CENSUSES[r, n] == naive
 
 
+def _fold_marks(n):
+    """The part fold's marks of a composition of ``n``, from its parts."""
+    def marks(codes):
+        blocks = Counter(value for value, _ in itertools.groupby(codes))
+        return codes[-1] if codes else 0, tuple(
+            2 * codes.count(p) + (blocks[p] > 1) for p in range(n + 1))
+    return marks
+
+
+def _largest_marks(codes):
+    top = max(codes, default=0)
+    return top, codes.count(top)
+
+
+@pytest.mark.parametrize("squares", range(5, 11))
+def test_tally_matches_a_naive_count_over_the_listing(squares):
+    # Families below, at and above _KEPT_SQUARES squares: the cells kept
+    # below small nodes file every leaf once, under its own final marks.
+    assert 5 <= orc._KEPT_SQUARES < 10
+    for reds in range(squares + 1):
+        white = squares - reds
+        lengths = tuple(range(1, white + 1))
+        assert orc._tally(reds, white, lengths, orc._longest_step, (0, 0), None) \
+            == Counter((max(codes, default=0), _trailing_whites(codes))
+                       for codes in orc._walk(reds, white, lengths))
+    n = squares
+    for lengths in (tuple(range(1, n + 1)), (1, 2), (1, 2, 3), (1, 3), (2, 3)):
+        for step, start, marks in (
+                (orc._fold_step, (0, (0,) * (n + 1)), _fold_marks(n)),
+                (orc._largest_step, (0, 0), _largest_marks)):
+            assert orc._tally(0, n, lengths, step, start, None) == Counter(
+                map(marks, orc._walk(0, n, lengths))), (lengths, step)
+
+
+@pytest.mark.parametrize("r, n, inside", [(2, 3, True), (3, 7, False)])
+def test_unrestricted_count_refuses_one_below_its_size(store, r, n, inside):
+    # The root of (2, 3) is a kept node itself; that of (3, 7) is above the
+    # kept nodes.  Both floors are below the size, so the walk refuses.
+    assert (r + n <= orc._KEPT_SQUARES) == inside
+    exact = count_tilings(r, n, ceiling=None)
+    store.clear()
+    orc._CENSUSES.clear()
+    with pytest.raises(OracleScaleError, match=f"more than {exact - 1} objects"):
+        count_tilings(r, n, ceiling=exact - 1)
+    assert orc._CENSUSES == {}  # a refused census keeps nothing
+    assert store == {}
+    assert count_tilings(r, n, ceiling=exact) == exact
+    assert sum(orc._CENSUSES[r, n].values()) == exact
+
+
 def test_census_reads_match_the_walk(store):
     cells = [(r, n, TilingFilter(max_white_len=k, suffix_white_tiles=s))
              for r in range(10) for n in range(10 - r)
