@@ -191,9 +191,12 @@ def CF_allowed_parts_form(n: int, k: int) -> int:
     """The bounded-parts-plus-double form of :func:`CF`: ``C(n, <1..k, 2k>)``.
 
     Evaluated through the convolution identity ``sum_j F(n+1-2kj, k, j)``.
+    The run of convolution fills this takes is refused before it starts
+    when it would pass the table bounds, as in :func:`L_p`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    sequences.refuse_past_bounds(0, n // (2 * k), n, 2 * k)
     total = 0
     j = 0
     while n + 1 - 2 * k * j > 0:

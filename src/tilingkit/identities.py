@@ -565,11 +565,16 @@ def _negfib_tiling_sum(n: int, k: int, shift: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _avoid_part_squared(k: int) -> ser.RationalGF:
+    return ser.gf_avoid_part(k) ** 2
+
+
 def _consecutive_block_series(n: int, k: int, p: int) -> Fraction:
     # A block of p parts k sits between two compositions with no part k,
     # so the count is coefficient n - kp of the square of their GF.
     m = n - k * p
-    return ser.expand(ser.gf_avoid_part(k) ** 2, m)[m]
+    return ser.expand(_avoid_part_squared(k), m)[m]
 
 
 def _tilings_max_white(r: int, n: int, k: int) -> int:

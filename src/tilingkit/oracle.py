@@ -41,9 +41,14 @@ tuple of allowed lengths.  Four walks cover that tree:
   consecutive blocks, part totals and the replacement sums are read; the
   largest-part census by (largest part, its multiplicity).
 - the run census, :func:`_run_leaves`, carries the last part and the
-  length of its open run, and on the way out of a node credits that run
-  with the leaves counted below it; a run of exactly ``l`` parts is those
-  of at least ``l`` less those of at least ``l + 1``.
+  length of its open run, and credits each maximal run once per leaf, to
+  its own ``(value, length)``, where it closes: at a child with another
+  part or at the leaf.  A node with at most six squares left keeps an
+  entry per leaf and run that closes below it; a node above those adds 1
+  to each entry its kept children hold, and to its own run once per leaf
+  below those with another part, each time it is popped, and closes its
+  run at inner children with another part with the leaves walked below
+  them.
 
 No walk consults a formula: every count, cell and credit is a number of
 visited leaves.  The counters are the guard.  A count or a tiling census
@@ -216,12 +221,15 @@ def _moves(state: int, shift: int, lengths: tuple[int, ...]) -> Codes:
 
 # A node with at most this many squares left (red squares plus white total)
 # keeps its leaves for the rest of the walk: :func:`_walk` the codes of each,
-# :func:`_tally` one cell per leaf.  Such a node has at most 66 leaves.  One
-# listing keeps at most 377 tuples of at most six codes; one tally keeps a
-# list of at most 66 cells per kept (state, marks) pair and, per node above
-# them, a row of at most 168 cells.  Eight squares would keep up to 2,584
-# and listed about 3 % faster; four keep at most 55 and listed about 18 %
-# slower.
+# :func:`_tally` one cell per leaf, :func:`_run_leaves` one cell per leaf and
+# run that closes below it.  Such a node has at most 66 leaves.  One listing
+# keeps at most 377 tuples of at most six codes; one tally keeps a list of
+# at most 66 cells per kept (state, marks) pair and, per node above them, a
+# row of at most 168 cells; one run census keeps a list of at most 110
+# cells per kept (rest, last part, run) and, per node above them, a row of
+# at most seven such lists and one of at most 64 cells.  Eight squares
+# would keep up to 2,584 and listed about 3 % faster; four keep at most 55
+# and listed about 18 % slower.
 _KEPT_SQUARES = 6
 
 
@@ -557,18 +565,55 @@ def _tally(
         inner, ends = row
 
 
+def _run_ends(
+    rest: int,
+    last: int,
+    run: int,
+    lengths: tuple[int, ...],
+    cells: dict[tuple[int, int], list[int]],
+    kept: dict[tuple[int, int, int], tuple[list[list[int]], int]],
+) -> tuple[list[list[int]], int]:
+    """The runs that close below a node with at most ``_KEPT_SQUARES``
+    squares left, ``rest``, whose open run is ``run`` parts ``last``, one
+    entry per leaf and run, the cell of its ``(value, length)``; with the
+    number of leaves below.  Built from its children's and kept in
+    ``kept`` for the rest of the walk: a leaf's is its own final run, and
+    a child whose part is not ``last`` closes the node's run once per leaf
+    below it."""
+    key = (rest, last, run)
+    found = kept.get(key)
+    if found is None:
+        cell = cells.setdefault((last, run), [0])
+        ends, leaves = ([], 0) if rest else ([cell], 1)
+        for part in lengths[:bisect_right(lengths, rest)]:
+            top, length = (last, run + 1) if part == last else (part, 1)
+            below, count = _run_ends(rest - part, top, length, lengths, cells, kept)
+            if part != last:
+                ends += [cell] * count
+            ends += below
+            leaves += count
+        found = kept[key] = (ends, leaves)
+    return found
+
+
 def _run_leaves(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """The walk behind :func:`run_census`, over the tree :func:`_walk` walks
     for ``(0, n, lengths)``.  A node also carries the last part ``v`` and
-    the length ``l`` of its open run.  On the way out of a node the walk
-    credits ``(v, l)`` with the leaves it counted below the node: summed
-    over the nodes, that is the number of runs of ``v`` at least ``l``
-    long, so the runs of exactly ``l`` are that number less the one for
-    ``l + 1``.  Leaves are added at their parent, as in
-    :func:`_count_leaves`, and credited to their own open run there."""
+    the length ``l`` of its open run, and each maximal run adds 1 to its
+    own ``(v, l)`` cell where it closes: at a child whose part is not
+    ``v``, once per leaf below that child, or at the leaf.  Below a node
+    with at most ``_KEPT_SQUARES`` squares left, those closes are kept,
+    one entry per leaf and run (see :func:`_run_ends`).  A node above it
+    has a row of its kept children's lists and a list of its own run once
+    per leaf below those with another part, whose entries get 1 each when
+    the node is popped, and of its inner children: the one that repeats
+    ``v`` is walked after the node's close, and the others before it, so
+    the close credits ``(v, l)`` with the leaves walked below them."""
     shift = n + 1
     cells: dict[tuple[int, int], list[int]] = {}
-    rows: dict[int, tuple[list[int], list[int] | None, list[int]]] = {}
+    kept: dict[tuple[int, int, int], tuple[list[list[int]], int]] = {}
+    rows: dict[int, tuple[list[int], list[list[list[int]]], int,
+                          list[int] | None]] = {}
     total = 0
     # The root has no open run: its run (0, 0) is dropped below.
     stack: list[int] = [n]
@@ -579,43 +624,48 @@ def _run_leaves(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
     leave = entered.pop
     while stack:
         node = pop()
-        if node < 0:  # every inner child of the node entered last is done
+        if node < 0:  # every inner child but the repeating one is done
             cell, before = leave()
             cell[0] += total - before
             continue
         row = rows.get(node)
         if row is None:
             # A node is packed as ``rest + shift * (v + shift * l)``.  Its
-            # row is its inner children, the cell of its leaf child (a node
-            # has at most one) and the cell of its own run; the -1 ahead of
-            # the children is popped after them.
+            # row is its inner children, the kept lists of its other
+            # children and one more with its own run once per leaf below
+            # those with another part, their number of leaves and, when it
+            # has inner children with another part, the cell of its own
+            # run; the repeating child sits under the -1 that closes it.
             marks, rest = divmod(node, shift)
             run, last = divmod(marks, shift)
-            inner, leaf = [], None
+            cell = cells.setdefault((last, run), [0])
+            repeat, others, lists, closes, leaves = [], [], [], 0, 0
             for part in lengths[:bisect_right(lengths, rest)]:
                 top, length = (last, run + 1) if part == last else (part, 1)
-                if part == rest:
-                    leaf = cells.setdefault((top, length), [0])
+                if rest - part <= _KEPT_SQUARES:
+                    below, count = _run_ends(rest - part, top, length,
+                                             lengths, cells, kept)
+                    lists.append(below)
+                    leaves += count
+                    if part != last:
+                        closes += count
+                elif part == last:
+                    repeat.append(rest - part + shift * (top + shift * length))
                 else:
-                    inner.append(rest - part + shift * (top + shift * length))
-            row = rows[node] = ([-1, *inner] if inner else inner, leaf,
-                                cells.setdefault((last, run), [0]))
-        inner, leaf, cell = row
-        if inner:
+                    others.append(rest - part + shift * (top + shift * length))
+            if closes:
+                lists.append([cell] * closes)
+            row = rows[node] = ((repeat + [-1] + others, lists, leaves, cell)
+                                if others else (repeat, lists, leaves, None))
+        inner, lists, leaves, cell = row
+        for ends in lists:
+            for end in ends:
+                end[0] += 1
+        total += leaves
+        if cell is not None:
             enter((cell, total))
-            extend(inner)
-        elif leaf is not None:
-            cell[0] += 1
-        if leaf is not None:
-            leaf[0] += 1
-            total += 1
-    at_least = {key: hits for key, (hits,) in cells.items()}
-    census = {}
-    for (value, length), hits in at_least.items():
-        exact = hits - at_least.get((value, length + 1), 0)
-        if value and exact:
-            census[value, length] = exact
-    return census
+        extend(inner)
+    return {key: hits for key, (hits,) in cells.items() if key[0] and hits}
 
 
 # A family of objects is a sequence of blocks ``(reds, white, tail,

@@ -123,6 +123,26 @@ class TestSpotValues:
             for k in range(n + 1, n + 4):
                 assert cs.pal_hat(n, k) == cs.pal(n)
 
+    def test_allowed_parts_form_is_refused_before_its_first_fill(self, monkeypatch):
+        # CF_allowed_parts_form(40, 3) fills a_k(j, 40 - 6j, 3) for
+        # j = 0..6.  Its first table, 1 x 41, measures 1,722; its second,
+        # 2 x 35, measures 2,590.  At a bound between them the first fill
+        # alone would pass, so the run must be refused before it.
+        bound = sq.TABLE_BOUND
+        monkeypatch.setattr(sq, "_AK_TABLES", {})
+        expected = cs.CF_allowed_parts_form(40, 3)
+        sq._AK_TABLES.clear()
+        assert sq.a_k(0, 5, 3) == fibonacci_k(6, 3)
+        before = [list(row) for row in sq._AK_TABLES[3]]
+        monkeypatch.setattr(sq, "TABLE_BOUND", 2000)
+        with pytest.raises(sq.TableScaleError,
+                           match=r"^table scale exceeded: 2 x 35 entries"
+                                 " pass the bound of 2000$"):
+            cs.CF_allowed_parts_form(40, 3)
+        assert sq._AK_TABLES == {3: before}
+        monkeypatch.setattr(sq, "TABLE_BOUND", bound)
+        assert cs.CF_allowed_parts_form(40, 3) == expected == cs.CF(40, 3)
+
     def test_pal_past_the_table_bound_is_refused(self, monkeypatch):
         # pal(18) = 2**9 has 10 bits; pal(20) would have 11.
         monkeypatch.setattr(sq, "TABLE_BOUND", 10)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import os
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -552,6 +553,39 @@ def test_run_census_of_a_deep_narrow_family_and_of_nothing():
     # One composition 3000 parts deep: the walk keeps no recursion.
     assert orc.run_census(3000, max_part=1) == {(1, 3000): 1}
     assert orc.run_census(0) == {}
+
+
+def _naive_runs(n, max_part=None):
+    """The runs of the listed compositions of ``n``, one by one."""
+    top = n if max_part is None else min(n, max_part)
+    return Counter((value, sum(1 for _ in run))
+                   for codes in orc._walk(0, n, tuple(range(1, top + 1)))
+                   for value, run in itertools.groupby(codes))
+
+
+@pytest.mark.parametrize("n, max_part", [(16, None), (20, 3), (24, 2)])
+def test_run_census_matches_the_runs_of_every_listed_composition(n, max_part):
+    # Far above the kept nodes: most runs close inside kept lists, the rest
+    # at closes above them, and a repeating child is never credited.
+    assert orc.run_census(n, max_part=max_part) == _naive_runs(n, max_part)
+
+
+@pytest.mark.parametrize("n", [orc._KEPT_SQUARES, orc._KEPT_SQUARES + 1])
+def test_run_census_with_its_root_at_the_kept_line(n):
+    # Every child of either root is kept: the root of one more square is
+    # the smallest above the line, its child by a part 1 the largest kept.
+    for max_part in [None, *range(1, n + 2)]:
+        assert orc.run_census(n, max_part=max_part) == _naive_runs(n, max_part), \
+            max_part
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TILINGKIT_LARGE_SCALE"),
+    reason="set TILINGKIT_LARGE_SCALE=1 to check the run census at n = 18 and 20",
+)
+@pytest.mark.parametrize("n", [18, 20])
+def test_large_run_census_matches_the_naive_fold(n):
+    assert orc.run_census(n) == _naive_runs(n)
 
 
 # ---------------------------------------------------------------------------
