@@ -18,7 +18,7 @@ Internally a tiling is a tuple of integer codes, ``0`` for a red square and
 no red squares, its parts the white tiles.  Every object is a leaf of one
 tree whose nodes place a red square first, then each allowed white length
 in ascending order; every filter reduces, once per call, to the sorted
-tuple of allowed lengths.  Four walks cover that tree:
+tuple of allowed lengths.  Three walks cover that tree:
 
 - the listing, :func:`_walk`, yields the leaves in lexicographic order (red
   before white, shorter white before longer), which keeps golden outputs
@@ -28,15 +28,17 @@ tuple of allowed lengths.  Four walks cover that tree:
   are a walked half, an optional centre and the mirrored half; suffix
   tilings a walked body and a tail of ``s`` white tiles.  It also sums
   :func:`tile_count_total`.
-- the count, :func:`_count_leaves`, adds each leaf at its parent.
 - the marked census, :func:`_tally`, files each leaf under the final
   *marks* its path carried down from the root, one ``step`` per tile.  As
   in the listing, a node with at most six squares left keeps the cells of
   the leaves below it, one entry per leaf; a node above those adds 1 to
   every cell its kept children hold each time it is popped, so every leaf
   still adds exactly 1 and no subtree count is kept.  Each census is a
-  step: the tiling census by (longest white tile, trailing white tiles);
-  the part fold by (last part, per part its multiplicity and whether its
+  step: the tiling census by the white lengths used and the trailing
+  white tiles, packed into one int, ``trailing << (white + 1) | used``
+  with bit ``k`` of ``used`` set when a white tile of length ``k`` occurs;
+  a plain count, :func:`_count_leaves`, under one constant marks; the part
+  fold by (last part, per part its multiplicity and whether its
   copies form one block), from which part occurrences, multiplicities,
   consecutive blocks, part totals and the replacement sums are read; the
   largest-part census by (largest part, its multiplicity).
@@ -51,7 +53,7 @@ tuple of allowed lengths.  Four walks cover that tree:
   them.
 
 No walk consults a formula: every count, cell and credit is a number of
-visited leaves.  The counters are the guard.  A count or a tiling census
+visited leaves.  The counters are the guard.  A count or a census
 raises :class:`OracleScaleError` as soon as it passes ``ceiling``, and
 every listing and every composition census is admitted by its roof, or
 counted, before it is walked, so a family past ``ceiling`` is refused
@@ -76,22 +78,30 @@ family by ``(reds, white)``, the part fold of a composition family by
 ``(0, white, lengths)`` (its total and, per part and multiplicity, its
 compositions and those whose copies form one block) and a tile total by
 ``(reds, white)``; the run census and the largest-part census are walked
-on each call.  An unrestricted :func:`count_tilings` reads its family's
-census, and a count bounded only by a longest white tile ``k`` and a
-white suffix of ``s`` tiles reads a kept census of ``(reds, white + s)``:
-its leaves with longest white tile at most ``k`` and at least ``s``
-trailing white tiles.  A filtered count never starts a census, since a
-family under the ceiling can have an unrestricted parent far past it.  A
-kept count refuses exactly where its walk would have, against the ceiling
-of the call that reads it, and a census helper counts its family that way
+on each call.  Every count reads a census: a family with allowed lengths A
+and a white suffix of ``s`` tiles (0 but for :func:`count_tilings`) is the
+sum of the cells of its *parent*, the unrestricted family of its reds and
+white total, with no used length outside A and at least ``s`` trailing
+white tiles.  A palindrome or suffix family reads one parent per block.
+The parent rule: after the family's own floor, a parent that is not kept
+is tallied under the call's ceiling (``DEFAULT_CEILING``, read when it is
+called, when the ceiling is None), and its own floor refuses first.  A
+refused parent is kept as refused, with the ceiling it failed at, and is
+tried again only under a higher one; the family then walks its own
+leaves.  So a family under the ceiling whose parent is far past it is
+still counted, and the rule reads only the ceiling and the floor.  A kept
+count refuses exactly where its walk would have, against the ceiling of
+the call that reads it, and a census helper counts its family that way
 before it reads a kept fold or total, unless its roof is already at most
-that ceiling.  A refused walk keeps nothing.  Concurrent use needs no
-locking: a race only walks a family twice and stores the same number.
+that ceiling.  A refused walk or count keeps nothing.  Concurrent use
+needs no locking: a race only walks a family twice and stores the same
+number.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -108,8 +118,9 @@ SQUARES_BOUND = 10_000
 
 Composition = tuple[int, ...]
 Codes = tuple[int, ...]
-# What a marked walk carries down its tree, one tuple per node; see _tally.
-Marks = tuple
+# What a marked walk carries down its tree, one hashable value per node;
+# see _tally.
+Marks = Hashable
 
 
 class OracleScaleError(RuntimeError):
@@ -280,15 +291,23 @@ def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
         yield from map(codes.__add__, ends)
 
 
-# The exact leaf count of every walk :func:`_count` has finished, keyed by
-# ``(reds, white, lengths)``, and of every census :func:`count_tilings` has
-# read.  An entry is only ever a count of visited leaves.
+# The exact leaf count of every family :func:`_count` has read or walked,
+# keyed by ``(reds, white, lengths)``, and of every unrestricted family
+# :func:`count_tilings` has read.  An entry is only ever a count of visited
+# leaves.
 _COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
-# The census of every unrestricted tiling family :func:`_census` has walked,
-# keyed by ``(reds, white)``: the number of visited leaves per ``(longest
-# white tile, trailing white tiles)``.
-_CENSUSES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+# The census of every unrestricted tiling family :func:`_parent` has
+# tallied, keyed by ``(reds, white)``: the number of visited leaves per
+# marks ``trailing << (white + 1) | used``, ``used`` the bitmask of the white
+# lengths a tiling uses and ``trailing`` its white tiles after the last red
+# square.  One int per cell keeps the 105 censuses of r + n <= 13 (3,546
+# cells) in 222 KB, against 357 KB with ``(used, trailing)`` tuples.
+_CENSUSES: dict[tuple[int, int], dict[int, int]] = {}
+
+# The highest ceiling each unrestricted family :func:`_parent` has refused
+# at, keyed by ``(reds, white)``: it has more tilings than that.
+_REFUSED: dict[tuple[int, int], int] = {}
 
 # The part fold of every composition family a census helper has read, keyed
 # by ``(0, n, lengths)`` as in ``_COUNTS``: ``(total, rows)``, the number of
@@ -339,7 +358,8 @@ def _refuse_past_floor(
       compositions of ``white``, every red square first.
 
     None is worked out further than it needs to pass.  An unrefused family
-    is still walked, so no count comes from the bound."""
+    is still walked or read off a census, so no count comes from the
+    bound."""
     if ceiling is None or white and lengths[:1] != (1,):
         return
     room = ceiling - seen
@@ -395,17 +415,28 @@ def _count(
     """Number of leaves :func:`_walk` yields; refuses as soon as ``seen``,
     the objects counted before, plus that number passes ``ceiling``.
 
-    Each family is walked once per process: a finished walk's count is
-    kept in ``_COUNTS``, and a later call reads it and refuses exactly when
-    the walk would have.  A refused walk keeps nothing.  A family too
-    large by its lower bound is refused before it is walked."""
+    Each family is counted once per process: its floor refuses first, then
+    it is read off its parent's census (see :func:`_parent`), or walked by
+    :func:`_count_leaves` when the parent is refused.  The count is kept in
+    ``_COUNTS``, and a later call reads it and refuses exactly when the walk
+    would have.  A refused count keeps nothing."""
     if lengths and white % gcd(*lengths):
         return 0  # no leaf, as in _walk
     key = (reds, white, lengths)
     total = _COUNTS.get(key)
     if total is None:
         _refuse_past_floor(reds, white, lengths, ceiling, seen)
-        total = _COUNTS[key] = _count_leaves(reds, white, lengths, ceiling, seen)
+        census = _parent(reds, white, ceiling)
+        if census is not None:
+            total = _kept(_read(census, white, lengths), ceiling, seen)
+        elif ceiling is not None and (
+                not white or lengths[white - 1:white] == (white,)):
+            # Every length up to white is allowed: the family is its
+            # parent, refused with more than ceiling leaves.
+            raise _refusal(ceiling)
+        else:
+            total = _count_leaves(reds, white, lengths, ceiling, seen)
+        _COUNTS[key] = total
         return total
     return _kept(total, ceiling, seen)
 
@@ -417,62 +448,78 @@ def _count_leaves(
     ceiling: int | None,
     seen: int,
 ) -> int:
-    """The walk behind :func:`_count`.  A node's row is its inner children
-    and its number of leaf children, so leaves are added at their parent
-    and never pushed."""
-    shift = white + 1
-    rows: dict[int, tuple[list[int], int]] = {}
-    total = seen
-    root = reds * shift + white
-    stack: list[int] = []
-    pop = stack.pop
-    extend = stack.extend
-    # The root's row, as if it had a parent: a root of state 0 is the one
-    # leaf, the empty tiling.
-    inner, leaves = ([root], 0) if root else ([], 1)
-    while True:
-        extend(inner)
-        if leaves:
-            total += leaves
-            if ceiling is not None and total > ceiling:
-                raise _refusal(ceiling)
-        if not stack:
-            return total - seen
-        state = pop()
-        row = rows.get(state)
-        if row is None:
-            # The longest white tile is popped first; its subtree is the
-            # smallest, which keeps the stack short.
-            children = [state - (code or shift)
-                        for code in _moves(state, shift, lengths)]
-            inner = [child for child in children if child]
-            row = rows[state] = (inner, len(children) - len(inner))
-        inner, leaves = row
+    """The walk behind :func:`_count` when the parent is refused: the
+    family's own leaves, tallied under constant marks."""
+    try:
+        tally = _tally(reds, white, lengths, _same, 0,
+                       None if ceiling is None else ceiling - seen)
+    except OracleScaleError:
+        raise _refusal(ceiling) from None
+    return tally.get(0, 0)
 
 
-def _census(
-    reds: int, white: int, lengths: tuple[int, ...], ceiling: int | None
-) -> dict[tuple[int, int], int]:
-    """The census of the tilings with ``reds`` red squares and white total
-    ``white``, any white length allowed (``lengths`` is ``1..white``): how
-    many have each ``(longest white tile, trailing white tiles)``.  Each
-    family is walked once per process; a refused walk keeps nothing, and a
-    family too large by its lower bound is refused before it is walked."""
+def _same(marks: Marks, code: int) -> Marks:
+    """The step of a plain count: every leaf under one marks."""
+    return marks
+
+
+def _parent(
+    reds: int, white: int, ceiling: int | None
+) -> dict[int, int] | None:
+    """The census of every tiling with ``reds`` red squares and white total
+    ``white``, any white length allowed, or None when it is refused.
+
+    Each parent is tallied once per process into ``_CENSUSES``, under
+    ``ceiling``, or under ``DEFAULT_CEILING`` (read when it is called) when
+    ``ceiling`` is None; its floor refuses first.  A refusal is kept in
+    ``_REFUSED`` with the ceiling it failed at, so the parent is tried again
+    only under a higher one."""
     census = _CENSUSES.get((reds, white))
-    if census is None:
-        _refuse_past_floor(reds, white, lengths, ceiling)
-        census = _CENSUSES[reds, white] = _tally(
-            reds, white, lengths, _longest_step, (0, 0), ceiling)
+    if census is not None:
+        return census
+    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    if _REFUSED.get((reds, white), -inf) >= limit:
+        return None  # refused at this ceiling or a higher one
+    every = tuple(range(1, white + 1))
+    try:
+        _refuse_past_floor(reds, white, every, limit)
+        census = _tally(reds, white, every, _used_step(white), 0, limit)
+    except OracleScaleError:
+        _REFUSED[reds, white] = limit
+        return None
+    _CENSUSES[reds, white] = census
     return census
 
 
-def _longest_step(marks: tuple[int, int], code: int) -> tuple[int, int]:
-    """The marks of the tiling census, ``(longest white tile, trailing
-    white tiles)``: a red square ends the trailing white tiles."""
-    longest, trailing = marks
-    if not code:
-        return longest, 0
-    return code if code > longest else longest, trailing + 1
+def _used_step(white: int) -> Callable[[int, int], int]:
+    """The step of the census of white total ``white``: its marks are
+    ``trailing << (white + 1) | used``, with bit ``k`` of ``used`` set once
+    a white tile of length ``k`` is placed and ``trailing`` the white tiles
+    since the last red square."""
+    used_bits = (1 << (white + 1)) - 1
+    one_trailing = 1 << (white + 1)
+
+    def step(marks: int, code: int) -> int:
+        if not code:
+            return marks & used_bits
+        return (marks | (1 << code)) + one_trailing
+
+    return step
+
+
+def _read(
+    census: dict[int, int], white: int, lengths: tuple[int, ...], s: int = 0
+) -> int:
+    """The leaves of a census of white total ``white`` whose white tiles
+    all have one of the ``lengths`` and that end in at least ``s`` white
+    tiles: a sum of visited leaves, never a formula."""
+    allowed = 0
+    for length in lengths:
+        allowed |= 1 << length
+    unused = ((1 << (white + 1)) - 1) & ~allowed
+    least = s << (white + 1)
+    return sum(count for marks, count in census.items()
+               if marks >= least and not marks & unused)
 
 
 def _marked_ends(
@@ -505,7 +552,7 @@ def _tally(
     start: Marks,
     ceiling: int | None,
 ) -> dict[Marks, int]:
-    """The leaves of the tree :func:`_count_leaves` walks, counted per final
+    """The leaves of the tree :func:`_walk` walks, counted per final
     marks: the root's are ``start``, a child's ``step(marks, code)``.  A
     node is its state plus an interned id of its marks.  Below a node with
     at most ``_KEPT_SQUARES`` squares left, the cells of its leaves are
@@ -524,7 +571,7 @@ def _tally(
     stack: list[int] = []
     pop = stack.pop
     extend = stack.extend
-    # As in _count_leaves, the root's row as if it had a parent.
+    # The root's row, as if it had a parent.
     root = reds * shift + white
     if reds + white > _KEPT_SQUARES:
         inner, ends = [root], []
@@ -833,23 +880,25 @@ def count_tilings(
 
     The count is produced by walking the same enumeration tree leaf by
     leaf, never by a formula, so it is usable as an independent oracle.
-    An unrestricted count walks the census of its family; a count bounded
-    only by ``max_white_len = k`` and ``suffix_white_tiles = s`` reads the
-    census of ``(r, n + s)`` when one is kept, as its leaves with longest
-    white tile at most ``k`` and at least ``s`` trailing white tiles.
+    Unless palindromic, it is read off the census of ``(r, n + s)``: its
+    leaves whose white lengths all pass the filter and that end in at least
+    ``s`` white tiles.  When that census is refused, or the count is
+    palindromic, its blocks are counted one by one (see :func:`_count`).
+    Of the counts read off that census, only an unrestricted one is kept
+    in ``_COUNTS``.
     """
     blocks, lengths = _tiling_blocks(r, n, filter, ceiling)
     f = filter or TilingFilter()
     if f == TilingFilter():
-        total = _COUNTS[r, n, lengths] = _kept(
-            sum(_census(r, n, lengths, ceiling).values()), ceiling)
-        return total
-    k, s = f.max_white_len, f.suffix_white_tiles
-    census = _CENSUSES.get((r, n + s))
-    if census is None or f.forbidden_white_len is not None or f.palindromic:
-        return _counted(blocks, lengths, ceiling)
-    return _kept(sum(count for (longest, trailing), count in census.items()
-                     if trailing >= s and (k is None or longest <= k)), ceiling)
+        return _count(r, n, lengths, ceiling)
+    if not f.palindromic:
+        s = f.suffix_white_tiles
+        if lengths and (n + s) % gcd(*lengths):
+            return 0  # no leaf, as in _walk: no parent to start
+        census = _parent(r, n + s, ceiling)
+        if census is not None:
+            return _kept(_read(census, n + s, lengths, s), ceiling)
+    return _counted(blocks, lengths, ceiling)
 
 
 def enumerate_palindromic_tilings(

@@ -335,6 +335,12 @@ def test_white_total_off_the_gcd_has_no_objects():
     evens = TilingFilter(max_white_len=2, forbidden_white_len=1)
     assert count_tilings(5, 301, evens) == 0
     assert enumerate_tilings(5, 301, evens) == []
+    # Nor is the census of their parent started, though it is under the
+    # ceiling (2**22 tilings of (0, 23)).
+    with patch.object(orc, "_tally", _no_count):
+        assert count_tilings(0, 23, evens) == 0
+        assert count_tilings(0, 20, TilingFilter(
+            max_white_len=2, forbidden_white_len=1, suffix_white_tiles=3)) == 0
     # Multiples of the gcd are still walked and counted.
     assert orc.count_compositions(12, allowed_parts=(2, 4)) == 13
     assert count_tilings(3, 20, evens) == 286
@@ -595,10 +601,11 @@ def test_large_run_census_matches_the_naive_fold(n):
 
 @pytest.fixture
 def store():
-    """The count store, emptied for one test with the census, part fold
-    and tile total stores, so that a first count walks."""
+    """The count store, emptied for one test with the census, refused
+    parent, part fold and tile total stores, so that a first count walks."""
     with patch.dict(orc._COUNTS, clear=True), \
             patch.dict(orc._CENSUSES, clear=True), \
+            patch.dict(orc._REFUSED, clear=True), \
             patch.dict(orc._FOLDS, clear=True), \
             patch.dict(orc._TILES, clear=True):
         yield orc._COUNTS
@@ -703,14 +710,20 @@ def test_refused_walk_and_dead_family_are_not_stored(store):
     assert count_tilings(5, 301, TilingFilter(max_white_len=2,
                                               forbidden_white_len=1)) == 0
     assert store == {}
-    # A suffix family refused in its last block keeps the blocks it finished.
+    assert orc._CENSUSES == {}  # each parent was refused or never tried
+    # A suffix family is read off its parent's census and stores no count.
+    # Once that parent (28 tilings of (1, 4)) is refused, the family counts
+    # its blocks, and one refused in its last block keeps those it finished.
     suffix = TilingFilter(suffix_white_tiles=1)
     exact = count_tilings(1, 3, suffix, ceiling=None)
-    finished = dict(store)
-    store.clear()
-    with pytest.raises(OracleScaleError):
+    assert exact == 20 and store == {}
+    orc._CENSUSES.clear()
+    with pytest.raises(OracleScaleError, match="more than 19 objects"):
         count_tilings(1, 3, suffix, ceiling=exact - 1)
-    assert store.items() < finished.items()
+    assert (1, 4) not in orc._CENSUSES
+    lengths = (1, 2, 3, 4)
+    assert store == {(1, 3, lengths): 12, (1, 2, lengths): 5,
+                     (1, 1, lengths): 2}
 
 
 @pytest.mark.parametrize("count, seen", [
@@ -761,9 +774,16 @@ def test_unrestricted_family_past_its_lower_bound_is_not_walked(store):
 
 def test_stored_empty_family_refuses_nothing(store):
     empty = TilingFilter(max_white_len=1, forbidden_white_len=1)
+    # Read off the census of (0, 2): no leaf uses no white length.
     assert count_tilings(0, 2, empty) == 0
-    assert store == {(0, 2, ()): 0}
-    assert count_tilings(0, 2, empty, ceiling=-5) == 0
+    assert store == {} and set(orc._CENSUSES) == {(0, 2)}
+    # Under a ceiling its parent passes, the empty family is walked and
+    # stored as 0, which refuses nothing.
+    orc._CENSUSES.clear()
+    for _ in range(2):
+        assert count_tilings(0, 2, empty, ceiling=-5) == 0
+        assert store == {(0, 2, ()): 0}
+    assert orc._CENSUSES == {}
     assert enumerate_tilings(0, 2, empty, ceiling=-5) == []
 
 
@@ -802,13 +822,71 @@ def _trailing_whites(codes) -> int:
     return len(codes) - 1 - max((i for i, c in enumerate(codes) if not c), default=-1)
 
 
+def _used_marks(white):
+    """The census marks of a tiling of white total ``white``, from its codes:
+    its trailing white tiles above the bitmask of the white lengths used."""
+    def marks(codes):
+        used = sum(1 << code for code in set(codes) if code)
+        return (_trailing_whites(codes) << (white + 1)) | used
+    return marks
+
+
 def test_census_counts_each_leaf_by_longest_and_trailing_white(store):
+    # Each leaf is filed by the white lengths it uses, its longest white
+    # tile being the top bit, and by its trailing white tiles.
     for r in range(5):
         for n in range(8 - r):
-            naive = Counter((max(codes, default=0), _trailing_whites(codes))
-                            for codes in orc._walk(r, n, tuple(range(1, n + 1))))
-            assert count_tilings(r, n) == sum(naive.values())
-            assert orc._CENSUSES[r, n] == naive
+            leaves = list(orc._walk(r, n, tuple(range(1, n + 1))))
+            assert count_tilings(r, n) == len(leaves)
+            census = orc._CENSUSES[r, n]
+            assert census == Counter(map(_used_marks(n), leaves))
+            longest = Counter()
+            for marks, count in census.items():
+                used, trailing = marks & ((1 << (n + 1)) - 1), marks >> (n + 1)
+                longest[max(used.bit_length() - 1, 0), trailing] += count
+            assert longest == Counter(
+                (max(codes, default=0), _trailing_whites(codes))
+                for codes in leaves)
+
+
+@pytest.mark.parametrize("squares", range(5, 11))
+def test_used_lengths_census_and_its_reads_match_the_listing(store, squares):
+    # Families below, at and above _KEPT_SQUARES squares: the census files
+    # each leaf once under its used lengths and trailing white tiles, and a
+    # count under every kind of filter reads it (nothing walks its own
+    # family) to the number of listed leaves that pass the filter.
+    def naive(leaves, keep):
+        return sum(1 for codes in leaves if keep(codes))
+
+    for reds in range(squares + 1):
+        white = squares - reds
+        leaves = list(orc._walk(reds, white, tuple(range(1, white + 1))))
+        assert orc._parent(reds, white, None) == Counter(
+            map(_used_marks(white), leaves))
+        with patch.object(orc, "_count_leaves", _no_count):
+            for k, s in ((2, 0), (2, 1), (3, 2), (None, 3), (1, white)):
+                if s <= white:
+                    assert count_tilings(reds, white - s, TilingFilter(
+                        max_white_len=k, suffix_white_tiles=s)) == naive(
+                        leaves, lambda c: max(c, default=0) <= (k or white)
+                        and _trailing_whites(c) >= s), (reds, white, k, s)
+            assert count_tilings(reds, white, TilingFilter(
+                forbidden_white_len=2)) == naive(leaves, lambda c: 2 not in c)
+            assert count_tilings(reds, white, TilingFilter(palindromic=True)) \
+                == naive(leaves, lambda c: c == c[::-1])
+    n = squares
+    compositions = list(orc._walk(0, n, tuple(range(1, n + 1))))
+    with patch.object(orc, "_count_leaves", _no_count):
+        for kwargs, keep in (
+                ({"forbidden_part": 2}, lambda c: 2 not in c),
+                ({"allowed_parts": (1, 3)}, lambda c: set(c) <= {1, 3}),
+                ({"allowed_parts": (2, 3, 7)}, lambda c: set(c) <= {2, 3, 7}),
+                ({"max_part": 2}, lambda c: max(c) <= 2),
+                ({"no_multiple_of": 2}, lambda c: all(p % 2 for p in c))):
+            assert orc.count_compositions(n, **kwargs) == \
+                naive(compositions, keep), kwargs
+        assert orc.count_palindromic_compositions(n, forbidden_part=1) == \
+            naive(compositions, lambda c: c == c[::-1] and 1 not in c)
 
 
 def _fold_marks(n):
@@ -833,9 +911,8 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
     for reds in range(squares + 1):
         white = squares - reds
         lengths = tuple(range(1, white + 1))
-        assert orc._tally(reds, white, lengths, orc._longest_step, (0, 0), None) \
-            == Counter((max(codes, default=0), _trailing_whites(codes))
-                       for codes in orc._walk(reds, white, lengths))
+        assert orc._tally(reds, white, lengths, orc._used_step(white), 0, None) \
+            == Counter(map(_used_marks(white), orc._walk(reds, white, lengths)))
     n = squares
     for lengths in (tuple(range(1, n + 1)), (1, 2), (1, 2, 3), (1, 3), (2, 3)):
         for step, start, marks in (
@@ -861,18 +938,78 @@ def test_unrestricted_count_refuses_one_below_its_size(store, r, n, inside):
     assert sum(orc._CENSUSES[r, n].values()) == exact
 
 
-def test_census_reads_match_the_walk(store):
-    cells = [(r, n, TilingFilter(max_white_len=k, suffix_white_tiles=s))
-             for r in range(10) for n in range(10 - r)
-             for k in (None, *range(1, n + 2)) for s in range(n + 1)
-             if k is not None or s]
-    walked = {cell: count_tilings(*cell) for cell in cells}
-    assert orc._CENSUSES == {}  # a filtered count starts no census
-    for r, n, f in cells:
-        count_tilings(r, n + f.suffix_white_tiles)
-    store.clear()
+def _check_census_reads(cells):
+    """Each filtered count of ``cells`` read off its parent's census equals
+    the count of its own walk."""
+    parents = {(r, n + f.suffix_white_tiles) for r, n, f in cells}
+    # With every parent refused, each filtered count walks its own blocks.
+    with patch.object(orc, "_parent", lambda reds, white, ceiling: None):
+        walked = {cell: count_tilings(*cell, ceiling=None) for cell in cells}
+    assert orc._CENSUSES == {}
+    orc._COUNTS.clear()
+    # A filtered count starts its parent's census and reads it.
     assert {cell: count_tilings(*cell) for cell in cells} == walked
-    assert store == {}  # every filtered count was read, none walked
+    assert orc._COUNTS == {}  # every filtered count was read, none walked
+    assert set(orc._CENSUSES) == parents
+
+
+def test_census_reads_match_the_walk(store):
+    _check_census_reads([
+        (r, n, TilingFilter(max_white_len=k, suffix_white_tiles=s))
+        for r in range(10) for n in range(10 - r)
+        for k in (None, *range(1, n + 2)) for s in range(n + 1)
+        if k is not None or s])
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TILINGKIT_LARGE_SCALE"),
+    reason="set TILINGKIT_LARGE_SCALE=1 to check census reads up to r + n = 14",
+)
+def test_census_reads_match_the_walk_at_large_scale(store):
+    # Up to r + n = 14, each parent within the 18 squares of the grid above.
+    _check_census_reads([
+        (r, n, TilingFilter(max_white_len=k, suffix_white_tiles=s))
+        for r in range(15) for n in range(15 - r)
+        for k in (None, *range(1, n + 2)) for s in range(min(n, 18 - r - n) + 1)
+        if k is not None or s])
+
+
+def test_refused_parent_is_kept_as_refused_and_not_tallied_again(
+    store, monkeypatch
+):
+    tallied = []
+    tally = orc._tally
+
+    def recorded(reds, white, lengths, step, *args):
+        tallied.append((reds, white, "own" if step is orc._same else "parent"))
+        return tally(reds, white, lengths, step, *args)
+
+    monkeypatch.setattr(orc, "_tally", recorded)
+    # The parent of (0, 24) under lengths 1 and 2 has 2**23 tilings: its
+    # floor refuses it at once, and the family walks its own leaves.
+    bounded = TilingFilter(max_white_len=2)
+    for _ in range(2):
+        assert count_tilings(0, 24, bounded, ceiling=10 ** 5) == 75_025
+        assert orc._CENSUSES == {} and orc._REFUSED == {(0, 24): 10 ** 5}
+        assert store == {(0, 24, (1, 2)): 75_025}
+        assert tallied == [(0, 24, "own")]
+    # The parent of (3, 12), 230,656 tilings, passes its floor of 2,048 and
+    # is refused by its tally; another family of it does not tally it again.
+    tallied.clear()
+    assert count_tilings(3, 12, bounded, ceiling=10 ** 5) == 49_963
+    assert tallied == [(3, 12, "parent"), (3, 12, "own")]
+    assert orc._REFUSED[3, 12] == 10 ** 5 and (3, 12) not in orc._CENSUSES
+    tallied.clear()
+    odd = TilingFilter(max_white_len=3, forbidden_white_len=2)
+    assert count_tilings(3, 12, odd, ceiling=10 ** 4) == 9_650
+    assert count_tilings(3, 12, odd, ceiling=10 ** 5) == 9_650
+    assert tallied == [(3, 12, "own")]
+    # Under a higher ceiling it is tried again, and then read.
+    tallied.clear()
+    assert count_tilings(3, 12, TilingFilter(max_white_len=4)) == \
+        sum(1 for _ in orc._walk(3, 12, (1, 2, 3, 4)))
+    assert tallied == [(3, 12, "parent")]
+    assert sum(orc._CENSUSES[3, 12].values()) == 230_656
 
 
 def test_filtered_count_without_a_census_walks_its_own_family(store):
@@ -1133,7 +1270,9 @@ def test_filtered_floor_is_a_lower_bound(lengths):
 
 
 def test_filtered_floor_refuses_before_any_walk(store):
+    # Neither the family nor its parent is tallied or walked.
     with patch.object(orc, "_count_leaves", _no_count), \
+            patch.object(orc, "_tally", _no_count), \
             patch.object(orc, "_walk", _no_count):
         for refused in (
             lambda: orc.count_compositions(60, forbidden_part=3, ceiling=1000),
