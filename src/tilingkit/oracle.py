@@ -26,8 +26,10 @@ tuple of allowed lengths.  Three walks cover that tree:
   leaf below it for the rest of the walk, so near the leaves it runs no
   loop per node; every leaf is still a tuple built for it.  Palindromes
   are a walked half, an optional centre and the mirrored half; suffix
-  tilings a walked body and a tail of ``s`` white tiles.  It also sums
-  :func:`tile_count_total`.
+  tilings a walked body and a tail of ``s`` white tiles.  It serves only
+  the listings, which run with the cyclic garbage collector paused (their
+  tuples, lists and tilings hold no cycles) and make each tiling without
+  the frozen ``__init__``.
 - the marked census, :func:`_tally`, files each leaf under the final
   *marks* its path carried down from the root, one ``step`` per tile.  As
   in the listing, a node with at most six squares left keeps the cells of
@@ -41,7 +43,9 @@ tuple of allowed lengths.  Three walks cover that tree:
   fold by (last part, per part its multiplicity and whether its
   copies form one block), from which part occurrences, multiplicities,
   consecutive blocks, part totals and the replacement sums are read; the
-  largest-part census by (largest part, its multiplicity).
+  largest-part census by (largest part, its multiplicity); the white-tile
+  census by the number of white tiles, from which
+  :func:`tile_count_total` is read.
 - the run census, :func:`_run_leaves`, carries the last part and the
   length of its open run, and credits each maximal run once per leaf, to
   its own ``(value, length)``, where it closes: at a child with another
@@ -61,10 +65,11 @@ before any object is built.  The roof, 2**(white - 1) * C(white + reds,
 reds) (1 for white 0), bounds a family's size from above: when the roofs of
 a listing's blocks sum to at most ``ceiling``, it is walked once with no
 guard count.  The floor bounds it from below for lengths that hold 1:
-C(white + reds, reds), 2**(white // m) for the next allowed length m, or
-2**(white - 1) when every length is allowed; a family whose floor passes
-the ceiling is refused before its walk.  Neither bound is a count: the floor
-only refuses and the roof only skips a guard walk.  A family covering more
+C(white + reds, reds), 2**(white // m) for the next allowed length m, or,
+when every length is allowed, 2**(white - 1) and the tilings with exactly
+t white tiles for the best t; a family whose floor passes the ceiling is
+refused before its walk.  Neither bound is a count: the floor only refuses
+and the roof only skips a guard walk.  A family covering more
 than ``SQUARES_BOUND`` squares is refused before its lengths are built (as
 past the ceiling when its floor, read off its first two lengths, already
 passes it), and a white total that is not a multiple of the gcd of the
@@ -100,12 +105,13 @@ number.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
 from collections.abc import Hashable
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain
-from math import gcd, inf
+from functools import cache, wraps
+from itertools import chain, repeat
+from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
@@ -161,7 +167,9 @@ class TwoTonedTiling:
 
     The tiling is stored as its tile codes; :attr:`tiles` builds the
     :class:`Tile` objects on demand.  A listing holds one per object, so
-    the class keeps no instance dict: 40 bytes less per tiling.
+    the class keeps no instance dict: 40 bytes less per tiling.  A listing
+    makes its tilings with :func:`_tilings`, the same objects at about half
+    the cost of the frozen ``__init__``.
     """
 
     codes: Codes
@@ -184,6 +192,20 @@ class TwoTonedTiling:
 
     def __str__(self) -> str:
         return " ".join(map(str, self.tiles)) if self.codes else "(empty)"
+
+
+_set_codes = TwoTonedTiling.codes.__set__
+
+
+def _tilings(listed: list[Codes]) -> list[TwoTonedTiling]:
+    """``[TwoTonedTiling(codes) for codes in listed]``, each made by
+    ``object.__new__`` with its slot set directly: no Python frame per
+    tiling, where the frozen ``__init__`` runs one and sets the slot
+    through ``object.__setattr__``."""
+    tilings = list(map(object.__new__, repeat(TwoTonedTiling, len(listed))))
+    for tiling, codes in zip(tilings, listed):
+        _set_codes(tiling, codes)
+    return tilings
 
 
 @dataclass(frozen=True)
@@ -355,26 +377,38 @@ def _refuse_past_floor(
       m unit tiles, each merged into one tile or not, every red square
       first;
     - 2**(white - 1) when every length up to ``white`` is allowed: the
-      compositions of ``white``, every red square first.
+      compositions of ``white``, every red square first;
+    - C(white - 1, t - 1) * C(t + reds, reds), for each t, when every
+      length up to ``white`` is allowed: the tilings with exactly t white
+      tiles, a composition of ``white`` into t parts with the red squares
+      placed among them.
 
-    None is worked out further than it needs to pass.  An unrefused family
-    is still walked or read off a census, so no count comes from the
-    bound."""
+    None is worked out for a family whose roof (see :func:`_roof`) is
+    within the room, and the last only when the others pass, so with
+    2**(white - 1) within the room: for fewer than ``room.bit_length()``
+    values of t.  An unrefused family is still walked or read off a census,
+    so no count comes from the bound."""
     if ceiling is None or white and lengths[:1] != (1,):
         return
     room = ceiling - seen
-    if room > 0 and reds + white < room.bit_length():
-        return  # every bound is at most 2**(reds + white) <= room
+    if room > 0 and _roof(reds, white, room) <= room:
+        return  # every bound is at most the family's size, so at its roof
+    # The ascending lengths start 1, 2, ..., white.
+    every = white > 0 and len(lengths) >= white and lengths[white - 1] == white
     if not white:
         exponent = 0
-    elif len(lengths) >= white and lengths[white - 1] == white:
-        exponent = white - 1  # the ascending lengths start 1, 2, ..., white
+    elif every:
+        exponent = white - 1
     else:
         exponent = white // lengths[1] if len(lengths) > 1 else 0
     # The family has an object; 2**exponent > room exactly when exponent >=
-    # room.bit_length().
+    # room.bit_length().  The t bounds at t = 1 and t = white are at most
+    # C(white + reds, reds).
     if (room < 1 or exponent >= room.bit_length()
-            or _capped_binomial(reds, white, 1, room) > room):
+            or _capped_binomial(reds, white, 1, room) > room
+            or every and any(
+                _capped_binomial(reds, t, comb(white - 1, t - 1), room) > room
+                for t in range(2, white))):
         raise _refusal(ceiling)
 
 
@@ -827,6 +861,26 @@ def _listing(
     return out
 
 
+def _uncollected(listing: Callable[..., list]) -> Callable[..., list]:
+    """``listing`` run with the cyclic garbage collector paused while it is
+    enabled, and left as found, also when the listing raises or runs inside
+    another.  A listing builds tuples of ints, lists and tilings, which hold
+    no reference cycles, so a collection during it finds nothing to free;
+    paused, the young collection its allocations are due lands at the
+    first allocation after it returns."""
+    @wraps(listing)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return listing(*args, **kwargs)
+        gc.disable()
+        try:
+            return listing(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # Tilings.
 # ---------------------------------------------------------------------------
@@ -852,6 +906,7 @@ def _tiling_blocks(
     return [(r, n, (), False)], lengths
 
 
+@_uncollected
 def enumerate_tilings(
     r: int,
     n: int,
@@ -866,7 +921,7 @@ def enumerate_tilings(
     result is sorted lexicographically on tile codes.
     """
     blocks, lengths = _tiling_blocks(r, n, filter, ceiling)
-    return [TwoTonedTiling(codes) for codes in _listing(blocks, lengths, ceiling)]
+    return _tilings(_listing(blocks, lengths, ceiling))
 
 
 def count_tilings(
@@ -971,6 +1026,7 @@ def _part_lengths(
     return tuple(filter(allowed, parts))
 
 
+@_uncollected
 def enumerate_compositions(
     n: int,
     *,
@@ -1000,6 +1056,7 @@ def count_compositions(
     return _count(0, n, lengths, ceiling)
 
 
+@_uncollected
 def enumerate_palindromic_compositions(
     n: int,
     *,
@@ -1169,15 +1226,24 @@ def consecutive_part_census(n: int, k: int) -> dict[int, int]:
             in _part_histogram(n, k, one_block=True).items() if count}
 
 
+def _white_step(marks: int, code: int) -> int:
+    """The marks of the white-tile census: the white tiles placed."""
+    return marks + 1 if code else marks
+
+
 def tile_count_total(r: int, n: int) -> int:
     """Total number of tiles over every tiling with ``r`` reds and white total
-    ``n``.  Each family's total is summed once per process."""
+    ``n``: its tilings with j white tiles, counted by a census of visited
+    leaves, have r + j tiles each.  Each family's total is tallied once per
+    process."""
     if r < 0:
         raise ValueError("r and n must be nonnegative")
     lengths = _census_lengths(n, reds=r)
     total = _TILES.get((r, n))
     if total is None:
-        total = _TILES[r, n] = sum(map(len, _walk(r, n, lengths)))
+        census = _tally(r, n, lengths, _white_step, 0, None)
+        total = _TILES[r, n] = sum((r + whites) * count
+                                   for whites, count in census.items())
     return total
 
 

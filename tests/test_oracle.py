@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import itertools
 import os
 import tracemalloc
@@ -64,6 +65,22 @@ class TestTileTypes:
             TilingFilter(max_white_len=0)
         with pytest.raises(ValueError):
             TilingFilter(palindromic=True, suffix_white_tiles=2)
+
+    def test_listed_tiling_is_the_constructed_one(self):
+        # A listing builds its tilings without the frozen __init__; each is
+        # the tiling the constructor makes from the same codes.
+        for r, n, f in ((0, 0, None), (1, 2, None), (3, 4, None),
+                        (2, 6, TilingFilter(palindromic=True)),
+                        (1, 3, TilingFilter(suffix_white_tiles=2))):
+            listed = enumerate_tilings(r, n, f)
+            assert listed
+            for tiling in listed:
+                built = TwoTonedTiling(tiling.codes)
+                assert type(tiling) is TwoTonedTiling
+                assert type(tiling.codes) is tuple
+                assert tiling == built and hash(tiling) == hash(built)
+                assert repr(tiling) == repr(built)
+                assert str(tiling) == str(built)
 
 
 class TestEnumerateTilings:
@@ -308,6 +325,69 @@ def test_refusal_at_large_size_needs_little_memory(walk):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+_LISTINGS = [
+    lambda **kw: enumerate_tilings(2, 5, **kw),
+    lambda **kw: enumerate_tilings(1, 4, TilingFilter(suffix_white_tiles=2),
+                                   **kw),
+    lambda **kw: enumerate_palindromic_tilings(2, 8, **kw),
+    lambda **kw: enumerate_compositions(9, forbidden_part=2, **kw),
+    lambda **kw: enumerate_palindromic_compositions(12, **kw),
+]
+
+
+@pytest.mark.parametrize("listing", _LISTINGS)
+def test_listing_leaves_the_collector_as_it_found_it(
+    store, monkeypatch, listing
+):
+    # The objects are built with the collector paused.
+    inside = []
+    walk = orc._listing
+
+    def recorded(*args):
+        inside.append(gc.isenabled())
+        return walk(*args)
+
+    monkeypatch.setattr(orc, "_listing", recorded)
+    assert gc.isenabled()
+    size = len(listing())
+    assert gc.isenabled() and inside == [False]
+    # A refusal under a low ceiling re-enables it too.
+    with pytest.raises(OracleScaleError):
+        listing(ceiling=size - 1)
+    assert gc.isenabled()
+    # A caller that paused the collector finds it paused.
+    gc.disable()
+    try:
+        assert len(listing()) == size
+        with pytest.raises(OracleScaleError):
+            listing(ceiling=size - 1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_listing_leaves_the_collector_paused_for_the_outer_one(
+    monkeypatch
+):
+    # A listing run inside another, here a composition listing inside the
+    # blocks of a palindromic tiling listing, leaves the collector paused
+    # until the outer one returns.
+    inside = []
+    listing = orc._listing
+
+    def nested(*args):
+        inside.append(gc.isenabled())
+        if len(inside) == 1:
+            assert len(enumerate_compositions(6)) == 32
+            inside.append(gc.isenabled())
+        return listing(*args)
+
+    monkeypatch.setattr(orc, "_listing", nested)
+    assert len(enumerate_palindromic_tilings(2, 6)) == 20
+    assert inside == [False, False, False]
+    assert gc.isenabled()
 
 
 def test_tile_count_total_rejects_negative_reds():
@@ -889,6 +969,21 @@ def test_used_lengths_census_and_its_reads_match_the_listing(store, squares):
             naive(compositions, lambda c: c == c[::-1] and 1 not in c)
 
 
+@pytest.mark.parametrize("reds", range(5))
+def test_tile_total_is_read_off_the_white_tile_census(store, reds):
+    # The census by white tiles equals a naive Counter over the listing, and
+    # the tile total read off it the tiles the listing builds; no tile
+    # total walks the listing.
+    for white in range(12 - reds):
+        lengths = tuple(range(1, white + 1))
+        leaves = list(orc._walk(reds, white, lengths))
+        assert orc._tally(reds, white, lengths, orc._white_step, 0, None) == \
+            Counter(len(codes) - codes.count(0) for codes in leaves)
+        with patch.object(orc, "_walk", _no_count):
+            assert orc.tile_count_total(reds, white) == sum(map(len, leaves))
+    assert len(orc._TILES) == 12 - reds
+
+
 def _fold_marks(n):
     """The part fold's marks of a composition of ``n``, from its parts."""
     def marks(codes):
@@ -993,7 +1088,7 @@ def test_refused_parent_is_kept_as_refused_and_not_tallied_again(
         assert orc._CENSUSES == {} and orc._REFUSED == {(0, 24): 10 ** 5}
         assert store == {(0, 24, (1, 2)): 75_025}
         assert tallied == [(0, 24, "own")]
-    # The parent of (3, 12), 230,656 tilings, passes its floor of 2,048 and
+    # The parent of (3, 12), 230,656 tilings, passes its floor of 55,440 and
     # is refused by its tally; another family of it does not tally it again.
     tallied.clear()
     assert count_tilings(3, 12, bounded, ceiling=10 ** 5) == 49_963
@@ -1267,6 +1362,49 @@ def test_filtered_floor_is_a_lower_bound(lengths):
             if size:
                 with pytest.raises(OracleScaleError):
                     orc._count(reds, white, lengths, size - 1)
+
+
+def test_unrestricted_floor_is_a_lower_bound(store):
+    # With every length up to white allowed, the floor also takes the
+    # tilings with exactly t white tiles for the best t; it never passes the
+    # walked size of the family.
+    for reds in range(8):
+        for white in range(1, 15 - reds):
+            every = tuple(range(1, white + 1))
+            size = orc._count(reds, white, every, None)
+            orc._refuse_past_floor(reds, white, every, size)
+            orc._refuse_past_floor(reds, white, every, size + 4, 4)
+            with pytest.raises(OracleScaleError):
+                orc._count(reds, white, every, size - 1)
+
+
+def test_unrestricted_floor_refuses_large_parents_before_any_tally(
+    store, monkeypatch
+):
+    # These parents have 131-185 M tilings and pass the other floors at
+    # the default ceiling; the best t refuses them at once.
+    with patch.object(orc, "_tally", _no_count):
+        for reds, white in ((3, 20), (2, 22), (5, 17), (4, 18)):
+            assert _refusal_message(lambda: count_tilings(reds, white)) == \
+                "oracle scale exceeded: more than 10000000 objects"
+            assert orc._parent(reds, white, None) is None
+    assert orc._REFUSED == dict.fromkeys(
+        ((3, 20), (2, 22), (5, 17), (4, 18)), orc.DEFAULT_CEILING)
+    # (2, 20), 38,928,384 tilings, still passes: at most 7,205,484 of them
+    # have the same number of white tiles.
+    orc._refuse_past_floor(2, 20, tuple(range(1, 21)), orc.DEFAULT_CEILING)
+    # A small family of a refused parent walks only its own leaves.
+    tallied = []
+    tally = orc._tally
+
+    def recorded(reds, white, lengths, step, *args):
+        tallied.append((reds, white, step is orc._same))
+        return tally(reds, white, lengths, step, *args)
+
+    monkeypatch.setattr(orc, "_tally", recorded)
+    assert count_tilings(3, 20, TilingFilter(max_white_len=2,
+                                             forbidden_white_len=1)) == 286
+    assert tallied == [(3, 20, True)]
 
 
 def test_filtered_floor_refuses_before_any_walk(store):
