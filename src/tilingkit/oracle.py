@@ -31,20 +31,21 @@ tuple of allowed lengths.  Three walks cover that tree:
   tuples, lists and tilings hold no cycles) and make each tiling without
   the frozen ``__init__``.
 - the marked census, :func:`_tally`, files each leaf under the final
-  *marks* its path carried down from the root, one ``step`` per tile.  As
-  in the listing, a node with at most six squares left keeps the cells of
-  the leaves below it, one entry per leaf; a node above those adds 1 to
-  every cell its kept children hold each time it is popped, so every leaf
-  still adds exactly 1 and no subtree count is kept.  Each census is a
-  step: the tiling census by the white lengths used and the trailing
-  white tiles, packed into one int, ``trailing << (white + 1) | used``
-  with bit ``k`` of ``used`` set when a white tile of length ``k`` occurs;
-  a plain count, :func:`_count_leaves`, under one constant marks; the part
-  fold by (last part, per part its multiplicity and whether its
-  copies form one block), from which part occurrences, multiplicities,
-  consecutive blocks, part totals and the replacement sums are read; the
-  largest-part census by (largest part, its multiplicity); the white-tile
-  census by the number of white tiles, from which
+  *marks*, one int, that its path carried down from the root, one
+  ``step`` per tile; a node is its state and marks packed into one int.
+  As in the listing, a node with at most six squares left keeps the cells
+  of the leaves below it, one entry per leaf; a node above those adds 1
+  to every cell its kept children hold each time it is popped, so every
+  leaf still adds exactly 1 and no subtree count is kept.  Each census is
+  a step: the tiling census by ``trailing << (white + 1) | used``, bit
+  ``k`` of ``used`` set when a white tile of length ``k`` occurs and
+  ``trailing`` the white tiles after the last red square; a plain count,
+  :func:`_count_leaves`, under marks 0; the part fold of ``n`` by fields
+  of ``(2n + 1).bit_length()`` bits, the last part and, per part, twice
+  its copies plus 1 when they form more than one block, from which part
+  occurrences, multiplicities, consecutive blocks, part totals and the
+  replacement sums are read; the largest-part census by ``largest * (n +
+  1) + copies``; the white-tile census by its white tiles, from which
   :func:`tile_count_total` is read.
 - the run census, :func:`_run_leaves`, carries the last part and the
   length of its open run, and credits each maximal run once per leaf, to
@@ -107,7 +108,6 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_right
-from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import chain, repeat
@@ -124,9 +124,6 @@ SQUARES_BOUND = 10_000
 
 Composition = tuple[int, ...]
 Codes = tuple[int, ...]
-# What a marked walk carries down its tree, one hashable value per node;
-# see _tally.
-Marks = Hashable
 
 
 class OracleScaleError(RuntimeError):
@@ -257,8 +254,8 @@ def _moves(state: int, shift: int, lengths: tuple[int, ...]) -> Codes:
 # :func:`_tally` one cell per leaf, :func:`_run_leaves` one cell per leaf and
 # run that closes below it.  Such a node has at most 66 leaves.  One listing
 # keeps at most 377 tuples of at most six codes; one tally keeps a list of
-# at most 66 cells per kept (state, marks) pair and, per node above them, a
-# row of at most 168 cells; one run census keeps a list of at most 110
+# at most 66 cells per kept node (its state and marks) and, per node above
+# them, a row of at most 168 cells; one run census keeps a list of at most 110
 # cells per kept (rest, last part, run) and, per node above them, a row of
 # at most seven such lists and one of at most 64 cells.  Eight squares
 # would keep up to 2,584 and listed about 3 % faster; four keep at most 55
@@ -492,7 +489,7 @@ def _count_leaves(
     return tally.get(0, 0)
 
 
-def _same(marks: Marks, code: int) -> Marks:
+def _same(marks: int, code: int) -> int:
     """The step of a plain count: every leaf under one marks."""
     return marks
 
@@ -557,24 +554,20 @@ def _read(
 
 
 def _marked_ends(
-    state: int,
-    marks: Marks,
-    shift: int,
-    lengths: tuple[int, ...],
-    step: Callable[[Marks, int], Marks],
-    kept: dict[tuple[int, Marks], list[list[int]]],
+    node: int, size: int, shift: int, lengths: tuple[int, ...],
+    step: Callable[[int, int], int], kept: dict[int, list[list[int]]],
 ) -> list[list[int]]:
-    """The cells of the leaves below a node with at most ``_KEPT_SQUARES``
-    squares left and marks ``marks``, one entry per leaf, built from its
-    children's and kept in ``kept`` for the rest of the walk; a leaf's is
-    its own cell."""
-    key = (state, marks)
-    ends = kept.get(key)
+    """The cells of the leaves below a node ``state + size * marks`` with
+    at most ``_KEPT_SQUARES`` squares left, one entry per leaf, built from
+    its children's and kept in ``kept`` for the rest of the walk; a leaf's
+    is its own cell."""
+    ends = kept.get(node)
     if ends is None:
-        ends = kept[key] = [] if state else [[0]]
+        marks, state = divmod(node, size)
+        ends = kept[node] = [] if state else [[0]]
         for code in _moves(state, shift, lengths):
-            ends += _marked_ends(state - (code or shift), step(marks, code),
-                                 shift, lengths, step, kept)
+            ends += _marked_ends(state - (code or shift) + size * step(marks, code),
+                                 size, shift, lengths, step, kept)
     return ends
 
 
@@ -582,35 +575,31 @@ def _tally(
     reds: int,
     white: int,
     lengths: tuple[int, ...],
-    step: Callable[[Marks, int], Marks],
-    start: Marks,
+    step: Callable[[int, int], int],
+    start: int,
     ceiling: int | None,
-) -> dict[Marks, int]:
+) -> dict[int, int]:
     """The leaves of the tree :func:`_walk` walks, counted per final
-    marks: the root's are ``start``, a child's ``step(marks, code)``.  A
-    node is its state plus an interned id of its marks.  Below a node with
-    at most ``_KEPT_SQUARES`` squares left, the cells of its leaves are
-    kept, one per leaf (see :func:`_marked_ends`); a node above it has a row
-    of its inner children and the cells of the leaves below its kept
-    children, each of which gets 1 when the node is popped.  Refuses as
-    soon as the leaves pass ``ceiling``."""
+    marks, a nonnegative int: the root's are ``start``, a child's
+    ``step(marks, code)``.  A node is ``state + size * marks``.  Below a
+    node with at most ``_KEPT_SQUARES`` squares left, the cells of its
+    leaves are kept, one per leaf (see :func:`_marked_ends`); a node above
+    it has a row of its inner children and the cells of the leaves below
+    its kept children, each of which gets 1 when the node is popped.
+    Refuses as soon as the leaves pass ``ceiling``."""
     shift = white + 1
     size = (reds + 1) * shift  # every state is below it
     limit = inf if ceiling is None else ceiling
-    ids: dict[Marks, int] = {start: 0}
-    marked = [start]
-    kept: dict[tuple[int, Marks], list[list[int]]] = {}
+    kept: dict[int, list[list[int]]] = {}
     rows: dict[int, tuple[list[int], list[list[int]]]] = {}
     total = 0
     stack: list[int] = []
     pop = stack.pop
     extend = stack.extend
     # The root's row, as if it had a parent.
-    root = reds * shift + white
-    if reds + white > _KEPT_SQUARES:
-        inner, ends = [root], []
-    else:
-        inner, ends = [], _marked_ends(root, start, shift, lengths, step, kept)
+    root = reds * shift + white + size * start
+    inner, ends = ([root], []) if reds + white > _KEPT_SQUARES else (
+        [], _marked_ends(root, size, shift, lengths, step, kept))
     while True:
         extend(inner)
         if ends:
@@ -620,28 +609,21 @@ def _tally(
             if total > limit:
                 raise _refusal(ceiling)
         if not stack:
-            # A leaf's cell is kept under its state, 0.
-            return {marks: cells[0][0] for (state, marks), cells in kept.items()
-                    if not state}
+            # A leaf's cell is kept under its node, of state 0.
+            return {node // size: cells[0][0] for node, cells in kept.items()
+                    if not node % size}
         node = pop()
         row = rows.get(node)
         if row is None:
-            # A node is packed as ``state + size * id``.
-            mark_id, state = divmod(node, size)
-            marks = marked[mark_id]
+            marks, state = divmod(node, size)
             squares = sum(divmod(state, shift))
             inner, ends = [], []
             for code in _moves(state, shift, lengths):
-                child = state - (code or shift)
-                after = step(marks, code)
+                child = state - (code or shift) + size * step(marks, code)
                 if squares - (code or 1) > _KEPT_SQUARES:
-                    child_id = ids.get(after)
-                    if child_id is None:
-                        child_id = ids[after] = len(marked)
-                        marked.append(after)
-                    inner.append(child + size * child_id)
+                    inner.append(child)
                 else:
-                    ends += _marked_ends(child, after, shift, lengths, step, kept)
+                    ends += _marked_ends(child, size, shift, lengths, step, kept)
             row = rows[node] = (inner, ends)
         inner, ends = row
 
@@ -996,8 +978,11 @@ def _part_lengths(
     the ceiling instead."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if no_multiple_of is not None and no_multiple_of < 1:
-        raise ValueError("no_multiple_of must be positive")
+    for name, bound in (("max_part", max_part),
+                        ("forbidden_part", forbidden_part),
+                        ("no_multiple_of", no_multiple_of)):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be positive")
     if allowed_parts is None:
         parts: Sequence[int] = range(1, n + 1)
     else:
@@ -1101,14 +1086,20 @@ def _census_lengths(
     return lengths
 
 
-def _fold_step(marks: Marks, part: int) -> Marks:
-    """The marks of the part fold, ``(last part, cells)``: ``cells[p]`` is
-    2 * (copies of ``p``), plus 1 once a second block of ``p`` starts."""
-    last, cells = marks
-    cell = cells[part]
-    if cell and part != last:
-        cell |= 1
-    return part, cells[:part] + (cell + 2,) + cells[part + 1:]
+def _fold_step(n: int) -> Callable[[int, int], int]:
+    """The step of the part fold of ``n``: fields of ``(2n + 1).bit_length()``
+    bits, the last part in field 0 and in field ``p`` 2 * (copies of ``p``),
+    plus 1 once a second block of ``p`` starts."""
+    width = (2 * n + 1).bit_length()
+    mask = (1 << width) - 1
+
+    def step(marks: int, part: int) -> int:
+        at = part * width
+        if marks >> at & mask and part != marks & mask:
+            marks |= 1 << at
+        return (marks >> width << width | part) + (2 << at)
+
+    return step
 
 
 def _part_fold(
@@ -1121,9 +1112,12 @@ def _part_fold(
     fold = _FOLDS.get((0, n, lengths))
     if fold is None:
         found: dict[int, dict[int, list[int]]] = {}
-        tally = _tally(0, n, lengths, _fold_step, (0, (0,) * (n + 1)), None)
-        for (_last, cells), count in tally.items():
-            for part, cell in enumerate(cells):
+        tally = _tally(0, n, lengths, _fold_step(n), 0, None)
+        width = (2 * n + 1).bit_length()
+        mask = (1 << width) - 1
+        for marks, count in tally.items():
+            for part in range(1, marks.bit_length() // width + 1):
+                cell = marks >> part * width & mask
                 if cell:
                     counts = found.setdefault(part, {}).setdefault(cell >> 1, [0, 0])
                     counts[0] += count
@@ -1202,19 +1196,23 @@ def total_parts(n: int) -> int:
     return sum(_occurrences(n).values())
 
 
-def _largest_step(marks: tuple[int, int], part: int) -> tuple[int, int]:
-    """The marks of the largest-part census: (largest part, its copies)."""
-    top, copies = marks
-    if part > top:
-        return part, 1
-    return (top, copies + 1) if part == top else marks
+def _largest_step(n: int) -> Callable[[int, int], int]:
+    """The step of the largest-part census of ``n``: its marks are
+    ``top * (n + 1) + copies``, the largest part and its copies."""
+    base = n + 1
+
+    def step(marks: int, part: int) -> int:
+        top = marks // base
+        return part * base + 1 if part > top else marks + (part == top)
+
+    return step
 
 
 def largest_part_census(n: int) -> dict[tuple[int, int], int]:
     """Counts of compositions keyed by ``(largest part, its multiplicity)``."""
-    census = _tally(0, n, _census_lengths(n), _largest_step, (0, 0), None)
-    census.pop((0, 0), None)  # the empty composition of 0
-    return census
+    census = _tally(0, n, _census_lengths(n), _largest_step(n), 0, None)
+    return {divmod(marks, n + 1): count  # marks 0: the empty composition
+            for marks, count in census.items() if marks}
 
 
 def consecutive_part_census(n: int, k: int) -> dict[int, int]:

@@ -501,6 +501,9 @@ class TestOracleCommand:
          "allowed parts must be positive"),
         (("compositions", "--n", "5", "--no-multiple-of", "0", "--count-only"),
          "no_multiple_of must be positive"),
+        (("compositions", "--n", "5", "--max", "0"), "max_part must be positive"),
+        (("compositions", "--n", "5", "--forbid", "0"),
+         "forbidden_part must be positive"),
         (("tilings", "--n", "3", "--max-white", "0"), "max_white_len"),
         (("palindromes", "--n", "4", "--suffix-white", "1"),
          "palindromic and suffix_white_tiles cannot be combined"),

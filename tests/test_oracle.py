@@ -641,6 +641,22 @@ def test_run_census_of_a_deep_narrow_family_and_of_nothing():
     assert orc.run_census(0) == {}
 
 
+def test_part_fold_of_a_deep_narrow_family_needs_little_memory(store):
+    # One composition 10,000 parts deep: each node's marks are one small
+    # int, where an (n + 1)-cell tuple per node would take hundreds of MB.
+    n = 10_000
+    tracemalloc.start()
+    try:
+        assert orc.part_occurrences(n, 1, max_part=1) == n
+        assert orc.part_multiplicity_census(n, max_part=1) == {(1, n): 1}
+        assert orc.count_by_part_multiplicity(n, 1, max_part=1) == \
+            {0: 0, n: 1}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
 def _naive_runs(n, max_part=None):
     """The runs of the listed compositions of ``n``, one by one."""
     top = n if max_part is None else min(n, max_part)
@@ -672,6 +688,23 @@ def test_run_census_with_its_root_at_the_kept_line(n):
 @pytest.mark.parametrize("n", [18, 20])
 def test_large_run_census_matches_the_naive_fold(n):
     assert orc.run_census(n) == _naive_runs(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TILINGKIT_LARGE_SCALE"),
+    reason="set TILINGKIT_LARGE_SCALE=1 to check the part fold's memory at n = 22",
+)
+def test_large_part_fold_peak_memory(store):
+    # 2**21 compositions under one int of marks per node: about 11.5 MB,
+    # against 24 MB with a tuple of n + 1 cells per node.
+    tracemalloc.start()
+    try:
+        total, rows = orc._part_fold(22, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == 2 ** 21 and orc._copies(rows[1]) == 24 * 2 ** 19
+    assert peak <= 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -985,17 +1018,25 @@ def test_tile_total_is_read_off_the_white_tile_census(store, reds):
 
 
 def _fold_marks(n):
-    """The part fold's marks of a composition of ``n``, from its parts."""
+    """The part fold's marks of a composition of ``n``, from its parts: the
+    last part in field 0 and 2 * copies + (more than one block) in field p,
+    each field (2n + 1).bit_length() bits wide."""
+    width = (2 * n + 1).bit_length()
+
     def marks(codes):
         blocks = Counter(value for value, _ in itertools.groupby(codes))
-        return codes[-1] if codes else 0, tuple(
-            2 * codes.count(p) + (blocks[p] > 1) for p in range(n + 1))
+        cells = [codes[-1] if codes else 0] + [
+            2 * codes.count(p) + (blocks[p] > 1) for p in range(1, n + 1)]
+        return sum(cell << (p * width) for p, cell in enumerate(cells))
     return marks
 
 
-def _largest_marks(codes):
-    top = max(codes, default=0)
-    return top, codes.count(top)
+def _largest_marks(n):
+    """The largest-part census's marks of a composition of ``n``."""
+    def marks(codes):
+        top = max(codes, default=0)
+        return top * (n + 1) + codes.count(top)
+    return marks
 
 
 @pytest.mark.parametrize("squares", range(5, 11))
@@ -1009,11 +1050,12 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
         assert orc._tally(reds, white, lengths, orc._used_step(white), 0, None) \
             == Counter(map(_used_marks(white), orc._walk(reds, white, lengths)))
     n = squares
-    for lengths in (tuple(range(1, n + 1)), (1, 2), (1, 2, 3), (1, 3), (2, 3)):
-        for step, start, marks in (
-                (orc._fold_step, (0, (0,) * (n + 1)), _fold_marks(n)),
-                (orc._largest_step, (0, 0), _largest_marks)):
-            assert orc._tally(0, n, lengths, step, start, None) == Counter(
+    # Lengths (1,) fill the widest field: part 1 with n copies.
+    for lengths in (tuple(range(1, n + 1)), (1,), (1, 2), (1, 2, 3), (1, 3),
+                    (2, 3)):
+        for step, marks in ((orc._fold_step(n), _fold_marks(n)),
+                            (orc._largest_step(n), _largest_marks(n))):
+            assert orc._tally(0, n, lengths, step, 0, None) == Counter(
                 map(marks, orc._walk(0, n, lengths))), (lengths, step)
 
 
