@@ -54,6 +54,7 @@ from .sequences import (
     fibonacci_k_conv,
     neg_fibonacci_k,
     pell,
+    refuse_past_bounds,
 )
 
 SUM_CAP = 200  # safety cap when probing sums that may fail to terminate
@@ -583,6 +584,15 @@ def _tilings_max_white(r: int, n: int, k: int) -> int:
 
 def _bounded_white_stated(r: int, n: int, k: int) -> int:
     return sum(a_k(r, n - j, k) for j in range(1, k + 1))
+
+
+def _smaller_step_sum(n: int, k: int) -> int:
+    # Sum_j F(n - jk, k - 1, j) is the run of fills a_k(j, n - 1 - jk, k - 1),
+    # refused as a whole before its first fill.
+    refuse_past_bounds(0, n // k, n - 1, k)
+    return sum(
+        fibonacci_k_conv(n - j * k, k - 1, j) for j in range(n // k + 1)
+    )
 
 
 def _stated_headline(n: int, k: int) -> object:
@@ -1202,9 +1212,7 @@ def _build_registry() -> list[IdentityRecord]:
         id="step-fib-from-smaller-step",
         citation="F(n,k) = sum_{j>=0} F(n-jk, k-1, j)",
         lhs=fibonacci_k,
-        rhs=lambda n, k: sum(
-            fibonacci_k_conv(n - j * k, k - 1, j) for j in range(n // k + 1)
-        ),
+        rhs=_smaller_step_sum,
         domain=lambda g: (
             (n, k) for k in range(1, 7) for n in range(1, 2 * g.limit + 1)
         ),

@@ -1,15 +1,21 @@
 """Exact integer sequences for two-toned tiling counts and their relatives.
 
 Values are plain Python ints (arbitrary precision).  Each family is a
-table of rows, ``rows[i][j]``, grown in place by :func:`_grow` from a
-per-family row rule, which extends one row in a single loop: one table for
-``a`` (rows by ``r``), one per ``r`` for ``a_s`` (rows by ``s``) and one per
-``k`` for ``a_k`` (rows by ``r``).  A row is never longer than the row
-above it, so a fill calls the rule only for the rows from the first short
-one on.  Filling is iterative and not meant for concurrent callers.  A
-fill whose table would pass :data:`TABLE_BOUND`, or an ``a_k`` fill whose
-convolutions would pass five times it (:func:`refuse_past_bounds`), is refused
-with :class:`TableScaleError` before it starts.
+table of rows, ``rows[i][j]``, grown in place by a row rule that extends
+one row in a single loop: one table for ``a`` (rows by ``r``), one per
+``r`` for ``a_s`` (rows by ``s``) and one per ``k`` for ``a_k`` (rows by
+``r``).  ``a`` and ``a_s`` grow through :func:`_grow`: each of their rows
+is computed from the row above, a row is never longer than the row above
+it, and a fill calls the rule only for the rows from the first short one
+on.  An ``a_k`` row is the ``(r + 1)``-fold convolution of row 0, so
+:func:`_ak_fill` computes row ``r`` as the convolution of two rows near
+``r / 2`` (the binary method for powers, Knuth, TAOCP vol. 2, 4.6.3), and
+a fill to row ``r`` touches O(log r) rows; the rows between them stay as
+they were until a call asks for one.  Filling is not meant for
+concurrent callers.  A fill whose table would pass :data:`TABLE_BOUND`,
+or an ``a_k`` fill whose convolutions would pass five times it
+(:func:`refuse_past_bounds`), is refused with :class:`TableScaleError`
+before it starts.
 
 The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
 and ``F(i-1)`` share all but one term, so ``F(i) = 2 F(i-1) - F(i-1-k)``
@@ -68,9 +74,13 @@ def refuse_past_bounds(first: int, last: int, n: int, step: int = 0) -> None:
     its share ``c * (rows + c)`` of the table measure, and the run is also
     refused when these costs sum past ``5 * TABLE_BOUND``.  For one call
     (``first == last``) the sum is (rows - 1) * columns * (rows + columns)
-    * columns: a_k(30, 300, 5) takes a tenth of the bound, and a fill just
-    under it, such as a_k(250, 250, 3) or a_k(1, 2150, 3), takes 1-2 s on a
-    2-vCPU host.
+    * columns.  That is the cost of filling every row ``0..r`` row by row.
+    :func:`_ak_fill` computes a subset of those entries, so the sum is an
+    upper bound on a fill's work, kept unchanged so that the same calls are
+    refused.  a_k(30, 300, 5) takes a tenth of the bound (0.04 s on a
+    2-vCPU host).  Just under it, a tall fill such as a_k(250, 250, 3)
+    takes 0.05-0.08 s, and a wide one of few rows, such as a_k(1, 2150, 3)
+    or a_k(2, 1700, 3), 0.7-1.3 s.
     """
     if last < first:
         return
@@ -114,12 +124,13 @@ def _grow(
 ) -> int:
     """Grow ``rows[0..r]`` in place to length ``n + 1``; return ``rows[r][n]``.
 
-    ``fill(rows, i, n, key)`` is the row rule: it extends ``rows[i]`` to
-    length ``n + 1`` from the entries before them in that row and from rows
-    ``0..i-1``, which are grown first; ``key`` is the parameter that picked
-    the table.  So no row is longer than the row above it, and the rows
-    shorter than ``n + 1`` are those from the first short one on: the rule
-    is called for these rows only, once each.
+    Only ``a`` and ``a_s`` grow here; ``a_k`` skips rows and has its own
+    rule, :func:`_ak_fill`.  ``fill(rows, i, n, key)`` is the row rule: it
+    extends ``rows[i]`` to length ``n + 1`` from the entries before them in
+    that row and from rows ``0..i-1``, which are grown first; ``key`` is the
+    parameter that picked the table.  So no row is longer than the row above
+    it, and the rows shorter than ``n + 1`` are those from the first short
+    one on: the rule is called for these rows only, once each.
     """
     try:
         return rows[r][n]
@@ -285,15 +296,38 @@ _AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
 
 
 def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
+    """Extend ``rows[r]`` to length ``n + 1``; the table is ``a_k``'s for ``k``.
+
+    Row 0 is ``fibonacci_k(i + 1, k)``.  Row ``r >= 1`` is the ``(r + 1)``-fold
+    convolution of row 0, so it is computed as row ``h = (r - 1) // 2``
+    convolved with row ``r - 1 - h``, both extended first: a fill to row ``r``
+    touches the O(log r) rows of these halvings only, and leaves the rows
+    between them as they were.  For odd ``r`` the two halves are one row and
+    the row is its square: each pair of unequal indices is multiplied once
+    and doubled, and the middle term's square is added.  Only the entries
+    from the row's current length on are computed, and the rule is called
+    only for a row shorter than ``n + 1``, so no entry is computed twice.
+    """
     row = rows[r]
     j = len(row)
     if r == 0:
         fibonacci_k(n + 1, k)
         row.extend(_FIB[k][j + 1:n + 2])
         return
-    row0 = rows[0]
-    back = rows[r - 1][n::-1]  # back[n - i] = rows[r - 1][i]
-    row.extend([sum(map(mul, row0, back[n - i:])) for i in range(j, n + 1)])
+    h = (r - 1) // 2
+    low, high = rows[h], rows[r - 1 - h]
+    if len(low) <= n:
+        _ak_fill(rows, h, n, k)
+    if len(high) <= n:
+        _ak_fill(rows, r - 1 - h, n, k)
+    back = high[n::-1]  # back[n - i] = high[i]
+    if low is high:
+        row.extend([
+            2 * sum(map(mul, low[:(i + 1) // 2], back[n - i:]))
+            + (0 if i % 2 else low[i // 2] ** 2)
+            for i in range(j, n + 1)])
+    else:
+        row.extend([sum(map(mul, low, back[n - i:])) for i in range(j, n + 1)])
 
 
 def a_k(r: int, n: int, k: int) -> int:
@@ -301,7 +335,10 @@ def a_k(r: int, n: int, k: int) -> int:
 
     Computed as the r-th convolution of the bounded-part composition
     counts: ``a_k(0, n, k) = fibonacci_k(n+1, k)`` and
-    ``a_k(r, n, k) = sum_j a_k(r-1, n-j, k) * a_k(0, j, k)``.
+    ``a_k(r, n, k) = sum_j a_k(r-1, n-j, k) * a_k(0, j, k)``, with no
+    generating function.  Convolution is associative, so row ``r`` is
+    filled as ``sum_j a_k(h, n-j, k) * a_k(r-1-h, j, k)`` for
+    ``h = (r-1) // 2`` (:func:`_ak_fill`), the same exact integers.
     ``k = 0`` forbids white tiles entirely.
     """
     if k < 0:
@@ -313,15 +350,19 @@ def a_k(r: int, n: int, k: int) -> int:
         return rows[r][n]
     except IndexError:
         refuse_past_bounds(r, r, n)
-    return _grow(rows, r, n, _ak_fill, k)
+    rows.extend([] for _ in range(len(rows), r + 1))
+    _ak_fill(rows, r, n, k)
+    return rows[r][n]
 
 
 def fibonacci_k_conv(n: int, k: int, r: int) -> int:
     """r-th convolution of the k-step Fibonacci sequence.
 
     Alias of :func:`a_k` under the index shift ``F(n+1, k, r) = a_k(r, n, k)``;
-    the zeroth convolution is :func:`fibonacci_k` itself.  Nonpositive ``n``
-    gives 0.
+    the zeroth convolution is :func:`fibonacci_k` itself, and the r-th is
+    filled as the convolution of the ``h``-th and ``(r-1-h)``-th for
+    ``h = (r-1) // 2``, so one call to a large ``r`` computes O(log r)
+    convolutions.  Nonpositive ``n`` gives 0.
     """
     return a_k(r, n - 1, k)
 

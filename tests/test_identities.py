@@ -17,6 +17,7 @@ import pytest
 from tilingkit import compstats as cs
 from tilingkit import identities as ident
 from tilingkit import oracle as orc
+from tilingkit import sequences as sq
 from tilingkit import series as ser
 from tilingkit.sequences import NonIntegerResultError
 
@@ -461,6 +462,28 @@ class TestIndependentSides:
                     if "oracle" in reached and reached & {"sequences", "compstats"}:
                         mixed.add((record.id, label))
         assert mixed == {("palindromes-with-part", "lhs")}
+
+
+def test_smaller_step_sum_is_refused_before_its_first_fill(monkeypatch):
+    # step-fib-from-smaller-step's rhs at (40, 3) fills a_k(j, 39 - 3j, 2)
+    # for j = 0..13.  Its first table, 1 x 40, measures 1,640; its second,
+    # 2 x 37, measures 2,886.  At a bound between them the first fill alone
+    # would pass, so the run must be refused before it.
+    rhs = ident._record("step-fib-from-smaller-step").rhs
+    monkeypatch.setattr(sq, "_AK_TABLES", {})
+    monkeypatch.setattr(sq, "_FIB", {})
+    expected = rhs(40, 3)
+    sq._AK_TABLES.clear()
+    sq._FIB.clear()
+    bound = sq.TABLE_BOUND
+    monkeypatch.setattr(sq, "TABLE_BOUND", 2000)
+    with pytest.raises(sq.TableScaleError,
+                       match=r"^table scale exceeded: 2 x 37 entries"
+                             " pass the bound of 2000$"):
+        rhs(40, 3)
+    assert sq._AK_TABLES == {} and sq._FIB == {}
+    monkeypatch.setattr(sq, "TABLE_BOUND", bound)
+    assert rhs(40, 3) == expected == sq.fibonacci_k(40, 3)
 
 
 def test_tracer_census_caches_are_registry_caches():

@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import cache
 from itertools import accumulate
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -440,18 +441,19 @@ def rule_calls(monkeypatch):
     return calls
 
 
+# Rows only, columns only, both, a hit, and a new row past short rows.
+_RULE_QUERIES = [(3, 10), (6, 10), (6, 14), (2, 12), (7, 4), (5, 20), (5, 20)]
+
+
 @pytest.mark.parametrize("name, value, table", [
     ("_a_fill", a, lambda: sq._A_ROWS),
-    ("_ak_fill", lambda r, n: a_k(r, n, 3), lambda: sq._AK_TABLES.get(3, [])),
     ("_as_fill", lambda s, n: a_s(s, 2, n), lambda: sq._AS_TABLES.get(2, [])),
 ])
 def test_a_fill_calls_its_rule_only_for_rows_shorter_than_the_column(
     rule_calls, name, value, table
 ):
-    # Rows only, columns only, both, a hit, and a new row past short rows.
-    queries = [(3, 10), (6, 10), (6, 14), (2, 12), (7, 4), (5, 20), (5, 20)]
     with _empty_tables():
-        for i, n in queries:
+        for i, n in _RULE_QUERIES:
             lengths = [len(row) for row in table()]
             del rule_calls[:]
             value(i, n)
@@ -462,6 +464,81 @@ def test_a_fill_calls_its_rule_only_for_rows_shorter_than_the_column(
             assert own == [(row, lengths[row] if row < len(lengths) else 0)
                            for row in short], (i, n)
             assert all(len(row) > n for row in table()[:i + 1])
+
+
+@pytest.fixture
+def ak_fill_calls(monkeypatch):
+    """Record ``(row, n, entries before, entries after)`` per ``_ak_fill``
+    call, the rule's calls to itself included; check that each call keeps
+    the entries its row had, the same int objects, and computes none anew."""
+    calls = []
+    fill = sq._ak_fill
+
+    def recording_fill(rows, r, n, k):
+        before = list(rows[r])
+        fill(rows, r, n, k)
+        assert all(map(is_, before, rows[r]))
+        calls.append((r, n, len(before), len(rows[r])))
+
+    monkeypatch.setattr(sq, "_ak_fill", recording_fill)
+    return calls
+
+
+def test_a_k_fill_extends_each_row_from_its_length_once(ak_fill_calls):
+    with _empty_tables():
+        for i, n in _RULE_QUERIES:
+            del ak_fill_calls[:]
+            table = sq._AK_TABLES.get(3, [])
+            entries = sum(map(len, table))
+            short = i >= len(table) or len(table[i]) <= n
+            a_k(i, n, 3)
+            table = sq._AK_TABLES[3]
+            # A short row is filled by one call of its own, a long one
+            # is a hit, and every call extends a short row to n + 1.
+            assert [r for r, *_ in ak_fill_calls].count(i) == short, (i, n)
+            assert all(before <= m < after == m + 1
+                       for _, m, before, after in ak_fill_calls), (i, n)
+            assert len(table[i]) > n
+            # No entry is computed twice: the calls add the new entries.
+            assert entries + sum(after - before for *_, before, after
+                                 in ak_fill_calls) == sum(map(len, table))
+
+
+def test_a_k_jump_fills_only_the_rows_of_its_halvings(ak_fill_calls):
+    with _empty_tables():
+        assert a_k(19, 198, 3) == _plain_convolutions(3, 19, 198)[19][198]
+        table = sq._AK_TABLES[3]
+        assert [r for r, row in enumerate(table) if row] == [0, 1, 2, 4, 9, 19]
+        assert sorted(r for r, *_ in ak_fill_calls) == [0, 1, 2, 4, 9, 19]
+        assert sum(map(len, table)) == 6 * 199
+
+
+def _plain_convolutions(k, rows, n):
+    """Rows ``0..rows`` of ``a_k`` to column ``n``, row by row: row 0 from
+    plain k-step Fibonacci numbers, then row r as row r - 1 convolved with
+    row 0."""
+    first = [_plain_fibonacci(k)[i + 1] for i in range(n + 1)]
+    table = [first]
+    for _ in range(rows):
+        above = table[-1]
+        table.append([sum(above[i - t] * first[t] for t in range(i + 1))
+                      for i in range(n + 1)])
+    return table
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_a_k_in_mixed_call_orders_matches_a_row_by_row_convolution(k):
+    # A jump leaves gaps between the rows of its halvings; descending r
+    # fills them, squares (odd r) and unequal halves (even r) alike, from
+    # rows already as long; ascending n then extends rows from one column.
+    plain = _plain_convolutions(k, 24, 80)
+    with _empty_tables():
+        assert a_k(24, 60, k) == plain[24][60]
+        for r in range(23, -1, -1):
+            assert [a_k(r, n, k) for n in range(61)] == plain[r][:61], r
+        for n in range(61, 81):
+            assert [a_k(r, n, k) for r in range(24, -1, -1)] == [
+                row[n] for row in reversed(plain)], n
 
 
 def test_a_s_fill_reads_its_a_row_once(monkeypatch):
