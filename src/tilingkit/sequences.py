@@ -14,13 +14,18 @@ a fill to row ``r`` touches O(log r) rows; the rows between them stay as
 they were until a call asks for one.  Filling is not meant for
 concurrent callers.  A fill whose table would pass :data:`TABLE_BOUND`,
 or an ``a_k`` fill whose convolutions would pass five times it
-(:func:`refuse_past_bounds`), is refused with :class:`TableScaleError`
-before it starts.
+(:func:`refuse_past_bounds`, which charges one call only for the rows of
+its halvings), is refused with :class:`TableScaleError` before it starts.
 
 The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
 and ``F(i-1)`` share all but one term, so ``F(i) = 2 F(i-1) - F(i-1-k)``
 for ``i >= 3``, and backwards ``f(i) = 2 f(i+k) - f(i+k+1)``.  Each new
 term costs O(1) big-int operations.
+
+The Pell numbers keep no table, only the pair ``P(m), P(m + 1)`` of the
+last index asked: :func:`pell` steps it to ``m + 1`` and jumps further by
+index doubling on the gap, so one large index costs O(log n)
+multiplications and holds two ints.
 
 Conventions used throughout:
 
@@ -61,26 +66,34 @@ def _refuse_past_bound(rows: int, columns: int) -> None:
             f" pass the bound of {TABLE_BOUND}")
 
 
+def _halving_rows(r: int) -> set[int]:
+    """The rows past row 0 that :func:`_ak_fill` may extend to fill row r."""
+    rows, level = set(), {r} - {0}
+    while level:
+        rows |= level
+        level = {half for i in level
+                 for half in ((i - 1) // 2, i - 1 - (i - 1) // 2)} - {0}
+    return rows
+
+
 def refuse_past_bounds(first: int, last: int, n: int, step: int = 0) -> None:
     """Refuse the run of calls ``a_k(j, n - j * step, k)`` for ``j`` from
     ``first`` to ``last`` (``0 <= first``, ``step >= 0``) before the first
     of them starts.
 
     Each call's table is held to :data:`TABLE_BOUND` as the call itself
-    would hold it.  The run leaves rows ``0..first`` as long as its first
-    call asks and each later row as long as its own call asks.  Each entry
-    past row 0 is a convolution of up to its row's length of products, so a
-    row of length ``c`` in a table of ``rows`` rows costs about ``c`` times
-    its share ``c * (rows + c)`` of the table measure, and the run is also
-    refused when these costs sum past ``5 * TABLE_BOUND``.  For one call
-    (``first == last``) the sum is (rows - 1) * columns * (rows + columns)
-    * columns.  That is the cost of filling every row ``0..r`` row by row.
-    :func:`_ak_fill` computes a subset of those entries, so the sum is an
-    upper bound on a fill's work, kept unchanged so that the same calls are
-    refused.  a_k(30, 300, 5) takes a tenth of the bound (0.04 s on a
-    2-vCPU host).  Just under it, a tall fill such as a_k(250, 250, 3)
-    takes 0.05-0.08 s, and a wide one of few rows, such as a_k(1, 2150, 3)
-    or a_k(2, 1700, 3), 0.7-1.3 s.
+    would hold it.  Each entry past row 0 is a convolution of up to its
+    row's length of products, so a row of length ``c`` in a table of
+    ``rows`` rows costs about ``c`` times its share ``c * (rows + c)`` of
+    the table measure, and the fill is also refused when these costs sum
+    past ``5 * TABLE_BOUND``.  One call (``first == last``) fills only the
+    rows of its halvings (:func:`_halving_rows`, O(log r) of them), so its
+    sum is their number times columns * columns * (rows + columns).  A run
+    of calls is charged rows ``1..first`` as long as its first call asks
+    and each later row as long as its own call asks.  On a 2-vCPU host,
+    a_k(600, 600, 3) (17 rows) takes 0.5 s, and the slowest single call at
+    k = 3 that the bound admits, over r up to 2000 at the largest n
+    admitted, takes about 1.3 s (a_k(2, 1707, 3), a_k(16, 1119, 3)).
     """
     if last < first:
         return
@@ -89,7 +102,8 @@ def refuse_past_bounds(first: int, last: int, n: int, step: int = 0) -> None:
             and (rows - 1) * columns * columns * (rows + columns) <= bound):
         return  # every call's table, and the run's work, fit in this one
     _refuse_past_bound(first + 1, columns)
-    work = first * columns * columns * (rows + columns)
+    filled = len(_halving_rows(first)) if first == last else first
+    work = filled * columns * columns * (rows + columns)
     for j in range(first + 1, last + 1):
         c = n - j * step + 1
         _refuse_past_bound(j + 1, c)
@@ -369,15 +383,44 @@ def fibonacci_k_conv(n: int, k: int, r: int) -> int:
 
 # -- Pell numbers --------------------------------------------------------------
 
-_PELL: list[int] = [0, 1]
+_PELL: list[int] = [0, 0, 1]  # [m, P(m), P(m + 1)] for the last index asked
+
+
+def _pell_pair(d: int) -> tuple[int, int]:
+    """``(P(d), P(d + 1))`` by index doubling over the bits of ``d >= 0``."""
+    low, high = 0, 1  # (P(k), P(k + 1)), k the bits of d read so far
+    for bit in bin(d)[2:]:
+        low, high = low * (2 * high - 2 * low), high * high + low * low
+        if bit == "1":
+            low, high = high, 2 * high + low
+    return low, high
 
 
 def pell(n: int) -> int:
-    """Pell numbers: ``P(0)=0, P(1)=1, P(n) = 2 P(n-1) + P(n-2)``."""
+    """Pell numbers: ``P(0)=0, P(1)=1, P(n) = 2 P(n-1) + P(n-2)``.
+
+    Only the pair ``P(m), P(m + 1)`` of the last index ``m`` asked is kept.
+    The next index ``m + 1`` is one step of the recurrence.  An index
+    further on is reached in one jump: ``(P(d), P(d + 1))`` for the gap
+    ``d = n - m`` by index doubling, ``P(2k) = P(k) (2 P(k+1) - 2 P(k))``
+    and ``P(2k+1) = P(k+1)^2 + P(k)^2`` (the binary method for powers,
+    Knuth, TAOCP vol. 2, 4.6.3), then ``P(m + d) = P(m+1) P(d) + P(m) P(d-1)``.
+    An index below ``m`` jumps from ``P(0), P(1)``.  So one large index
+    costs O(log n) multiplications and holds two ints, and an ascending
+    range one step per value.
+    """
     if n < 0:
         return 0
-    if len(_PELL) <= n:
-        _refuse_past_bound(1, n + 1)
-    while len(_PELL) <= n:
-        _PELL.append(2 * _PELL[-1] + _PELL[-2])
-    return _PELL[n]
+    m, low, high = _PELL
+    if n == m:
+        return low
+    _refuse_past_bound(1, n + 1)
+    if n == m + 1:
+        _PELL[:] = n, high, 2 * high + low
+        return high
+    if n < m:
+        m, low, high = 0, 0, 1
+    now, after = _pell_pair(n - m)
+    before = after - 2 * now  # P(d - 1)
+    _PELL[:] = n, high * now + low * before, high * after + low * now
+    return _PELL[1]

@@ -378,14 +378,14 @@ class TestModuleEntryPoint:
             " entries pass the bound of 2000000000\n")
 
     def test_convolution_past_the_work_bound_is_refused_before_it_fills(self):
-        # Unbounded, this fill takes about 30 s.
-        proc = run_module("seq", "ak", "--r", "600", "--k", "3",
-                          "--range", "600..600", timeout=60,
+        # Unbounded, this fill takes about 20 s.
+        proc = run_module("seq", "ak", "--r", "12", "--k", "3",
+                          "--range", "3000..3000", timeout=60,
                           preexec_fn=_one_gigabyte_address_space)
         assert proc.returncode == 3, proc.stderr[-500:]
         assert proc.stdout == ""
         assert proc.stderr == (
-            "tilingkit: table work exceeded: 601 rows of up to 601 entries"
+            "tilingkit: table work exceeded: 13 rows of up to 3001 entries"
             " pass the bound of 10000000000\n")
 
     def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):

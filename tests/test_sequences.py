@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from functools import cache
 from itertools import accumulate
@@ -359,7 +360,7 @@ def _entries() -> int:
     tables = [sq._A_ROWS, *sq._AS_TABLES.values(), *sq._AK_TABLES.values()]
     return (sum(len(row) for table in tables for row in table)
             + sum(len(row) - 3 for row in sq._FIB.values())
-            + sum(map(len, sq._NEG_FIB.values())) + len(sq._PELL))
+            + sum(map(len, sq._NEG_FIB.values())))
 
 
 @pytest.mark.parametrize("fill, rows, columns", [
@@ -373,12 +374,12 @@ def _entries() -> int:
 def test_fill_past_the_table_bound_is_refused_before_it_starts(
     monkeypatch, fill, rows, columns
 ):
-    # ``_PELL`` is not one of ``_TABLES``: it starts from its seed here.
-    monkeypatch.setattr(sq, "_PELL", [0, 1])
+    # ``_PELL`` is not one of ``_TABLES``: it starts from its seed pair here.
+    monkeypatch.setattr(sq, "_PELL", [0, 0, 1])
     with _empty_tables():
         expected = fill()
     size = rows * columns * (rows + columns)
-    monkeypatch.setattr(sq, "_PELL", [0, 1])
+    monkeypatch.setattr(sq, "_PELL", [0, 0, 1])
     with _empty_tables():
         monkeypatch.setattr(sq, "TABLE_BOUND", size - 1)
         before = _entries()
@@ -387,6 +388,7 @@ def test_fill_past_the_table_bound_is_refused_before_it_starts(
                                  f" entries pass the bound of {size - 1}$"):
             fill()
         assert _entries() == before
+        assert sq._PELL == [0, 0, 1]
         monkeypatch.setattr(sq, "TABLE_BOUND", size)
         assert fill() == expected
 
@@ -394,17 +396,23 @@ def test_fill_past_the_table_bound_is_refused_before_it_starts(
 @pytest.mark.parametrize("fill, lengths", [
     (lambda: a_k(2, 20, 3), [21] * 3),
     (lambda: a_k(1, 40, 2), [41] * 2),
-    (lambda: fibonacci_k_conv(9, 4, 3), [9] * 4),
+    # a_k(3, 12, 4) fills rows 0, 1 and 3, its halvings; row 2 stays empty.
+    (lambda: fibonacci_k_conv(13, 4, 3), [13, 13, 0, 13]),
     # Runs of fills: a_k(j, 30 - j, 3) for j = 2..30, a_k(j, 24 - 2j, 3)
     # for j = 1..12.
     (lambda: cs.E_p(30, 1, 3, 2), [29] * 3 + list(range(28, 0, -1))),
     (lambda: cs.L_p(24, 2, 3, 1), [23] * 2 + list(range(21, 0, -2))),
+    # a_k(j, 30 - j, 3) for j = 3..30: row 2 is charged at the first call's
+    # length, though a_k(3, 27, 3) skips it and a_k(4, 26, 3) fills it to 27.
+    (lambda: cs.E_p(30, 1, 3, 3), [28] * 4 + list(range(27, 0, -1))),
 ])
 def test_convolution_fill_past_the_work_bound_is_refused_before_it_starts(
     monkeypatch, fill, lengths
 ):
-    # ``lengths`` are the row lengths of the a_k table the fill leaves; each
-    # row past row 0 costs c * c * (rows + c), against 5 * TABLE_BOUND.
+    # ``lengths`` are the row lengths the work bound charges: those of the
+    # a_k table a single call leaves, 0 for a row its halvings skip, and
+    # for a run each row as long as the first call that may fill it asks.
+    # Each row past row 0 costs c * c * (rows + c), against 5 * TABLE_BOUND.
     with _empty_tables():
         expected = fill()
     rows = len(lengths)
@@ -421,6 +429,106 @@ def test_convolution_fill_past_the_work_bound_is_refused_before_it_starts(
         assert _entries() == before
         monkeypatch.setattr(sq, "TABLE_BOUND", bound + 1)
         assert fill() == expected
+
+
+def test_single_convolution_fill_is_charged_only_for_the_rows_it_fills(
+    monkeypatch
+):
+    # a_k(12, 30, 3) fills rows 0, 1, 2, 3, 5, 6 and 12.  At the smallest
+    # bound that admits their work, charging every row 1..12 would refuse it.
+    rows, c = 13, 31
+    work = 6 * c * c * (rows + c)
+    bound = -(-work // 5)
+    assert 12 * c * c * (rows + c) > 5 * bound
+    with _empty_tables():
+        monkeypatch.setattr(sq, "TABLE_BOUND", bound - 1)
+        with pytest.raises(sq.TableScaleError, match="^table work exceeded"):
+            a_k(12, 30, 3)
+        assert sq._AK_TABLES.get(3, []) == []
+        monkeypatch.setattr(sq, "TABLE_BOUND", bound)
+        assert a_k(12, 30, 3) == _plain_tilings(3)[12][30]
+        assert [r for r, row in enumerate(sq._AK_TABLES[3]) if row] == [
+            0, 1, 2, 3, 5, 6, 12]
+
+
+# -- Pell: one kept pair --------------------------------------------------------
+
+_PELL_N = 3000
+
+
+@cache
+def _plain_pell():
+    p = [0, 1]
+    while len(p) <= _PELL_N + 1:
+        p.append(2 * p[-1] + p[-2])
+    return p
+
+
+@contextmanager
+def _seed_pell():
+    saved = sq._PELL
+    sq._PELL = [0, 0, 1]
+    try:
+        yield
+    finally:
+        sq._PELL = saved
+
+
+def _walk(start, moves):
+    """Indices from ``start`` by ``moves``, kept within -3.._PELL_N."""
+    indices = [start]
+    for move in moves:
+        indices.append(min(max(indices[-1] + move, -3), _PELL_N))
+    return indices
+
+
+# Steps of -1, 0 and 1 (descending, repeated, ascending) and jumps both ways.
+_PELL_INDICES = st.builds(
+    _walk, st.integers(-3, _PELL_N),
+    st.lists(st.one_of(st.integers(-1, 1), st.integers(-_PELL_N, _PELL_N)),
+             max_size=30))
+
+
+@given(_PELL_INDICES)
+@settings(max_examples=120, deadline=None)
+def test_pell_in_any_call_order_matches_the_plain_recurrence(indices):
+    plain = _plain_pell()
+    with _seed_pell():
+        pair = [0, 0, 1]
+        for n in indices:
+            assert pell(n) == (plain[n] if n >= 0 else 0), (indices, n)
+            if n >= 0:
+                pair = [n, plain[n], plain[n + 1]]
+            # Only the pair of the last nonnegative index is kept.
+            assert sq._PELL == pair, (indices, n)
+
+
+def test_pell_step_past_the_table_bound_is_refused(monkeypatch):
+    # An ascending range is refused at the same index as a jump to it.
+    with _seed_pell():
+        assert pell(49) == _plain_pell()[49]
+        monkeypatch.setattr(sq, "TABLE_BOUND", 51 * 52 - 1)
+        with pytest.raises(sq.TableScaleError,
+                           match="^table scale exceeded: 1 x 51 entries"):
+            pell(50)
+        assert sq._PELL == [49, *_plain_pell()[49:51]]
+
+
+def test_pell_at_a_large_index_holds_two_ints():
+    # A table of P(0..20000) would peak at about 35 MB.
+    with _seed_pell():
+        tracemalloc.start()
+        try:
+            value = pell(20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sq._PELL) == 3
+    low, high = 0, 1
+    for _ in range(20000):
+        low, high = high, (2 * high + low) % 10**9
+    assert value % 10**9 == low
+    assert peak < 10**6, peak
 
 
 # -- row rules: deterministic call counts ---------------------------------------
