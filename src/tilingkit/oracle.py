@@ -37,16 +37,11 @@ tuple of allowed lengths.  Three walks cover that tree:
   of the leaves below it, one entry per leaf; a node above those adds 1
   to every cell its kept children hold each time it is popped, so every
   leaf still adds exactly 1 and no subtree count is kept.  Each census is
-  a step: the tiling census by ``trailing << (white + 1) | used``, bit
-  ``k`` of ``used`` set when a white tile of length ``k`` occurs and
-  ``trailing`` the white tiles after the last red square; a plain count,
-  :func:`_count_leaves`, under marks 0; the part fold of ``n`` by fields
-  of ``(2n + 1).bit_length()`` bits, the last part and, per part, twice
-  its copies plus 1 when they form more than one block, from which part
-  occurrences, multiplicities, consecutive blocks, part totals and the
-  replacement sums are read; the largest-part census by ``largest * (n +
-  1) + copies``; the white-tile census by its white tiles, from which
-  :func:`tile_count_total` is read.
+  a step (see ``_STATISTICS``): the used white lengths and trailing white
+  tiles of a tiling; the part fold, from which part occurrences,
+  multiplicities, consecutive blocks, part totals and the replacement
+  sums are read; the largest part and its copies; the white tiles.  A
+  plain count, :func:`_count_leaves`, files every leaf under marks 0.
 - the run census, :func:`_run_leaves`, carries the last part and the
   length of its open run, and credits each maximal run once per leaf, to
   its own ``(value, length)``, where it closes: at a child with another
@@ -58,50 +53,49 @@ tuple of allowed lengths.  Three walks cover that tree:
   them.
 
 No walk consults a formula: every count, cell and credit is a number of
-visited leaves.  The counters are the guard.  A count or a census
-raises :class:`OracleScaleError` as soon as it passes ``ceiling``, and
-every listing and every composition census is admitted by its roof, or
-counted, before it is walked, so a family past ``ceiling`` is refused
-before any object is built.  The roof, 2**(white - 1) * C(white + reds,
-reds) (1 for white 0), bounds a family's size from above: when the roofs of
-a listing's blocks sum to at most ``ceiling``, it is walked once with no
-guard count.  The floor bounds it from below for lengths that hold 1:
-C(white + reds, reds), 2**(white // m) for the next allowed length m, or,
-when every length is allowed, 2**(white - 1) and the tilings with exactly
-t white tiles for the best t; a family whose floor passes the ceiling is
-refused before its walk.  Neither bound is a count: the floor only refuses
-and the roof only skips a guard walk.  A family covering more
-than ``SQUARES_BOUND`` squares is refused before its lengths are built (as
-past the ceiling when its floor, read off its first two lengths, already
-passes it), and a white total that is not a multiple of the gcd of the
-lengths has no leaves, so no walk starts.  The functions that take no
-``ceiling`` (``count_palindromic_compositions`` and the census helpers)
-refuse past ``DEFAULT_CEILING``, read when they are called.
+visited leaves.  The counters are the guard.  A count or a census raises
+:class:`OracleScaleError` as soon as it passes ``ceiling``, and every
+listing and every composition census is admitted by its roof, or counted,
+before it is walked, so a family past ``ceiling`` is refused before any
+object is built.  The roof, 2**(white - 1) * C(white + reds, reds) (1 for
+white 0), bounds a family's size from above: when the roofs of a listing's
+blocks sum to at most ``ceiling``, it is walked once with no guard count.
+The floor bounds it from below for lengths that hold 1: C(white + reds,
+reds), 2**(white // m) for the next allowed length m, or, with every length
+allowed, the exact size, its tilings with t white tiles summed over t; a
+family whose floor passes the ceiling is refused before its walk.  Neither
+bound is a count: the floor only refuses and the roof only skips a guard
+walk.  A family covering more than ``SQUARES_BOUND`` squares is refused
+before its lengths are built (as past the ceiling when its floor, read off
+its first two lengths, already passes it), and a white total that is not a
+multiple of the gcd of the lengths has no leaves, so no walk starts.  The
+functions that take no ``ceiling`` (``count_palindromic_compositions`` and
+the census helpers) refuse past ``DEFAULT_CEILING``, read when they are
+called.
 
-Each family is walked once per process, into a module-level store: a
-count by ``(reds, white, lengths)``, the census of an unrestricted tiling
-family by ``(reds, white)``, the part fold of a composition family by
-``(0, white, lengths)`` (its total and, per part and multiplicity, its
-compositions and those whose copies form one block) and a tile total by
-``(reds, white)``; the run census and the largest-part census are walked
-on each call.  Every count reads a census: a family with allowed lengths A
-and a white suffix of ``s`` tiles (0 but for :func:`count_tilings`) is the
-sum of the cells of its *parent*, the unrestricted family of its reds and
-white total, with no used length outside A and at least ``s`` trailing
-white tiles.  A palindrome or suffix family reads one parent per block.
-The parent rule: after the family's own floor, a parent that is not kept
-is tallied under the call's ceiling (``DEFAULT_CEILING``, read when it is
-called, when the ceiling is None), and its own floor refuses first.  A
-refused parent is kept as refused, with the ceiling it failed at, and is
-tried again only under a higher one; the family then walks its own
-leaves.  So a family under the ceiling whose parent is far past it is
-still counted, and the rule reads only the ceiling and the floor.  A kept
-count refuses exactly where its walk would have, against the ceiling of
-the call that reads it, and a census helper counts its family that way
-before it reads a kept fold or total, unless its roof is already at most
-that ceiling.  A refused walk or count keeps nothing.  Concurrent use
-needs no locking: a race only walks a family twice and stores the same
-number.
+Each family is walked once per process, into one of two module-level
+stores: its count by ``(reds, white, lengths)`` in ``_COUNTS``, and each
+census by ``(statistic, reds, white, top)`` in ``_CENSUSES``, over the
+white lengths 1..top, in the form its row of ``_STATISTICS`` keeps (used
+lengths, part fold, white tiles, largest part, runs): the part fold
+unpacked per part and multiplicity, every other census as walked.  Readers
+sum kept cells, and a public census is a copy of the kept one.  Every count
+reads a census: a family with allowed lengths A and a white suffix of ``s``
+tiles (0 but for :func:`count_tilings`) is the sum of the cells of its
+*parent*, the unrestricted family of its reds and white total, with no used
+length outside A and at least ``s`` trailing white tiles.  A palindrome or
+suffix family reads one parent per block.  The parent rule: after the
+family's own floor, a parent that is not kept is tallied under the call's
+ceiling (``DEFAULT_CEILING``, read when it is called, when the ceiling is
+None) unless its own floor, exact with every length allowed, refuses it;
+the family then walks its own leaves.  No tally refuses a parent, and a
+refused one keeps nothing.  So a family under the ceiling whose parent is
+far past it is still counted, and the rule reads only the ceiling and the
+floor.  A kept count refuses exactly where its walk would have, against the
+ceiling of the call that reads it, and a census helper counts its family
+that way before it reads a kept census, unless its roof is already at most
+that ceiling.  A refused walk or count keeps nothing.  Concurrent use needs
+no locking: a race only walks a family twice and stores the same cells.
 """
 
 from __future__ import annotations
@@ -112,7 +106,7 @@ from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import chain, repeat
 from math import comb, gcd, inf
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
 # The most squares (red squares plus white total) an object may cover.  A
@@ -316,31 +310,11 @@ def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
 # leaves.
 _COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
-# The census of every unrestricted tiling family :func:`_parent` has
-# tallied, keyed by ``(reds, white)``: the number of visited leaves per
-# marks ``trailing << (white + 1) | used``, ``used`` the bitmask of the white
-# lengths a tiling uses and ``trailing`` its white tiles after the last red
-# square.  One int per cell keeps the 105 censuses of r + n <= 13 (3,546
-# cells) in 222 KB, against 357 KB with ``(used, trailing)`` tuples.
-_CENSUSES: dict[tuple[int, int], dict[int, int]] = {}
-
-# The highest ceiling each unrestricted family :func:`_parent` has refused
-# at, keyed by ``(reds, white)``: it has more tilings than that.
-_REFUSED: dict[tuple[int, int], int] = {}
-
-# The part fold of every composition family a census helper has read, keyed
-# by ``(0, n, lengths)`` as in ``_COUNTS``: ``(total, rows)``, the number of
-# compositions and, per part that occurs, a tuple ``rows[part]`` indexed by
-# multiplicity, ``rows[part][m] = (compositions, of which the copies of part
-# form one block)``; multiplicity 0 and the multiplicities no composition
-# has read ``(0, 0)``.  Tuples of ints keep the 56 folds of a ``default``
-# verify in about 82 KB, against 128 KB as dicts of two-item lists.
-_FOLDS: dict[tuple[int, int, tuple[int, ...]],
-             tuple[int, dict[int, tuple[tuple[int, int], ...]]]] = {}
-
-# The tile total of every tiling family :func:`tile_count_total` has read,
-# keyed by ``(reds, white)``.
-_TILES: dict[tuple[int, int], int] = {}
+# Every census a walk has filled, keyed by ``(statistic, reds, white, top)``:
+# its row of ``_STATISTICS`` and the tilings with ``reds`` red squares and
+# white tiles of lengths 1..top totalling ``white``, kept in the row's form.
+# An entry is only ever built from visited leaves.
+_CENSUSES: dict[tuple[str, int, int, int], Any] = {}
 
 
 def _refusal(ceiling: int) -> OracleScaleError:
@@ -375,16 +349,16 @@ def _refuse_past_floor(
       first;
     - 2**(white - 1) when every length up to ``white`` is allowed: the
       compositions of ``white``, every red square first;
-    - C(white - 1, t - 1) * C(t + reds, reds), for each t, when every
+    - the sum over t of C(white - 1, t - 1) * C(t + reds, reds) when every
       length up to ``white`` is allowed: the tilings with exactly t white
-      tiles, a composition of ``white`` into t parts with the red squares
-      placed among them.
+      tiles (a composition of ``white`` into t parts, the red squares placed
+      among them), disjoint classes that cover the family, so its size.
 
     None is worked out for a family whose roof (see :func:`_roof`) is
     within the room, and the last only when the others pass, so with
-    2**(white - 1) within the room: for fewer than ``room.bit_length()``
-    values of t.  An unrefused family is still walked or read off a census,
-    so no count comes from the bound."""
+    2**(white - 1) within the room: fewer than ``room.bit_length()`` terms.
+    An unrefused family is still walked or read off a census, so no count
+    comes from the bound."""
     if ceiling is None or white and lengths[:1] != (1,):
         return
     room = ceiling - seen
@@ -399,13 +373,12 @@ def _refuse_past_floor(
     else:
         exponent = white // lengths[1] if len(lengths) > 1 else 0
     # The family has an object; 2**exponent > room exactly when exponent >=
-    # room.bit_length().  The t bounds at t = 1 and t = white are at most
-    # C(white + reds, reds).
+    # room.bit_length().  A capped term past room passes it in the sum too.
     if (room < 1 or exponent >= room.bit_length()
             or _capped_binomial(reds, white, 1, room) > room
-            or every and any(
-                _capped_binomial(reds, t, comb(white - 1, t - 1), room) > room
-                for t in range(2, white))):
+            or every and sum(
+                _capped_binomial(reds, t, comb(white - 1, t - 1), room)
+                for t in range(1, white + 1)) > room):
         raise _refusal(ceiling)
 
 
@@ -448,9 +421,11 @@ def _count(
 
     Each family is counted once per process: its floor refuses first, then
     it is read off its parent's census (see :func:`_parent`), or walked by
-    :func:`_count_leaves` when the parent is refused.  The count is kept in
-    ``_COUNTS``, and a later call reads it and refuses exactly when the walk
-    would have.  A refused count keeps nothing."""
+    :func:`_count_leaves` when its floor refuses the parent.  With every
+    length allowed and a ceiling, the family is its parent and both floors
+    are exact, so it passes its own floor only when its parent is read.
+    The count is kept in ``_COUNTS``, and a later call reads it and refuses
+    exactly when the walk would have.  A refused count keeps nothing."""
     if lengths and white % gcd(*lengths):
         return 0  # no leaf, as in _walk
     key = (reds, white, lengths)
@@ -458,15 +433,10 @@ def _count(
     if total is None:
         _refuse_past_floor(reds, white, lengths, ceiling, seen)
         census = _parent(reds, white, ceiling)
-        if census is not None:
-            total = _kept(_read(census, white, lengths), ceiling, seen)
-        elif ceiling is not None and (
-                not white or lengths[white - 1:white] == (white,)):
-            # Every length up to white is allowed: the family is its
-            # parent, refused with more than ceiling leaves.
-            raise _refusal(ceiling)
-        else:
+        if census is None:
             total = _count_leaves(reds, white, lengths, ceiling, seen)
+        else:
+            total = _kept(_read(census, white, lengths), ceiling, seen)
         _COUNTS[key] = total
         return total
     return _kept(total, ceiling, seen)
@@ -497,45 +467,21 @@ def _same(marks: int, code: int) -> int:
 def _parent(
     reds: int, white: int, ceiling: int | None
 ) -> dict[int, int] | None:
-    """The census of every tiling with ``reds`` red squares and white total
-    ``white``, any white length allowed, or None when it is refused.
-
-    Each parent is tallied once per process into ``_CENSUSES``, under
-    ``ceiling``, or under ``DEFAULT_CEILING`` (read when it is called) when
-    ``ceiling`` is None; its floor refuses first.  A refusal is kept in
-    ``_REFUSED`` with the ceiling it failed at, so the parent is tried again
-    only under a higher one."""
-    census = _CENSUSES.get((reds, white))
-    if census is not None:
-        return census
-    limit = DEFAULT_CEILING if ceiling is None else ceiling
-    if _REFUSED.get((reds, white), -inf) >= limit:
-        return None  # refused at this ceiling or a higher one
-    every = tuple(range(1, white + 1))
-    try:
-        _refuse_past_floor(reds, white, every, limit)
-        census = _tally(reds, white, every, _used_step(white), 0, limit)
-    except OracleScaleError:
-        _REFUSED[reds, white] = limit
-        return None
-    _CENSUSES[reds, white] = census
+    """The used-lengths census of every tiling with ``reds`` red squares
+    and white total ``white``, any white length allowed, or None when it
+    passes ``ceiling`` (``DEFAULT_CEILING``, read when it is called, when
+    ``ceiling`` is None).  A kept census is read with no lengths built;
+    otherwise its floor, the family's exact size, refuses first, so the
+    tally never does, and a refused parent keeps nothing."""
+    census = _CENSUSES.get(("used", reds, white, white))
+    if census is None:
+        limit = DEFAULT_CEILING if ceiling is None else ceiling
+        try:
+            _refuse_past_floor(reds, white, tuple(range(1, white + 1)), limit)
+        except OracleScaleError:
+            return None
+        census = _census("used", reds, white, white, limit)
     return census
-
-
-def _used_step(white: int) -> Callable[[int, int], int]:
-    """The step of the census of white total ``white``: its marks are
-    ``trailing << (white + 1) | used``, with bit ``k`` of ``used`` set once
-    a white tile of length ``k`` is placed and ``trailing`` the white tiles
-    since the last red square."""
-    used_bits = (1 << (white + 1)) - 1
-    one_trailing = 1 << (white + 1)
-
-    def step(marks: int, code: int) -> int:
-        if not code:
-            return marks & used_bits
-        return (marks | (1 << code)) + one_trailing
-
-    return step
 
 
 def _read(
@@ -731,6 +677,118 @@ def _run_leaves(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return {key: hits for key, (hits,) in cells.items() if key[0] and hits}
 
 
+# ---------------------------------------------------------------------------
+# The census store.  A statistic is one row of ``_STATISTICS``: the step
+# factory of its marked walk, called with the white total (None for the run
+# census, which :func:`_run_leaves` walks), and the form its census is kept
+# in, made once from the walked cells and the white total (None to keep
+# them as walked).
+# ---------------------------------------------------------------------------
+
+def _used_step(white: int) -> Callable[[int, int], int]:
+    """The step of the used-lengths census of white total ``white``: its
+    marks are ``trailing << (white + 1) | used``, with bit ``k`` of ``used``
+    set once a white tile of length ``k`` is placed and ``trailing`` the
+    white tiles since the last red square.  One int per cell keeps the 105
+    censuses of r + n <= 13 (3,546 cells) in 222 KB, 357 KB as tuples."""
+    used_bits = (1 << (white + 1)) - 1
+    one_trailing = 1 << (white + 1)
+
+    def step(marks: int, code: int) -> int:
+        if not code:
+            return marks & used_bits
+        return (marks | (1 << code)) + one_trailing
+
+    return step
+
+
+def _fold_step(n: int) -> Callable[[int, int], int]:
+    """The step of the part fold of ``n``: fields of ``(2n + 1).bit_length()``
+    bits, the last part in field 0 and in field ``p`` 2 * (copies of ``p``),
+    plus 1 once a second block of ``p`` starts."""
+    width = (2 * n + 1).bit_length()
+    mask = (1 << width) - 1
+
+    def step(marks: int, part: int) -> int:
+        at = part * width
+        if marks >> at & mask and part != marks & mask:
+            marks |= 1 << at
+        return (marks >> width << width | part) + (2 << at)
+
+    return step
+
+
+def _largest_step(n: int) -> Callable[[int, int], int]:
+    """The step of the largest-part census of ``n``: its marks are
+    ``top * (n + 1) + copies``, the largest part and its copies."""
+    base = n + 1
+
+    def step(marks: int, part: int) -> int:
+        top = marks // base
+        return part * base + 1 if part > top else marks + (part == top)
+
+    return step
+
+
+def _white_step(marks: int, code: int) -> int:
+    """The marks of the white-tile census: the white tiles placed."""
+    return marks + 1 if code else marks
+
+
+def _unpacked_fold(
+    cells: dict[int, int], white: int
+) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+    """The part fold of the compositions of ``white`` as kept: ``(total,
+    rows)``, their number and, per part that occurs, a tuple ``rows[part]``
+    by multiplicity, ``rows[part][m] = (compositions, of which the copies
+    of part form one block)``, ``(0, 0)`` at multiplicity 0 and in the
+    gaps.  Tuples of ints keep the 56 folds of a ``default`` verify in
+    about 82 KB, against 128 KB as dicts of two-item lists."""
+    found: dict[int, dict[int, list[int]]] = {}
+    width = (2 * white + 1).bit_length()
+    mask = (1 << width) - 1
+    for marks, count in cells.items():
+        for part in range(1, marks.bit_length() // width + 1):
+            cell = marks >> part * width & mask
+            if cell:
+                counts = found.setdefault(part, {}).setdefault(cell >> 1, [0, 0])
+                counts[0] += count
+                if not cell & 1:
+                    counts[1] += count
+    # One shared (0, 0) fills multiplicity 0 and every gap.
+    rows = {part: tuple(tuple(row.get(multiplicity, (0, 0)))
+                        for multiplicity in range(max(row) + 1))
+            for part, row in found.items()}
+    return sum(cells.values()), rows
+
+
+_STATISTICS: dict[str, tuple[Callable[[int], Callable] | None, Callable | None]] = {
+    "used": (_used_step, None),
+    "fold": (_fold_step, _unpacked_fold),
+    "white": (lambda white: _white_step, None),
+    "largest": (_largest_step, None),
+    "runs": (None, None),
+}
+
+
+def _census(
+    statistic: str, reds: int, white: int, top: int, ceiling: int | None = None
+) -> Any:
+    """The census ``statistic`` of the tilings with ``reds`` red squares
+    and white tiles of lengths 1..``top`` totalling ``white``, in its row's
+    kept form, walked under ``ceiling`` once per process into
+    ``_CENSUSES``.  The caller admits the family first."""
+    key = (statistic, reds, white, top)
+    kept = _CENSUSES.get(key)
+    if kept is None:
+        step, form = _STATISTICS[statistic]
+        lengths = tuple(range(1, top + 1))
+        cells = (_run_leaves(white, lengths) if step is None
+                 else _tally(reds, white, lengths, step(white), 0, ceiling))
+        kept = _CENSUSES[key] = cells if form is None else form(cells, white)
+    return kept
+
+
 # A family of objects is a sequence of blocks ``(reds, white, tail,
 # mirrored)``: each leaf of the walk over ``(reds, white)`` followed by
 # ``tail``, and by the leaf reversed when ``mirrored``.
@@ -917,12 +975,11 @@ def count_tilings(
 
     The count is produced by walking the same enumeration tree leaf by
     leaf, never by a formula, so it is usable as an independent oracle.
-    Unless palindromic, it is read off the census of ``(r, n + s)``: its
-    leaves whose white lengths all pass the filter and that end in at least
-    ``s`` white tiles.  When that census is refused, or the count is
-    palindromic, its blocks are counted one by one (see :func:`_count`).
-    Of the counts read off that census, only an unrestricted one is kept
-    in ``_COUNTS``.
+    Unless palindromic, it is read off the census of its parent ``(r, n +
+    s)``: its leaves whose white lengths all pass the filter and that end
+    in at least ``s`` white tiles.  When the parent's exact floor refuses
+    it, or the count is palindromic, its blocks are counted one by one
+    (see :func:`_count`); only an unrestricted count is kept in ``_COUNTS``.
     """
     blocks, lengths = _tiling_blocks(r, n, filter, ceiling)
     f = filter or TilingFilter()
@@ -1070,70 +1127,20 @@ def count_palindromic_compositions(
 # Each one is read off a walk of real objects; none consults a closed form.
 # ---------------------------------------------------------------------------
 
-def _census_lengths(
-    n: int, max_part: int | None = None, reds: int = 0
-) -> tuple[int, ...]:
-    """The allowed lengths of a census over the tilings with ``reds`` red
-    squares and white total ``n``, so the compositions of ``n`` by default.
-    The family is admitted by its roof, or counted, before it is walked,
-    so a census past ``DEFAULT_CEILING`` (read when the census is called)
-    is refused before it folds."""
+def _family_census(
+    statistic: str, n: int, max_part: int | None = None, reds: int = 0
+) -> Any:
+    """The kept census ``statistic`` of the tilings with ``reds`` red
+    squares and white total ``n``, white lengths 1..``max_part``: the
+    compositions of ``n`` by default.  The family is admitted by its roof,
+    or counted, on every call, so a census past ``DEFAULT_CEILING`` (read
+    when it is called) is refused before it is walked or read."""
     ceiling = DEFAULT_CEILING
     lengths = _part_lengths(n, max_part, reds=reds, floor=(reds, n),
                             ceiling=ceiling)
     if ceiling is not None and _roof(reds, n, ceiling) > ceiling:
         _count(reds, n, lengths, ceiling)
-    return lengths
-
-
-def _fold_step(n: int) -> Callable[[int, int], int]:
-    """The step of the part fold of ``n``: fields of ``(2n + 1).bit_length()``
-    bits, the last part in field 0 and in field ``p`` 2 * (copies of ``p``),
-    plus 1 once a second block of ``p`` starts."""
-    width = (2 * n + 1).bit_length()
-    mask = (1 << width) - 1
-
-    def step(marks: int, part: int) -> int:
-        at = part * width
-        if marks >> at & mask and part != marks & mask:
-            marks |= 1 << at
-        return (marks >> width << width | part) + (2 << at)
-
-    return step
-
-
-def _part_fold(
-    n: int, max_part: int | None
-) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
-    """The fold ``(total, rows)`` of the compositions of ``n`` with parts at
-    most ``max_part``, as kept in ``_FOLDS``.  Each family is tallied once
-    per process, after :func:`_census_lengths` has let it through."""
-    lengths = _census_lengths(n, max_part)
-    fold = _FOLDS.get((0, n, lengths))
-    if fold is None:
-        found: dict[int, dict[int, list[int]]] = {}
-        tally = _tally(0, n, lengths, _fold_step(n), 0, None)
-        width = (2 * n + 1).bit_length()
-        mask = (1 << width) - 1
-        for marks, count in tally.items():
-            for part in range(1, marks.bit_length() // width + 1):
-                cell = marks >> part * width & mask
-                if cell:
-                    counts = found.setdefault(part, {}).setdefault(cell >> 1, [0, 0])
-                    counts[0] += count
-                    if not cell & 1:
-                        counts[1] += count
-        # One shared (0, 0) fills multiplicity 0 and every gap.
-        rows = {part: tuple(tuple(row.get(multiplicity, (0, 0)))
-                            for multiplicity in range(max(row) + 1))
-                for part, row in found.items()}
-        fold = _FOLDS[0, n, lengths] = (sum(tally.values()), rows)
-    return fold
-
-
-def _copies(row: tuple[tuple[int, int], ...]) -> int:
-    """How often a part occurs over a family, read off its row of the fold."""
-    return sum(multiplicity * count for multiplicity, (count, _) in enumerate(row))
+    return _census(statistic, reds, n, len(lengths))
 
 
 def _part_histogram(
@@ -1142,7 +1149,7 @@ def _part_histogram(
     """How many compositions of ``n`` hold ``k`` exactly ``m`` times, per
     ``m``, counting only those whose copies of ``k`` form one block when
     ``one_block``; the ``m = 0`` class is always reported."""
-    total, rows = _part_fold(n, max_part)
+    total, rows = _family_census("fold", n, max_part)
     row = rows.get(k, ())
     histogram = {0: total - sum(count for count, _ in row)}
     for multiplicity, (count, blocks) in enumerate(row):
@@ -1153,7 +1160,7 @@ def _part_histogram(
 
 def part_occurrences(n: int, k: int, *, max_part: int | None = None) -> int:
     """Total number of times ``k`` appears as a part over all compositions."""
-    return _copies(_part_fold(n, max_part)[1].get(k, ()))
+    return _occurrences(n, max_part).get(k, 0)
 
 
 def part_multiplicity_census(
@@ -1165,7 +1172,7 @@ def part_multiplicity_census(
     composition count to recover the multiplicity-zero classes.
     """
     return {(part, multiplicity): count
-            for part, row in _part_fold(n, max_part)[1].items()
+            for part, row in _family_census("fold", n, max_part)[1].items()
             for multiplicity, (count, _) in enumerate(row) if count}
 
 
@@ -1182,13 +1189,16 @@ def count_by_part_multiplicity(
 
 def run_census(n: int, *, max_part: int | None = None) -> dict[tuple[int, int], int]:
     """Counts of runs keyed by ``(part value, run length)`` over all compositions."""
-    return _run_leaves(n, _census_lengths(n, max_part))
+    return dict(_family_census("runs", n, max_part))
 
 
 def _occurrences(n: int, max_part: int | None = None) -> dict[int, int]:
     """How often each part occurs over the compositions of ``n`` with parts
     at most ``max_part``: each a count of visited parts, read off the fold."""
-    return {part: _copies(row) for part, row in _part_fold(n, max_part)[1].items()}
+    rows = _family_census("fold", n, max_part)[1]
+    return {part: sum(multiplicity * count
+                      for multiplicity, (count, _) in enumerate(row))
+            for part, row in rows.items()}
 
 
 def total_parts(n: int) -> int:
@@ -1196,23 +1206,10 @@ def total_parts(n: int) -> int:
     return sum(_occurrences(n).values())
 
 
-def _largest_step(n: int) -> Callable[[int, int], int]:
-    """The step of the largest-part census of ``n``: its marks are
-    ``top * (n + 1) + copies``, the largest part and its copies."""
-    base = n + 1
-
-    def step(marks: int, part: int) -> int:
-        top = marks // base
-        return part * base + 1 if part > top else marks + (part == top)
-
-    return step
-
-
 def largest_part_census(n: int) -> dict[tuple[int, int], int]:
     """Counts of compositions keyed by ``(largest part, its multiplicity)``."""
-    census = _tally(0, n, _census_lengths(n), _largest_step(n), 0, None)
     return {divmod(marks, n + 1): count  # marks 0: the empty composition
-            for marks, count in census.items() if marks}
+            for marks, count in _family_census("largest", n).items() if marks}
 
 
 def consecutive_part_census(n: int, k: int) -> dict[int, int]:
@@ -1224,25 +1221,15 @@ def consecutive_part_census(n: int, k: int) -> dict[int, int]:
             in _part_histogram(n, k, one_block=True).items() if count}
 
 
-def _white_step(marks: int, code: int) -> int:
-    """The marks of the white-tile census: the white tiles placed."""
-    return marks + 1 if code else marks
-
-
 def tile_count_total(r: int, n: int) -> int:
     """Total number of tiles over every tiling with ``r`` reds and white total
     ``n``: its tilings with j white tiles, counted by a census of visited
-    leaves, have r + j tiles each.  Each family's total is tallied once per
-    process."""
+    leaves, have r + j tiles each.  Each family's census is tallied once
+    per process and summed on each read."""
     if r < 0:
         raise ValueError("r and n must be nonnegative")
-    lengths = _census_lengths(n, reds=r)
-    total = _TILES.get((r, n))
-    if total is None:
-        census = _tally(r, n, lengths, _white_step, 0, None)
-        total = _TILES[r, n] = sum((r + whites) * count
-                                   for whites, count in census.items())
-    return total
+    return sum((r + whites) * count
+               for whites, count in _family_census("white", n, reds=r).items())
 
 
 def replaced_compositions_oracle(n: int) -> int:

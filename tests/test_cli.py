@@ -257,10 +257,11 @@ class TestVerify:
 
     def test_small_report_digest(self, capsys, tmp_path):
         # Refactors of the registry and the oracle must leave the report
-        # byte-identical, at the small and at the default scale.
+        # byte-identical, at the small, default and large scales.
         digests = {
             "small": "7616d81678631d31a0b1622513d93dc49cb25aba61531d582e8ac445d032a2a3",
             "default": "a312b00867bfb95f9f353d1013b2e78df49deba40bd94aaf07cb811b721178ea",
+            "large": "699ac6239b1460ca9f163081be694b0f180d5b5f596e0bb43730ac0e5aaa751b",
         }
         for scale, digest in digests.items():
             target = tmp_path / f"{scale}.json"

@@ -451,9 +451,7 @@ class TestIndependentSides:
         grid = ident.SCALES["small"]
         mixed = set()
         with patch.dict(orc._COUNTS, clear=True), \
-                patch.dict(orc._CENSUSES, clear=True), \
-                patch.dict(orc._FOLDS, clear=True), \
-                patch.dict(orc._TILES, clear=True):
+                patch.dict(orc._CENSUSES, clear=True):
             for record in ident.registry():
                 for label, fn, domain in _sides(record):
                     points = list(domain(grid))

@@ -699,11 +699,11 @@ def test_large_part_fold_peak_memory(store):
     # against 24 MB with a tuple of n + 1 cells per node.
     tracemalloc.start()
     try:
-        total, rows = orc._part_fold(22, None)
+        total, rows = orc._family_census("fold", 22)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert total == 2 ** 21 and orc._copies(rows[1]) == 24 * 2 ** 19
+    assert total == 2 ** 21 and orc.part_occurrences(22, 1) == 24 * 2 ** 19
     assert peak <= 16 * 2 ** 20
 
 
@@ -714,14 +714,17 @@ def test_large_part_fold_peak_memory(store):
 
 @pytest.fixture
 def store():
-    """The count store, emptied for one test with the census, refused
-    parent, part fold and tile total stores, so that a first count walks."""
+    """The count store, emptied for one test with the census store, so
+    that a first count walks."""
     with patch.dict(orc._COUNTS, clear=True), \
-            patch.dict(orc._CENSUSES, clear=True), \
-            patch.dict(orc._REFUSED, clear=True), \
-            patch.dict(orc._FOLDS, clear=True), \
-            patch.dict(orc._TILES, clear=True):
+            patch.dict(orc._CENSUSES, clear=True):
         yield orc._COUNTS
+
+
+def _parents() -> set[tuple[int, int]]:
+    """The ``(reds, white)`` of every kept used-lengths census."""
+    return {(reds, white) for statistic, reds, white, _ in orc._CENSUSES
+            if statistic == "used"}
 
 
 def _refusal_message(walk) -> str:
@@ -833,7 +836,7 @@ def test_refused_walk_and_dead_family_are_not_stored(store):
     orc._CENSUSES.clear()
     with pytest.raises(OracleScaleError, match="more than 19 objects"):
         count_tilings(1, 3, suffix, ceiling=exact - 1)
-    assert (1, 4) not in orc._CENSUSES
+    assert (1, 4) not in _parents()
     lengths = (1, 2, 3, 4)
     assert store == {(1, 3, lengths): 12, (1, 2, lengths): 5,
                      (1, 1, lengths): 2}
@@ -849,10 +852,9 @@ def test_refused_walk_and_dead_family_are_not_stored(store):
     (lambda ceiling: orc._count(2, 4, (1, 2, 3, 4), ceiling, 3), 3),
 ])
 def test_ceiling_holds_at_the_exact_size(store, count, seen):
-    # Where the lower bound is the exact size (2**(n-1) compositions, the
-    # C(r+1, r) tilings of white total 1, a lone object) the family is
-    # refused before its walk, elsewhere by the walk: both just past the
-    # size, with one message, on a miss and on a kept count.
+    # Every length is allowed, so the floor is the exact size and refuses
+    # the family before its walk: just past the size, with one message, on
+    # a miss and on a kept count.
     exact = count(None)
     store.clear()
     orc._CENSUSES.clear()
@@ -889,7 +891,7 @@ def test_stored_empty_family_refuses_nothing(store):
     empty = TilingFilter(max_white_len=1, forbidden_white_len=1)
     # Read off the census of (0, 2): no leaf uses no white length.
     assert count_tilings(0, 2, empty) == 0
-    assert store == {} and set(orc._CENSUSES) == {(0, 2)}
+    assert store == {} and _parents() == {(0, 2)}
     # Under a ceiling its parent passes, the empty family is walked and
     # stored as 0, which refuses nothing.
     orc._CENSUSES.clear()
@@ -951,7 +953,7 @@ def test_census_counts_each_leaf_by_longest_and_trailing_white(store):
         for n in range(8 - r):
             leaves = list(orc._walk(r, n, tuple(range(1, n + 1))))
             assert count_tilings(r, n) == len(leaves)
-            census = orc._CENSUSES[r, n]
+            census = orc._CENSUSES["used", r, n, n]
             assert census == Counter(map(_used_marks(n), leaves))
             longest = Counter()
             for marks, count in census.items():
@@ -1014,7 +1016,7 @@ def test_tile_total_is_read_off_the_white_tile_census(store, reds):
             Counter(len(codes) - codes.count(0) for codes in leaves)
         with patch.object(orc, "_walk", _no_count):
             assert orc.tile_count_total(reds, white) == sum(map(len, leaves))
-    assert len(orc._TILES) == 12 - reds
+    assert sum(key[0] == "white" for key in orc._CENSUSES) == 12 - reds
 
 
 def _fold_marks(n):
@@ -1062,7 +1064,7 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
 @pytest.mark.parametrize("r, n, inside", [(2, 3, True), (3, 7, False)])
 def test_unrestricted_count_refuses_one_below_its_size(store, r, n, inside):
     # The root of (2, 3) is a kept node itself; that of (3, 7) is above the
-    # kept nodes.  Both floors are below the size, so the walk refuses.
+    # kept nodes.  Both floors are the exact size, so neither is walked.
     assert (r + n <= orc._KEPT_SQUARES) == inside
     exact = count_tilings(r, n, ceiling=None)
     store.clear()
@@ -1072,7 +1074,7 @@ def test_unrestricted_count_refuses_one_below_its_size(store, r, n, inside):
     assert orc._CENSUSES == {}  # a refused census keeps nothing
     assert store == {}
     assert count_tilings(r, n, ceiling=exact) == exact
-    assert sum(orc._CENSUSES[r, n].values()) == exact
+    assert sum(orc._CENSUSES["used", r, n, n].values()) == exact
 
 
 def _check_census_reads(cells):
@@ -1087,7 +1089,7 @@ def _check_census_reads(cells):
     # A filtered count starts its parent's census and reads it.
     assert {cell: count_tilings(*cell) for cell in cells} == walked
     assert orc._COUNTS == {}  # every filtered count was read, none walked
-    assert set(orc._CENSUSES) == parents
+    assert _parents() == parents
 
 
 def test_census_reads_match_the_walk(store):
@@ -1111,42 +1113,50 @@ def test_census_reads_match_the_walk_at_large_scale(store):
         if k is not None or s])
 
 
-def test_refused_parent_is_kept_as_refused_and_not_tallied_again(
-    store, monkeypatch
-):
+def _recorded_tallies(monkeypatch) -> list[tuple[int, int, str]]:
+    """Every ``_tally`` call from now on, as ``(reds, white, "own")`` for a
+    plain count of a family's own leaves and ``"census"`` for any other."""
     tallied = []
     tally = orc._tally
 
     def recorded(reds, white, lengths, step, *args):
-        tallied.append((reds, white, "own" if step is orc._same else "parent"))
+        tallied.append((reds, white, "own" if step is orc._same else "census"))
         return tally(reds, white, lengths, step, *args)
 
     monkeypatch.setattr(orc, "_tally", recorded)
+    return tallied
+
+
+def test_refused_parent_is_refused_by_its_floor_and_never_tallied(
+    store, monkeypatch
+):
+    tallied = _recorded_tallies(monkeypatch)
     # The parent of (0, 24) under lengths 1 and 2 has 2**23 tilings: its
-    # floor refuses it at once, and the family walks its own leaves.
+    # floor refuses it at once, on every call, and the family walks its own
+    # leaves once.
     bounded = TilingFilter(max_white_len=2)
     for _ in range(2):
         assert count_tilings(0, 24, bounded, ceiling=10 ** 5) == 75_025
-        assert orc._CENSUSES == {} and orc._REFUSED == {(0, 24): 10 ** 5}
+        assert orc._CENSUSES == {}
         assert store == {(0, 24, (1, 2)): 75_025}
         assert tallied == [(0, 24, "own")]
-    # The parent of (3, 12), 230,656 tilings, passes its floor of 55,440 and
-    # is refused by its tally; another family of it does not tally it again.
+    # The parent of (3, 12), 230,656 tilings, passes the single bounds
+    # (55,440 at most) but not its exact floor: no family of it tallies it.
     tallied.clear()
     assert count_tilings(3, 12, bounded, ceiling=10 ** 5) == 49_963
-    assert tallied == [(3, 12, "parent"), (3, 12, "own")]
-    assert orc._REFUSED[3, 12] == 10 ** 5 and (3, 12) not in orc._CENSUSES
+    assert tallied == [(3, 12, "own")]
+    assert orc._CENSUSES == {}
     tallied.clear()
     odd = TilingFilter(max_white_len=3, forbidden_white_len=2)
     assert count_tilings(3, 12, odd, ceiling=10 ** 4) == 9_650
     assert count_tilings(3, 12, odd, ceiling=10 ** 5) == 9_650
     assert tallied == [(3, 12, "own")]
-    # Under a higher ceiling it is tried again, and then read.
+    # Under a higher ceiling it passes its floor, and is tallied and read.
     tallied.clear()
     assert count_tilings(3, 12, TilingFilter(max_white_len=4)) == \
         sum(1 for _ in orc._walk(3, 12, (1, 2, 3, 4)))
-    assert tallied == [(3, 12, "parent")]
-    assert sum(orc._CENSUSES[3, 12].values()) == 230_656
+    assert tallied == [(3, 12, "census")]
+    assert sum(orc._CENSUSES["used", 3, 12, 12].values()) == 230_656
 
 
 def test_filtered_count_without_a_census_walks_its_own_family(store):
@@ -1319,8 +1329,7 @@ _UNDER_THE_ROOF = [
 def test_listing_and_census_under_the_roof_never_count(store, walk):
     expected = walk()
     store.clear()
-    orc._FOLDS.clear()
-    orc._TILES.clear()
+    orc._CENSUSES.clear()
     with patch.object(orc, "_count_leaves", _no_count):
         assert walk() == expected
     assert store == {}
@@ -1407,9 +1416,9 @@ def test_filtered_floor_is_a_lower_bound(lengths):
 
 
 def test_unrestricted_floor_is_a_lower_bound(store):
-    # With every length up to white allowed, the floor also takes the
-    # tilings with exactly t white tiles for the best t; it never passes the
-    # walked size of the family.
+    # With every length up to white allowed, the floor also sums the
+    # tilings with exactly t white tiles over t; it never passes the walked
+    # size of the family.
     for reds in range(8):
         for white in range(1, 15 - reds):
             every = tuple(range(1, white + 1))
@@ -1420,33 +1429,88 @@ def test_unrestricted_floor_is_a_lower_bound(store):
                 orc._count(reds, white, every, size - 1)
 
 
+def test_unrestricted_floor_refuses_exactly_past_the_walked_size():
+    # The classes by number of white tiles are disjoint and cover the
+    # family, so the floor refuses at one below its size, also through the
+    # objects seen before, and not at its size.
+    for reds in range(13):
+        for white in range(13 - reds):
+            every = tuple(range(1, white + 1))
+            size = sum(1 for _ in orc._walk(reds, white, every))
+            orc._refuse_past_floor(reds, white, every, size)
+            orc._refuse_past_floor(reds, white, every, size + 4, 4)
+            for ceiling, seen in ((size - 1, 0), (size + 3, 4)):
+                with pytest.raises(OracleScaleError,
+                                   match=f"more than {ceiling} objects"):
+                    orc._refuse_past_floor(reds, white, every, ceiling, seen)
+
+
 def test_unrestricted_floor_refuses_large_parents_before_any_tally(
     store, monkeypatch
 ):
-    # These parents have 131-185 M tilings and pass the other floors at
-    # the default ceiling; the best t refuses them at once.
+    # These parents have 38-185 M tilings and pass the other floors at the
+    # default ceiling; the summed floor refuses them at once.  Of (2, 20)'s
+    # 38,928,384 tilings, at most 7,205,484 have one number of white tiles.
     with patch.object(orc, "_tally", _no_count):
-        for reds, white in ((3, 20), (2, 22), (5, 17), (4, 18)):
+        for reds, white in ((3, 20), (2, 22), (5, 17), (4, 18), (2, 20)):
             assert _refusal_message(lambda: count_tilings(reds, white)) == \
                 "oracle scale exceeded: more than 10000000 objects"
             assert orc._parent(reds, white, None) is None
-    assert orc._REFUSED == dict.fromkeys(
-        ((3, 20), (2, 22), (5, 17), (4, 18)), orc.DEFAULT_CEILING)
-    # (2, 20), 38,928,384 tilings, still passes: at most 7,205,484 of them
-    # have the same number of white tiles.
-    orc._refuse_past_floor(2, 20, tuple(range(1, 21)), orc.DEFAULT_CEILING)
+    assert orc._CENSUSES == {}  # a refused parent keeps nothing
     # A small family of a refused parent walks only its own leaves.
-    tallied = []
-    tally = orc._tally
-
-    def recorded(reds, white, lengths, step, *args):
-        tallied.append((reds, white, step is orc._same))
-        return tally(reds, white, lengths, step, *args)
-
-    monkeypatch.setattr(orc, "_tally", recorded)
+    tallied = _recorded_tallies(monkeypatch)
     assert count_tilings(3, 20, TilingFilter(max_white_len=2,
                                              forbidden_white_len=1)) == 286
-    assert tallied == [(3, 20, True)]
+    assert tallied == [(3, 20, "own")]
+
+
+def test_small_family_of_a_parent_just_past_the_ceiling_tallies_no_parent(
+    store, monkeypatch
+):
+    # The parent (2, 20) is 38,928,384 tilings, past the default ceiling
+    # by less than any single class of white tiles shows: its exact floor
+    # refuses it, so the 66 tilings of white tiles 2 are the only leaves
+    # walked, not the 10**7 of a refused parent tally first.
+    tallied = _recorded_tallies(monkeypatch)
+    for _ in range(2):
+        assert count_tilings(2, 20, TilingFilter(max_white_len=2,
+                                                 forbidden_white_len=1)) == 66
+        assert tallied == [(2, 20, "own")]
+    assert orc._CENSUSES == {}
+
+
+def test_each_statistic_is_tallied_once_per_family(store, monkeypatch):
+    walks = []
+    tally, run_leaves = orc._tally, orc._run_leaves
+
+    def tallied(reds, white, lengths, step, *args):
+        walks.append((step.__qualname__, reds, white, lengths))
+        return tally(reds, white, lengths, step, *args)
+
+    def ran(n, lengths):
+        walks.append(("runs", 0, n, lengths))
+        return run_leaves(n, lengths)
+
+    monkeypatch.setattr(orc, "_tally", tallied)
+    monkeypatch.setattr(orc, "_run_leaves", ran)
+    n = 9
+    bounded = TilingFilter(max_white_len=3)
+
+    def read():
+        return [orc.largest_part_census(n), orc.run_census(n),
+                orc.part_multiplicity_census(n), orc.tile_count_total(2, 6),
+                orc.part_occurrences(n, 2), count_tilings(2, 6, bounded)]
+
+    first = read()
+    expected = [dict(value) if isinstance(value, dict) else value
+                for value in first]
+    # A returned census is a copy: changing it leaves the kept one as is.
+    for census in first[:3]:
+        census[1, 1] = -1
+    assert read() == expected
+    assert len(walks) == len(set(walks)) == 5
+    assert {name.split(".")[0] for name, *_ in walks} == {
+        "_largest_step", "runs", "_fold_step", "_white_step", "_used_step"}
 
 
 def test_filtered_floor_refuses_before_any_walk(store):
