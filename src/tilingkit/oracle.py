@@ -55,23 +55,24 @@ tuple of allowed lengths.  Three walks cover that tree:
 No walk consults a formula: every count, cell and credit is a number of
 visited leaves.  The counters are the guard.  A count or a census raises
 :class:`OracleScaleError` as soon as it passes ``ceiling``, and every
-listing and every composition census is admitted by its roof, or counted,
-before it is walked, so a family past ``ceiling`` is refused before any
-object is built.  The roof, 2**(white - 1) * C(white + reds, reds) (1 for
-white 0), bounds a family's size from above: when the roofs of a listing's
-blocks sum to at most ``ceiling``, it is walked once with no guard count.
-The floor bounds it from below for lengths that hold 1: C(white + reds,
-reds), 2**(white // m) for the next allowed length m, or, with every length
-allowed, the exact size, its tilings with t white tiles summed over t; a
-family whose floor passes the ceiling is refused before its walk.  Neither
-bound is a count: the floor only refuses and the roof only skips a guard
-walk.  A family covering more than ``SQUARES_BOUND`` squares is refused
-before its lengths are built (as past the ceiling when its floor, read off
-its first two lengths, already passes it), and a white total that is not a
-multiple of the gcd of the lengths has no leaves, so no walk starts.  The
-functions that take no ``ceiling`` (``count_palindromic_compositions`` and
-the census helpers) refuse past ``DEFAULT_CEILING``, read when they are
-called.
+listing and every census is admitted by its roof, or counted, before it is
+walked, so a family past ``ceiling`` is refused before any object is
+built.  The roof is the exact size of the family with every length allowed,
+its tilings with t white tiles summed over t (1 for white 0), so it bounds
+any family of its reds and white total from above: when the roofs of a
+listing's blocks sum to at most ``ceiling``, it is walked once with no
+guard count.  With lengths that hold 1, a family past its roof is refused
+before its walk when every length is allowed, since it is its roof, and
+otherwise when its floor passes the ceiling: the larger of C(white +
+reds, reds) and 2**(white // m) for the next allowed length m.  Neither
+bound is a count: the floor only refuses, and the roof only refuses or
+skips a guard walk.  A family covering more than ``SQUARES_BOUND``
+squares is refused before its lengths are built (as past the ceiling when
+its floor, read off its first two lengths, already passes it), and a white
+total that is not a multiple of the gcd of the lengths has no leaves, so no
+walk starts.  The functions that take no ``ceiling``
+(``count_palindromic_compositions`` and the census helpers) refuse past
+``DEFAULT_CEILING``, read when they are called.
 
 Each family is walked once per process, into one of two module-level
 stores: its count by ``(reds, white, lengths)`` in ``_COUNTS``, and each
@@ -87,15 +88,15 @@ length outside A and at least ``s`` trailing white tiles.  A palindrome or
 suffix family reads one parent per block.  The parent rule: after the
 family's own floor, a parent that is not kept is tallied under the call's
 ceiling (``DEFAULT_CEILING``, read when it is called, when the ceiling is
-None) unless its own floor, exact with every length allowed, refuses it;
-the family then walks its own leaves.  No tally refuses a parent, and a
-refused one keeps nothing.  So a family under the ceiling whose parent is
-far past it is still counted, and the rule reads only the ceiling and the
-floor.  A kept count refuses exactly where its walk would have, against the
-ceiling of the call that reads it, and a census helper counts its family
-that way before it reads a kept census, unless its roof is already at most
-that ceiling.  A refused walk or count keeps nothing.  Concurrent use needs
-no locking: a race only walks a family twice and stores the same cells.
+None) unless its roof, its exact size, passes that ceiling; the family then
+walks its own leaves.  No tally refuses a parent, and a refused one keeps
+nothing.  So a family under the ceiling whose parent is far past it is
+still counted, and the rule reads only the ceiling and the roof.  A kept
+count refuses exactly where its walk would have, against the ceiling of the
+call that reads it, and a census helper counts its family that way before
+it reads a kept census, unless its roof is already at most that ceiling.
+A refused walk or count keeps nothing.  Concurrent use needs no locking: a
+race only walks a family twice and stores the same cells.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import chain, repeat
-from math import comb, gcd, inf
+from math import gcd, inf
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
@@ -341,67 +342,65 @@ def _refuse_past_floor(
     ``seen`` plus a lower bound on their number passes ``ceiling``.
     ``lengths`` may be the first few allowed lengths only: fewer lengths
     allow fewer tilings.  White total 0 has its one tiling whatever the
-    lengths; otherwise only lengths that hold 1 give a bound, the largest of
+    lengths; otherwise only lengths that hold 1 give a bound.  A family
+    within its roof (see :func:`_roof`) is never refused; past it, one
+    with every length up to ``white`` allowed is its roof, so it is refused
+    at once, and any other when the larger of
 
     - C(white + reds, reds): every white tile of length 1;
     - 2**(white // m), for the next length m: white // m disjoint blocks of
       m unit tiles, each merged into one tile or not, every red square
       first;
-    - 2**(white - 1) when every length up to ``white`` is allowed: the
-      compositions of ``white``, every red square first;
-    - the sum over t of C(white - 1, t - 1) * C(t + reds, reds) when every
-      length up to ``white`` is allowed: the tilings with exactly t white
-      tiles (a composition of ``white`` into t parts, the red squares placed
-      among them), disjoint classes that cover the family, so its size.
 
-    None is worked out for a family whose roof (see :func:`_roof`) is
-    within the room, and the last only when the others pass, so with
-    2**(white - 1) within the room: fewer than ``room.bit_length()`` terms.
-    An unrefused family is still walked or read off a census, so no count
-    comes from the bound."""
+    passes the room.  An unrefused family is still walked or read off a
+    census, so no count comes from the bound."""
     if ceiling is None or white and lengths[:1] != (1,):
         return
     room = ceiling - seen
-    if room > 0 and _roof(reds, white, room) <= room:
+    if _roof(reds, white, room) <= room:
         return  # every bound is at most the family's size, so at its roof
-    # The ascending lengths start 1, 2, ..., white.
-    every = white > 0 and len(lengths) >= white and lengths[white - 1] == white
-    if not white:
-        exponent = 0
-    elif every:
-        exponent = white - 1
-    else:
-        exponent = white // lengths[1] if len(lengths) > 1 else 0
-    # The family has an object; 2**exponent > room exactly when exponent >=
-    # room.bit_length().  A capped term past room passes it in the sum too.
-    if (room < 1 or exponent >= room.bit_length()
-            or _capped_binomial(reds, white, 1, room) > room
-            or every and sum(
-                _capped_binomial(reds, t, comb(white - 1, t - 1), room)
-                for t in range(1, white + 1)) > room):
+    # The ascending lengths start 1, 2, ..., white: the family is its roof.
+    every = not white or lengths[white - 1:white] == (white,)
+    exponent = white // lengths[1] if len(lengths) > 1 else 0
+    # 2**exponent > room exactly when exponent >= room.bit_length().
+    if (every or exponent >= room.bit_length()
+            or _capped_binomial(reds, white, room) > room):
         raise _refusal(ceiling)
 
 
 def _roof(reds: int, white: int, room: int) -> int:
-    """An upper bound on the number of tilings with ``reds`` red squares
-    and white total ``white``, whatever lengths are allowed: 1 for white 0,
-    else 2**(white - 1) * C(white + reds, reds).  A tiling is a composition
-    of ``white`` with the red squares placed among its at most ``white``
-    tiles, in at most C(white + reds, reds) ways, and fewer lengths only
-    remove tilings.  Past ``room``, it is any number above it."""
+    """The number of tilings with ``reds`` red squares and white total
+    ``white``, every white length allowed: 1 for white 0, else the sum over
+    t of C(white - 1, t - 1) * C(t + reds, reds), the tilings with exactly
+    t white tiles (a composition of ``white`` into t parts, the red squares
+    placed among them), disjoint classes that cover the family.  Fewer
+    lengths only remove tilings, so it bounds every family of its reds and
+    white total from above.  Past ``room``, it is any number above it,
+    worked out from at most ``room.bit_length()`` terms: past that many,
+    the 2**(white - 1) compositions of ``white``, every red square first,
+    already pass the room."""
     if not white or room < 1:
-        return 1  # white 0 has one tiling; a roof of 1 passes room < 1
+        return 1  # white 0 has one tiling; 1 passes room < 1
     if white > room.bit_length():  # 2**(white - 1) > room
         return room + 1
-    return _capped_binomial(reds, white, 1 << (white - 1), room)
+    total = term = reds + 1  # t = 1
+    for t in range(1, white):
+        if total > room:
+            break
+        # The term of t + 1 from that of t: the quotient is exact, since
+        # C(white - 1, t - 1) * (white - t) = t * C(white - 1, t) and
+        # C(t + reds, reds) * (t + 1 + reds) = (t + 1) * C(t + 1 + reds, reds).
+        term = term * (white - t) * (t + 1 + reds) // (t * (t + 1))
+        total += term
+    return min(total, room + 1)
 
 
-def _capped_binomial(reds: int, white: int, scale: int, room: int) -> int:
-    """``scale * C(white + reds, reds)``, or ``room + 1`` once it passes
-    ``room``: each of its min(reds, white) steps at least doubles it, so a
-    step past ``room`` stays past it."""
+def _capped_binomial(reds: int, white: int, room: int) -> int:
+    """C(white + reds, reds), or ``room + 1`` once it passes ``room``: each
+    of its min(reds, white) steps at least doubles it, so a step past
+    ``room`` stays past it."""
     k, m = min(reds, white), reds + white
-    product = scale
+    product = 1
     for i in range(1, k + 1):
         product = product * (m - k + i) // i
         if product > room:
@@ -421,9 +420,10 @@ def _count(
 
     Each family is counted once per process: its floor refuses first, then
     it is read off its parent's census (see :func:`_parent`), or walked by
-    :func:`_count_leaves` when its floor refuses the parent.  With every
-    length allowed and a ceiling, the family is its parent and both floors
-    are exact, so it passes its own floor only when its parent is read.
+    :func:`_count_leaves` when its roof refuses the parent.  With every
+    length allowed and a ceiling, the family is its parent and its floor
+    refuses it past that roof, so it passes its own floor only when its
+    parent is read.
     The count is kept in ``_COUNTS``, and a later call reads it and refuses
     exactly when the walk would have.  A refused count keeps nothing."""
     if lengths and white % gcd(*lengths):
@@ -452,7 +452,7 @@ def _count_leaves(
     """The walk behind :func:`_count` when the parent is refused: the
     family's own leaves, tallied under constant marks."""
     try:
-        tally = _tally(reds, white, lengths, _same, 0,
+        tally = _tally(reds, white, lengths, _same,
                        None if ceiling is None else ceiling - seen)
     except OracleScaleError:
         raise _refusal(ceiling) from None
@@ -470,15 +470,13 @@ def _parent(
     """The used-lengths census of every tiling with ``reds`` red squares
     and white total ``white``, any white length allowed, or None when it
     passes ``ceiling`` (``DEFAULT_CEILING``, read when it is called, when
-    ``ceiling`` is None).  A kept census is read with no lengths built;
-    otherwise its floor, the family's exact size, refuses first, so the
-    tally never does, and a refused parent keeps nothing."""
+    ``ceiling`` is None).  A kept census is read as kept; otherwise its
+    roof, the family's exact size, decides first, so the tally never
+    refuses, and a refused parent keeps nothing."""
     census = _CENSUSES.get(("used", reds, white, white))
     if census is None:
         limit = DEFAULT_CEILING if ceiling is None else ceiling
-        try:
-            _refuse_past_floor(reds, white, tuple(range(1, white + 1)), limit)
-        except OracleScaleError:
+        if _roof(reds, white, limit) > limit:
             return None
         census = _census("used", reds, white, white, limit)
     return census
@@ -522,11 +520,10 @@ def _tally(
     white: int,
     lengths: tuple[int, ...],
     step: Callable[[int, int], int],
-    start: int,
     ceiling: int | None,
 ) -> dict[int, int]:
     """The leaves of the tree :func:`_walk` walks, counted per final
-    marks, a nonnegative int: the root's are ``start``, a child's
+    marks, a nonnegative int: the root's are 0, a child's
     ``step(marks, code)``.  A node is ``state + size * marks``.  Below a
     node with at most ``_KEPT_SQUARES`` squares left, the cells of its
     leaves are kept, one per leaf (see :func:`_marked_ends`); a node above
@@ -543,7 +540,7 @@ def _tally(
     pop = stack.pop
     extend = stack.extend
     # The root's row, as if it had a parent.
-    root = reds * shift + white + size * start
+    root = reds * shift + white
     inner, ends = ([root], []) if reds + white > _KEPT_SQUARES else (
         [], _marked_ends(root, size, shift, lengths, step, kept))
     while True:
@@ -784,7 +781,7 @@ def _census(
         step, form = _STATISTICS[statistic]
         lengths = tuple(range(1, top + 1))
         cells = (_run_leaves(white, lengths) if step is None
-                 else _tally(reds, white, lengths, step(white), 0, ceiling))
+                 else _tally(reds, white, lengths, step(white), ceiling))
         kept = _CENSUSES[key] = cells if form is None else form(cells, white)
     return kept
 
@@ -862,12 +859,15 @@ def _counted(
 def _admitted(
     blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
 ) -> Iterable[Block]:
-    """The blocks of a listing, admitted without a count when the sum of
-    their roofs is at most ``ceiling`` (or there is no ceiling).  The roofs
-    are summed block by block; once they pass ``ceiling``, the blocks seen
-    so far and the rest of the stream are counted by :func:`_sizes`
-    instead, which refuses a family past ``ceiling`` before any object is
-    built, and only the blocks with objects are kept."""
+    """The blocks of a listing or a census, admitted without a count when
+    the sum of their roofs, each block's exact size with every length
+    allowed (see :func:`_roof`), is at most ``ceiling`` (or there is no
+    ceiling).  The roofs are summed block by block; once they pass
+    ``ceiling``, the blocks seen so far and the rest of the stream are
+    counted by :func:`_sizes` instead, which refuses a family past
+    ``ceiling`` before any object is built, and only the blocks with
+    objects are kept.  With a ceiling, the stream is drawn, and a family
+    past it refused, before this returns."""
     if ceiling is None:
         return blocks
     blocks = iter(blocks)
@@ -1132,14 +1132,13 @@ def _family_census(
 ) -> Any:
     """The kept census ``statistic`` of the tilings with ``reds`` red
     squares and white total ``n``, white lengths 1..``max_part``: the
-    compositions of ``n`` by default.  The family is admitted by its roof,
-    or counted, on every call, so a census past ``DEFAULT_CEILING`` (read
-    when it is called) is refused before it is walked or read."""
+    compositions of ``n`` by default.  The family is admitted by
+    :func:`_admitted` on every call, so a census past ``DEFAULT_CEILING``
+    (read when it is called) is refused before it is walked or read."""
     ceiling = DEFAULT_CEILING
     lengths = _part_lengths(n, max_part, reds=reds, floor=(reds, n),
                             ceiling=ceiling)
-    if ceiling is not None and _roof(reds, n, ceiling) > ceiling:
-        _count(reds, n, lengths, ceiling)
+    _admitted([(reds, n, (), False)], lengths, ceiling)
     return _census(statistic, reds, n, len(lengths))
 
 

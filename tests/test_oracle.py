@@ -1012,7 +1012,7 @@ def test_tile_total_is_read_off_the_white_tile_census(store, reds):
     for white in range(12 - reds):
         lengths = tuple(range(1, white + 1))
         leaves = list(orc._walk(reds, white, lengths))
-        assert orc._tally(reds, white, lengths, orc._white_step, 0, None) == \
+        assert orc._tally(reds, white, lengths, orc._white_step, None) == \
             Counter(len(codes) - codes.count(0) for codes in leaves)
         with patch.object(orc, "_walk", _no_count):
             assert orc.tile_count_total(reds, white) == sum(map(len, leaves))
@@ -1049,7 +1049,7 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
     for reds in range(squares + 1):
         white = squares - reds
         lengths = tuple(range(1, white + 1))
-        assert orc._tally(reds, white, lengths, orc._used_step(white), 0, None) \
+        assert orc._tally(reds, white, lengths, orc._used_step(white), None) \
             == Counter(map(_used_marks(white), orc._walk(reds, white, lengths)))
     n = squares
     # Lengths (1,) fill the widest field: part 1 with n copies.
@@ -1057,7 +1057,7 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
                     (2, 3)):
         for step, marks in ((orc._fold_step(n), _fold_marks(n)),
                             (orc._largest_step(n), _largest_marks(n))):
-            assert orc._tally(0, n, lengths, step, 0, None) == Counter(
+            assert orc._tally(0, n, lengths, step, None) == Counter(
                 map(marks, orc._walk(0, n, lengths))), (lengths, step)
 
 
@@ -1299,6 +1299,45 @@ def test_roof_bounds_every_palindrome_and_suffix_block_sum(lengths):
                 roofs = [orc._roof(r, w, 10 ** 18) for r, w, _, _ in blocks]
                 assert all(map(int.__le__, sizes, roofs))
                 assert sum(sizes) <= sum(roofs)
+
+
+def test_roof_is_the_walked_size_of_every_length():
+    # The roof is the exact size of the family with every length allowed,
+    # at least that of each family of its reds and white total, and passes
+    # a room exactly when that size does.
+    for reds in range(13):
+        for white in range(13 - reds):
+            every = tuple(range(1, white + 1))
+            size = sum(1 for _ in orc._walk(reds, white, every))
+            roof = orc._roof(reds, white, 10 ** 9)
+            assert roof == size, (reds, white)
+            for k in every:
+                for lengths in (every[:k], every[:k - 1] + every[k:]):
+                    walked = sum(1 for _ in orc._walk(reds, white, lengths))
+                    assert walked <= roof, (reds, white, lengths)
+            assert orc._roof(reds, white, size - 1) > size - 1
+            assert orc._roof(reds, white, size) == size
+
+
+def test_family_under_its_roof_is_not_guard_walked(store, monkeypatch):
+    # (3, 6) has 968 tilings, under a ceiling of 1,000: the listing is
+    # walked with no tally, and the tile total tallies its white-tile
+    # census only.  One below its size, both refuse before any tally.
+    tallied = _recorded_tallies(monkeypatch)
+    assert len(enumerate_tilings(3, 6, ceiling=1000)) == 968
+    assert tallied == []
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 1000)
+    orc.tile_count_total(3, 6)
+    assert tallied == [(3, 6, "census")]
+    tallied.clear()
+    store.clear()
+    orc._CENSUSES.clear()
+    monkeypatch.setattr(orc, "DEFAULT_CEILING", 967)
+    for refused in (lambda: enumerate_tilings(3, 6, ceiling=967),
+                    lambda: orc.tile_count_total(3, 6)):
+        assert _refusal_message(refused) == \
+            "oracle scale exceeded: more than 967 objects"
+    assert tallied == []
 
 
 def _no_count(*args):
