@@ -11,8 +11,8 @@ Subcommands
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal by
 a resource guard (the enumeration ceiling, the oracle's squares bound, the
 formula tables' bound, or the digit cap).  All big integers print in plain
-decimal, up to ``DIGIT_CAP`` digits; ``seq`` exits 3 with one line for a
-longer value.
+decimal, up to ``DIGIT_CAP`` digits; ``seq`` exits 3 with one line at the
+first longer value and computes none past it.
 The environment variable ``TILINGKIT_ORACLE_CEILING`` overrides the
 enumeration guard (an integer; empty means the default).
 """
@@ -247,18 +247,20 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         if value is not None:
             params[p] = value
     lo, hi = args.range
+    cap = _digit_cap()
+    past = 10 ** cap
+    values = []
     try:
-        values = [(i, fam.fn(i, **params)) for i in range(lo, hi + 1)]
+        for i in range(lo, hi + 1):  # stop at the first value past the cap
+            value = fam.fn(i, **params)
+            if abs(value) >= past:
+                print(f"tilingkit seq: the value at n={i} has more than {cap}"
+                      " digits, past the printing cap", file=sys.stderr)
+                return EXIT_ORACLE_SCALE
+            values.append((i, value))
     except ValueError as exc:
         print(f"tilingkit seq: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cap = _digit_cap()
-    past = 10 ** cap
-    for i, value in values:
-        if abs(value) >= past:
-            print(f"tilingkit seq: the value at n={i} has more than {cap}"
-                  " digits, past the printing cap", file=sys.stderr)
-            return EXIT_ORACLE_SCALE
     sys.stdout.write(_emit_sequence(args.family, values, args.format, params))
     return EXIT_OK
 

@@ -17,10 +17,13 @@ or an ``a_k`` fill whose convolutions would pass five times it
 (:func:`refuse_past_bounds`, which charges one call only for the rows of
 its halvings), is refused with :class:`TableScaleError` before it starts.
 
-The k-step Fibonacci numbers slide a window: the k-term sums for ``F(i)``
-and ``F(i-1)`` share all but one term, so ``F(i) = 2 F(i-1) - F(i-1-k)``
-for ``i >= 3``, and backwards ``f(i) = 2 f(i+k) - f(i+k+1)``.  Each new
-term costs O(1) big-int operations.
+The k-step Fibonacci numbers keep no table, only a window: the k-term
+sums for ``F(i)`` and ``F(i-1)`` share all but one term, so
+``F(i) = 2 F(i-1) - F(i-1-k)`` for ``i >= 3``, and backwards
+``f(i) = 2 f(i+k) - f(i+k+1)``.  :func:`fibonacci_k` keeps, per ``k``, the
+``k + 1`` values ``F(m-k)..F(m)`` of the last index ``m`` it stepped to;
+each step costs O(1) big-int operations, and an index below the window
+restarts from the seed.
 
 The Pell numbers keep no table, only the pair ``P(m), P(m + 1)`` of the
 last index asked: :func:`pell` steps it to ``m + 1`` and jumps further by
@@ -37,6 +40,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -56,7 +60,9 @@ class TableScaleError(RuntimeError):
 # in row i and column j of these tables has at most about 2 (i + j) bits, so
 # the product follows the table's memory and not only its number of entries:
 # a(999, 999) is at the bound (10^6 entries, about 200 MB), and a single row
-# stops at about 44,700 entries.
+# stops at about 44,700 entries.  fibonacci_k holds no table, only a window
+# of k + 1 values, but a step past n is refused as a 1 x (n + 1) table, at
+# the same index as when it kept the row F(0..n).
 TABLE_BOUND = 2 * 10**9
 
 def _refuse_past_bound(rows: int, columns: int) -> None:
@@ -261,24 +267,38 @@ def a_diag_plus(r: int, n: int) -> int:
 
 # -- k-step Fibonacci numbers and their convolutions --------------------------
 
-_FIB: dict[int, list[int]] = {}  # _FIB[k][i] = F(i, k)
+# _FIB[k] = (m, window), the window F(m - k .. m, k) of the last index m
+# stepped to.
+_FIB: dict[int, tuple[int, deque[int]]] = {}
 
 
 def fibonacci_k(n: int, k: int) -> int:
     """n-th k-step Fibonacci number: 0 for ``n <= 0``, 1 at ``n = 1``, then
     the sum of the previous ``k`` values.  ``k = 0`` is the degenerate
     family that is 1 at ``n = 1`` and 0 elsewhere.
+
+    Only the window ``F(m-k)..F(m)`` of the last index ``m`` stepped to is
+    kept, ``k + 1`` values.  An index in the window is read from it; an
+    index past ``m`` steps the window on by ``F(i) = 2 F(i-1) - F(i-1-k)``,
+    one step per index, so an ascending range costs one step per value.
+    An index below the window restarts from the seed window at index 2,
+    which costs O(n) steps where a kept row would have read it at once.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if n <= 0:
-        return 0
-    row = _FIB.setdefault(k, [0, 1, 1 if k else 0])
-    if len(row) <= n:
+    if n <= 1:
+        return max(n, 0)
+    m, window = _FIB.get(k, (2, None))
+    if window is not None and m - k <= n <= m:
+        return window[n - m - 1]
+    if n > m:
         _refuse_past_bound(1, n + 1)
-        for i in range(len(row), n + 1):
-            row.append(2 * row[-1] - (row[i - 1 - k] if i > k else 0))
-    return row[n]
+    if window is None or n < m:  # seed F(2-k..2): zeros, then 1, 1
+        m, window = 2, deque([0] * (k - 1) + [1, 1] if k else [0], k + 1)
+    for _ in range(m, n):
+        window.append(2 * window[-1] - window[0])
+    _FIB[k] = n, window
+    return window[-1]
 
 
 _NEG_FIB: dict[int, list[int]] = {}  # _NEG_FIB[k][t] = f(k + 1 - t)
@@ -312,21 +332,22 @@ _AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
 def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
     """Extend ``rows[r]`` to length ``n + 1``; the table is ``a_k``'s for ``k``.
 
-    Row 0 is ``fibonacci_k(i + 1, k)``.  Row ``r >= 1`` is the ``(r + 1)``-fold
-    convolution of row 0, so it is computed as row ``h = (r - 1) // 2``
-    convolved with row ``r - 1 - h``, both extended first: a fill to row ``r``
-    touches the O(log r) rows of these halvings only, and leaves the rows
-    between them as they were.  For odd ``r`` the two halves are one row and
-    the row is its square: each pair of unequal indices is multiplied once
-    and doubled, and the middle term's square is added.  Only the entries
-    from the row's current length on are computed, and the rule is called
-    only for a row shorter than ``n + 1``, so no entry is computed twice.
+    Row 0 is ``fibonacci_k(i + 1, k)``, read by ascending calls, so it is
+    the only kept copy of these values.  Row ``r >= 1`` is the
+    ``(r + 1)``-fold convolution of row 0, so it is computed as row
+    ``h = (r - 1) // 2`` convolved with row ``r - 1 - h``, both extended
+    first: a fill to row ``r`` touches the O(log r) rows of these halvings
+    only, and leaves the rows between them as they were.  For odd ``r`` the
+    two halves are one row and the row is its square: each pair of unequal
+    indices is multiplied once and doubled, and the middle term's square is
+    added.  Only the entries from the row's current length on are computed,
+    and the rule is called only for a row shorter than ``n + 1``, so no
+    entry is computed twice.
     """
     row = rows[r]
     j = len(row)
     if r == 0:
-        fibonacci_k(n + 1, k)
-        row.extend(_FIB[k][j + 1:n + 2])
+        row.extend([fibonacci_k(i + 1, k) for i in range(j, n + 1)])
         return
     h = (r - 1) // 2
     low, high = rows[h], rows[r - 1 - h]

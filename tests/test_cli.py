@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tilingkit import cli, identities, tables
+from tilingkit import sequences as seq
 from tilingkit.sequences import a, a_s
 
 
@@ -67,6 +68,29 @@ class TestSeq:
         assert (code, out) == (3, "")
         assert err == ("tilingkit seq: the value at n=-30 has more than 5"
                        " digits, past the printing cap\n")
+
+    def test_range_stops_at_the_first_value_past_the_digit_cap(
+        self, capsys, monkeypatch
+    ):
+        # F(14287, 22) is the first value with more than 4300 digits; the
+        # range goes on to 44000, and at 50000 it would pass the table
+        # bound too, but nothing past the first value over the cap is
+        # computed.
+        calls = []
+
+        def counted(n, k):
+            calls.append(n)
+            return seq.fibonacci_k(n, k)
+
+        monkeypatch.setitem(cli.FAMILIES, "f", cli._Family(counted, "counted"))
+        for hi in (44000, 50000):
+            calls.clear()
+            code, out, err = run_cli(capsys, "seq", "f", "--k", "22",
+                                     "--range", f"0..{hi}")
+            assert (code, out) == (3, "")
+            assert err == ("tilingkit seq: the value at n=14287 has more than"
+                           " 4300 digits, past the printing cap\n")
+            assert len(calls) <= 14288
 
     def test_negative_range(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "negf", "--k", "3",

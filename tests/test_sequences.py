@@ -356,10 +356,10 @@ def test_tables_grown_in_any_order_match_plain_recurrences(queries):
 
 
 def _entries() -> int:
-    """Entries held by the memo tables, past the seed row of each ``_FIB``."""
+    """Entries held by the memo tables and the ``_FIB`` windows."""
     tables = [sq._A_ROWS, *sq._AS_TABLES.values(), *sq._AK_TABLES.values()]
     return (sum(len(row) for table in tables for row in table)
-            + sum(len(row) - 3 for row in sq._FIB.values())
+            + sum(len(window) for _, window in sq._FIB.values())
             + sum(map(len, sq._NEG_FIB.values())))
 
 
@@ -528,6 +528,100 @@ def test_pell_at_a_large_index_holds_two_ints():
     for _ in range(20000):
         low, high = high, (2 * high + low) % 10**9
     assert value % 10**9 == low
+    assert peak < 10**6, peak
+
+
+# -- k-step Fibonacci: one kept window -----------------------------------------
+
+@pytest.fixture
+def fib_steps(monkeypatch):
+    """Count the windows :func:`fibonacci_k` seeds and the steps it takes."""
+    counts = {"seeds": 0, "steps": 0}
+
+    class CountingDeque(sq.deque):
+        def __init__(self, *args):
+            counts["seeds"] += 1
+            super().__init__(*args)
+
+        def append(self, value):
+            counts["steps"] += 1
+            super().append(value)
+
+    monkeypatch.setattr(sq, "deque", CountingDeque)
+    return counts
+
+
+def _window(k):
+    m, window = sq._FIB[k]
+    return m, list(window)
+
+
+def test_fibonacci_k_ascending_range_costs_one_step_per_value(fib_steps):
+    with _empty_tables():
+        assert [fibonacci_k(n, 5) for n in range(300)] == (
+            _plain_fibonacci(5)[:300])
+        # One seed window, F(-3..2), stepped once to each of F(3..299).
+        assert fib_steps == {"seeds": 1, "steps": 297}
+        assert _window(5) == (299, _plain_fibonacci(5)[294:300])
+
+
+def test_c_multiples_reads_the_ends_of_one_window(fib_steps):
+    # C_multiples(n, k) = F(n + 1, k) - F(n + 1 - k, k): the second index
+    # is the first value of the window the first one leaves.
+    with _empty_tables():
+        f = _plain_fibonacci(6)
+        assert cs.C_multiples(350, 6) == f[351] - f[345]
+        assert fib_steps == {"seeds": 1, "steps": 349}
+        assert _window(6) == (351, f[345:352])
+
+
+def test_fibonacci_k_below_its_window_restarts_from_the_seed(fib_steps):
+    # After a far call each path below the window matches the plain
+    # recurrence: a read of F, a_k's row 0 read upward from F(1), and
+    # neg_fibonacci_k's seed read downward from F(k + 1).
+    with _empty_tables():
+        value = fibonacci_k(9000, 4)
+        last = [0, 0, 0, 1]  # F(-2..1) mod 10**9
+        for _ in range(8999):
+            last = last[1:] + [sum(last) % 10**9]
+        assert value % 10**9 == last[-1]
+        assert sq._FIB[4][0] == 9000
+        assert fibonacci_k(10, 4) == _plain_fibonacci(4)[10]
+        assert _window(4) == (10, _plain_fibonacci(4)[6:11])
+        assert a_k(3, 50, 4) == _plain_tilings(4)[3][50]
+        assert _window(4) == (51, _plain_fibonacci(4)[47:52])
+        assert neg_fibonacci_k(-40, 4) == _plain_negative_fibonacci(4)[-40]
+        assert _window(4) == (5, _plain_fibonacci(4)[1:6])
+        # The far call, then one restart each for F(10), the row and F(5).
+        assert fib_steps == {"seeds": 4, "steps": 8998 + 8 + 49 + 3}
+
+
+def test_fibonacci_k_step_past_the_table_bound_is_refused(monkeypatch):
+    # An ascending range is refused at the same index as a jump to it, and
+    # the window stays where the last admitted step left it.
+    with _empty_tables():
+        assert fibonacci_k(49, 3) == _plain_fibonacci(3)[49]
+        monkeypatch.setattr(sq, "TABLE_BOUND", 51 * 52 - 1)
+        with pytest.raises(sq.TableScaleError,
+                           match="^table scale exceeded: 1 x 51 entries"):
+            fibonacci_k(50, 3)
+        assert _window(3) == (49, _plain_fibonacci(3)[46:50])
+
+
+def test_fibonacci_k_at_a_large_index_holds_its_window():
+    # A row of F(0..20000) at k = 22 peaks at about 27 MB under tracemalloc.
+    with _empty_tables():
+        tracemalloc.start()
+        try:
+            value = fibonacci_k(20000, 22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sq._FIB[22][0] == 20000 and len(sq._FIB[22][1]) == 23
+    last = [0] * 21 + [1, 1]  # F(-20..2) mod 10**9
+    for _ in range(19998):
+        last = last[1:] + [sum(last[1:]) % 10**9]
+    assert value % 10**9 == last[-1]
     assert peak < 10**6, peak
 
 
