@@ -548,6 +548,15 @@ def _fib_explicit_sum(n: int, k: int) -> object:
     return total.numerator
 
 
+def _fib_convolution(n: int, k: int, l: int) -> int:
+    """``sum_{j=1..n} F(j, k) F(n + 1 - j, l)``."""
+    # Each F is read once, upward: fibonacci_k keeps one window per k, so
+    # a falling and a rising index in turn would restart it at most terms.
+    left = [fibonacci_k(i, k) for i in range(n + 1)]
+    right = left if l == k else [fibonacci_k(i, l) for i in range(n + 1)]
+    return sum(left[j] * right[n + 1 - j] for j in range(1, n + 1))
+
+
 def _negfib_tiling_sum(n: int, k: int, shift: int) -> int:
     # sum over j = r0, r0 + k, ... of (-1)^j a_j(j, (n + shift - j)/k - j)
     # where r0 = (n + shift) mod k.  shift = 1 reproduces the stated form
@@ -1107,9 +1116,7 @@ def _build_registry() -> list[IdentityRecord]:
         id="conv-first-step",
         citation="F(n,k,1) = sum_{j=1..n} F(n+1-j,k) F(j,k)",
         lhs=lambda n, k: fibonacci_k_conv(n, k, 1),
-        rhs=lambda n, k: sum(
-            fibonacci_k(n + 1 - j, k) * fibonacci_k(j, k) for j in range(1, n + 1)
-        ),
+        rhs=lambda n, k: _fib_convolution(n, k, k),
         domain=lambda g: (
             (n, k) for k in range(1, g.limit + 1) for n in range(1, g.limit + 1)
         ),
@@ -1533,10 +1540,7 @@ def _build_registry() -> list[IdentityRecord]:
         id="largest-part-convolution",
         citation="G(n+k-1,k) = sum_{i+j=n} F(i+1,k) F(j+1,k-1)",
         lhs=lambda n, k: cs.G(n + k - 1, k),
-        rhs=lambda n, k: sum(
-            fibonacci_k(i + 1, k) * fibonacci_k(n - i + 1, k - 1)
-            for i in range(n + 1)
-        ),
+        rhs=lambda n, k: _fib_convolution(n + 1, k, k - 1),
         domain=lambda g: (
             (n, k) for k in range(1, g.limit + 1) for n in range(0, g.limit + 1)
         ),

@@ -21,9 +21,9 @@ The k-step Fibonacci numbers keep no table, only a window: the k-term
 sums for ``F(i)`` and ``F(i-1)`` share all but one term, so
 ``F(i) = 2 F(i-1) - F(i-1-k)`` for ``i >= 3``, and backwards
 ``f(i) = 2 f(i+k) - f(i+k+1)``.  :func:`fibonacci_k` keeps, per ``k``, the
-``k + 1`` values ``F(m-k)..F(m)`` of the last index ``m`` it stepped to;
-each step costs O(1) big-int operations, and an index below the window
-restarts from the seed.
+at most ``k + 1`` values ``F(m-k)..F(m)`` (from ``F(1)`` on) of the last
+index ``m`` it stepped to; each step costs O(1) big-int operations, and an
+index below the window restarts from the seed.
 
 The Pell numbers keep no table, only the pair ``P(m), P(m + 1)`` of the
 last index asked: :func:`pell` steps it to ``m + 1`` and jumps further by
@@ -61,8 +61,8 @@ class TableScaleError(RuntimeError):
 # the product follows the table's memory and not only its number of entries:
 # a(999, 999) is at the bound (10^6 entries, about 200 MB), and a single row
 # stops at about 44,700 entries.  fibonacci_k holds no table, only a window
-# of k + 1 values, but a step past n is refused as a 1 x (n + 1) table, at
-# the same index as when it kept the row F(0..n).
+# of at most k + 1 values, but a step past n is refused as a 1 x (n + 1)
+# table, at the same index as when it kept the row F(0..n).
 TABLE_BOUND = 2 * 10**9
 
 def _refuse_past_bound(rows: int, columns: int) -> None:
@@ -267,8 +267,8 @@ def a_diag_plus(r: int, n: int) -> int:
 
 # -- k-step Fibonacci numbers and their convolutions --------------------------
 
-# _FIB[k] = (m, window), the window F(m - k .. m, k) of the last index m
-# stepped to.
+# _FIB[k] = (m, window), the window F(max(1, m - k) .. m, k) of the last
+# index m stepped to.
 _FIB: dict[int, tuple[int, deque[int]]] = {}
 
 
@@ -278,9 +278,11 @@ def fibonacci_k(n: int, k: int) -> int:
     family that is 1 at ``n = 1`` and 0 elsewhere.
 
     Only the window ``F(m-k)..F(m)`` of the last index ``m`` stepped to is
-    kept, ``k + 1`` values.  An index in the window is read from it; an
-    index past ``m`` steps the window on by ``F(i) = 2 F(i-1) - F(i-1-k)``,
-    one step per index, so an ascending range costs one step per value.
+    kept, at most ``k + 1`` values (from ``F(1)`` while ``m <= k``, so a
+    small ``n`` holds O(n) values however large ``k`` is).  An index in
+    the window is read from it; an index past ``m`` steps the window on
+    by ``F(i) = 2 F(i-1) - F(i-1-k)``, one step per index, so an ascending
+    range costs one step per value.
     An index below the window restarts from the seed window at index 2,
     which costs O(n) steps where a kept row would have read it at once.
     """
@@ -289,14 +291,18 @@ def fibonacci_k(n: int, k: int) -> int:
     if n <= 1:
         return max(n, 0)
     m, window = _FIB.get(k, (2, None))
-    if window is not None and m - k <= n <= m:
+    if window is not None and m - len(window) < n <= m:
         return window[n - m - 1]
     if n > m:
         _refuse_past_bound(1, n + 1)
-    if window is None or n < m:  # seed F(2-k..2): zeros, then 1, 1
-        m, window = 2, deque([0] * (k - 1) + [1, 1] if k else [0], k + 1)
+    # The entry is stored again only once the window has reached n, so an
+    # interrupted step leaves no window that disagrees with its index.
+    _FIB.pop(k, None)
+    if window is None or n < m:  # seed F(1..2), or F(2) alone for k = 0
+        m, window = 2, deque([1, 1] if k else [0], k + 1)
+    # Until the window is full it starts at F(1), and F(i - 1 - k) = 0.
     for _ in range(m, n):
-        window.append(2 * window[-1] - window[0])
+        window.append(2 * window[-1] - (window[0] if len(window) > k else 0))
     _FIB[k] = n, window
     return window[-1]
 

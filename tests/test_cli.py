@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,18 @@ class TestSeq:
             assert err == ("tilingkit seq: the value at n=14287 has more than"
                            " 4300 digits, past the printing cap\n")
             assert len(calls) <= 14288
+
+    def test_small_range_at_a_huge_k_holds_a_few_values(self, capsys):
+        # fibonacci_k's window holds F(1..n) until it is k + 1 values long.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "seq", "f", "--k", "1000000000",
+                                   "--range", "0..5")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "0 0\n1 1\n2 1\n3 2\n4 4\n5 8\n")
+        assert peak < 10**6, peak
 
     def test_negative_range(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "negf", "--k", "3",

@@ -484,6 +484,37 @@ def test_smaller_step_sum_is_refused_before_its_first_fill(monkeypatch):
     assert rhs(40, 3) == expected == sq.fibonacci_k(40, 3)
 
 
+@pytest.mark.parametrize("record_id, point, seeds, steps", [
+    ("conv-first-step", (40, 3), 1, 38),
+    ("largest-part-convolution", (40, 3), 2, 2 * 39),
+])
+def test_fibonacci_convolution_reads_each_value_once(
+    monkeypatch, record_id, point, seeds, steps
+):
+    # fibonacci_k keeps one window per k, so a sum that asked for a falling
+    # and a rising index in turn would restart it at most of its terms.
+    # Each sum reads its values upward: one seed and one step per index
+    # past F(2) for each k.
+    counts = {"seeds": 0, "steps": 0}
+
+    class CountingDeque(sq.deque):
+        def __init__(self, *args):
+            counts["seeds"] += 1
+            super().__init__(*args)
+
+        def append(self, value):
+            counts["steps"] += 1
+            super().append(value)
+
+    monkeypatch.setattr(sq, "deque", CountingDeque)
+    monkeypatch.setattr(sq, "_FIB", {})
+    record = ident._record(record_id)
+    value = record.rhs(*point)
+    assert counts == {"seeds": seeds, "steps": steps}
+    lhs = record.corrected.lhs if record.corrected else None
+    assert value == (lhs or record.lhs)(*point)
+
+
 def test_tracer_census_caches_are_registry_caches():
     # The benchmark tracer reads ``cache_info()`` of each name it lists; the
     # list is parsed, not imported, so the test does not depend on ``bench``.

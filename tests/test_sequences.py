@@ -625,6 +625,52 @@ def test_fibonacci_k_at_a_large_index_holds_its_window():
     assert peak < 10**6, peak
 
 
+def test_fibonacci_k_at_a_huge_k_holds_only_the_indices_stepped_to():
+    # Until the window is k + 1 values long it starts at F(1), so small
+    # indices at k = 10**9 hold a few values, not a window of k + 1.
+    with _empty_tables():
+        tracemalloc.start()
+        try:
+            values = [fibonacci_k(n, 10**9) for n in range(6)]
+            multiples = cs.C_multiples(5, 10**9)
+            conv = fibonacci_k_conv(5, 10**9, 2)
+            neg = neg_fibonacci_k(-3, 10**9), neg_fibonacci_k(5, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _window(10**9) == (6, [1, 1, 2, 4, 8, 16])
+    assert values == [0, 1, 1, 2, 4, 8]
+    assert multiples == 16
+    assert conv == _plain_tilings(6)[2][4]
+    assert neg == (0, 8)
+    assert peak < 10**6, peak
+
+
+def test_fibonacci_k_interrupted_step_leaves_no_window(monkeypatch):
+    # A step that raises partway leaves no entry for k, so the next call
+    # reseeds instead of reading a window that moved past its index.
+    budget = [None]
+
+    class InterruptedDeque(sq.deque):
+        def append(self, value):
+            if budget[0] == 0:
+                raise MemoryError
+            if budget[0] is not None:
+                budget[0] -= 1
+            super().append(value)
+
+    monkeypatch.setattr(sq, "deque", InterruptedDeque)
+    with _empty_tables():
+        f = _plain_fibonacci(3)
+        assert fibonacci_k(30, 3) == f[30]
+        budget[0] = 5
+        with pytest.raises(MemoryError):
+            fibonacci_k(60, 3)
+        assert 3 not in sq._FIB
+        budget[0] = None
+        assert [fibonacci_k(n, 3) for n in range(26, 62)] == f[26:62]
+
+
 # -- row rules: deterministic call counts ---------------------------------------
 
 @pytest.fixture
