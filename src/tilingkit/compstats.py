@@ -47,8 +47,9 @@ def L_p(n: int, m: int, k: int, p: int) -> int:
     """Compositions of ``n``, parts at most ``k``, with at least ``p`` parts ``m``.
 
     ``sum_{j>=p} (-1)**(j-p) C(j-1, p-1) F(n+1-jm, k, j)``.  The run of
-    convolution fills this takes is refused before it starts when it would
-    pass the table bounds (:func:`~tilingkit.sequences.refuse_past_bounds`).
+    ``a_k`` fills this takes is refused before its first fill when their
+    one table would pass the table bound
+    (:func:`~tilingkit.sequences.refuse_past_bounds`).
     """
     if not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
@@ -71,7 +72,7 @@ def E_p(n: int, m: int, k: int, p: int) -> int:
     """Compositions of ``n``, parts at most ``k``, with exactly ``p`` parts ``m``.
 
     ``sum_{j>=p} (-1)**(j-p) C(j, p) F(n+1-jm, k, j)``; equivalently
-    ``L_p - L_{p+1}``.  Refused before it starts as :func:`L_p` is.
+    ``L_p - L_{p+1}``.  Refused before its first fill as :func:`L_p` is.
     """
     if not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
@@ -125,11 +126,13 @@ def runs_restricted(n: int, j: int, k: int) -> int:
 def total_runs_restricted(n: int, k: int) -> int:
     """All runs over compositions of ``n`` with parts at most ``k``.
 
-    Summed from :func:`runs_restricted` over the part values ``1..k``.
+    Summed from :func:`runs_restricted` over the part values ``1..k``; a
+    value ``j > n`` has no run, so the sum stops at ``min(k, n)`` and a huge
+    ``k`` costs no more than ``k = n``.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    return sum(runs_restricted(n, j, k) for j in range(1, k + 1))
+    return sum(runs_restricted(n, j, k) for j in range(1, min(k, n) + 1))
 
 
 def C_hat(n: int, k: int) -> int:
@@ -191,8 +194,8 @@ def CF_allowed_parts_form(n: int, k: int) -> int:
     """The bounded-parts-plus-double form of :func:`CF`: ``C(n, <1..k, 2k>)``.
 
     Evaluated through the convolution identity ``sum_j F(n+1-2kj, k, j)``.
-    The run of convolution fills this takes is refused before it starts
-    when it would pass the table bounds, as in :func:`L_p`.
+    The run of ``a_k`` fills this takes is refused before its first fill
+    when their one table would pass the table bound, as in :func:`L_p`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -4,18 +4,14 @@ Values are plain Python ints (arbitrary precision).  Each family is a
 table of rows, ``rows[i][j]``, grown in place by a row rule that extends
 one row in a single loop: one table for ``a`` (rows by ``r``), one per
 ``r`` for ``a_s`` (rows by ``s``) and one per ``k`` for ``a_k`` (rows by
-``r``).  ``a`` and ``a_s`` grow through :func:`_grow`: each of their rows
-is computed from the row above, a row is never longer than the row above
-it, and a fill calls the rule only for the rows from the first short one
-on.  An ``a_k`` row is the ``(r + 1)``-fold convolution of row 0, so
-:func:`_ak_fill` computes row ``r`` as the convolution of two rows near
-``r / 2`` (the binary method for powers, Knuth, TAOCP vol. 2, 4.6.3), and
-a fill to row ``r`` touches O(log r) rows; the rows between them stay as
-they were until a call asks for one.  Filling is not meant for
-concurrent callers.  A fill whose table would pass :data:`TABLE_BOUND`,
-or an ``a_k`` fill whose convolutions would pass five times it
-(:func:`refuse_past_bounds`, which charges one call only for the rows of
-its halvings), is refused with :class:`TableScaleError` before it starts.
+``r``).  All three grow through :func:`_grow`: each row is computed from
+the row above (``a_k`` by its last-tile recurrence, ``a``'s rule with one
+more term), a row is never longer than the row above it, and a fill calls
+the rule only for the rows from the first short one on.  Filling is not
+meant for concurrent callers.  A fill whose table would pass
+:data:`TABLE_BOUND`, or a run of ``a_k`` fills whose table would
+(:func:`refuse_past_bounds`), is refused with :class:`TableScaleError`
+before it starts.
 
 The k-step Fibonacci numbers keep no table, only a window: the k-term
 sums for ``F(i)`` and ``F(i-1)`` share all but one term, so
@@ -40,10 +36,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from fractions import Fraction
 from math import comb
-from operator import mul
 from typing import Callable
 
 
@@ -52,7 +48,7 @@ class NonIntegerResultError(ArithmeticError):
 
 
 class TableScaleError(RuntimeError):
-    """A table fill would pass :data:`TABLE_BOUND` or its work bound."""
+    """A table fill would pass :data:`TABLE_BOUND`."""
 
 
 # A fill that would make a table ``rows`` x ``columns`` is refused before it
@@ -60,9 +56,10 @@ class TableScaleError(RuntimeError):
 # in row i and column j of these tables has at most about 2 (i + j) bits, so
 # the product follows the table's memory and not only its number of entries:
 # a(999, 999) is at the bound (10^6 entries, about 200 MB), and a single row
-# stops at about 44,700 entries.  fibonacci_k holds no table, only a window
-# of at most k + 1 values, but a step past n is refused as a 1 x (n + 1)
-# table, at the same index as when it kept the row F(0..n).
+# stops at about 44,700 entries.  A run of a_k fills is held to it as one
+# table (refuse_past_bounds).  fibonacci_k holds no table, only a window of
+# at most k + 1 values, but a step past n is refused as a 1 x (n + 1) table,
+# at the same index as when it kept the row F(0..n).
 TABLE_BOUND = 2 * 10**9
 
 def _refuse_past_bound(rows: int, columns: int) -> None:
@@ -72,52 +69,19 @@ def _refuse_past_bound(rows: int, columns: int) -> None:
             f" pass the bound of {TABLE_BOUND}")
 
 
-def _halving_rows(r: int) -> set[int]:
-    """The rows past row 0 that :func:`_ak_fill` may extend to fill row r."""
-    rows, level = set(), {r} - {0}
-    while level:
-        rows |= level
-        level = {half for i in level
-                 for half in ((i - 1) // 2, i - 1 - (i - 1) // 2)} - {0}
-    return rows
-
-
 def refuse_past_bounds(first: int, last: int, n: int, step: int = 0) -> None:
     """Refuse the run of calls ``a_k(j, n - j * step, k)`` for ``j`` from
     ``first`` to ``last`` (``0 <= first``, ``step >= 0``) before the first
     of them starts.
 
-    Each call's table is held to :data:`TABLE_BOUND` as the call itself
-    would hold it.  Each entry past row 0 is a convolution of up to its
-    row's length of products, so a row of length ``c`` in a table of
-    ``rows`` rows costs about ``c`` times its share ``c * (rows + c)`` of
-    the table measure, and the fill is also refused when these costs sum
-    past ``5 * TABLE_BOUND``.  One call (``first == last``) fills only the
-    rows of its halvings (:func:`_halving_rows`, O(log r) of them), so its
-    sum is their number times columns * columns * (rows + columns).  A run
-    of calls is charged rows ``1..first`` as long as its first call asks
-    and each later row as long as its own call asks.  On a 2-vCPU host,
-    a_k(600, 600, 3) (17 rows) takes 0.5 s, and the slowest single call at
-    k = 3 that the bound admits, over r up to 2000 at the largest n
-    admitted, takes about 1.3 s (a_k(2, 1707, 3), a_k(16, 1119, 3)).
+    The run is held to :data:`TABLE_BOUND` as one table, its bounding box
+    ``(last + 1) x (n - first * step + 1)``: the first call grows rows
+    ``0..first`` to the widest column it asks, and each later call grows
+    rows up to its own ``j`` to a column no wider, so every row the run
+    leaves fits in that box.
     """
-    if last < first:
-        return
-    rows, columns, bound = last + 1, n - first * step + 1, 5 * TABLE_BOUND
-    if (rows * columns * (rows + columns) <= TABLE_BOUND
-            and (rows - 1) * columns * columns * (rows + columns) <= bound):
-        return  # every call's table, and the run's work, fit in this one
-    _refuse_past_bound(first + 1, columns)
-    filled = len(_halving_rows(first)) if first == last else first
-    work = filled * columns * columns * (rows + columns)
-    for j in range(first + 1, last + 1):
-        c = n - j * step + 1
-        _refuse_past_bound(j + 1, c)
-        work += c * c * (rows + c)
-    if work > bound:
-        raise TableScaleError(
-            f"table work exceeded: {rows} rows of up to {columns} entries"
-            f" pass the bound of {bound}")
+    if last >= first:
+        _refuse_past_bound(last + 1, n - first * step + 1)
 
 
 def binom(n: int, k: int) -> int:
@@ -144,13 +108,13 @@ def _grow(
 ) -> int:
     """Grow ``rows[0..r]`` in place to length ``n + 1``; return ``rows[r][n]``.
 
-    Only ``a`` and ``a_s`` grow here; ``a_k`` skips rows and has its own
-    rule, :func:`_ak_fill`.  ``fill(rows, i, n, key)`` is the row rule: it
-    extends ``rows[i]`` to length ``n + 1`` from the entries before them in
-    that row and from rows ``0..i-1``, which are grown first; ``key`` is the
-    parameter that picked the table.  So no row is longer than the row above
-    it, and the rows shorter than ``n + 1`` are those from the first short
-    one on: the rule is called for these rows only, once each.
+    ``a``, ``a_s`` and ``a_k`` grow here, each by its own row rule
+    ``fill(rows, i, n, key)``: it extends ``rows[i]`` to length ``n + 1``
+    from the entries before them in that row and from rows ``0..i-1``,
+    which are grown first; ``key`` is the parameter that picked the table
+    (``r`` for ``a_s``, ``k`` for ``a_k``).  So no row is longer than the
+    row above it, and the rows shorter than ``n + 1`` are those from the
+    first short one on: the rule is called for these rows only, once each.
     """
     try:
         return rows[r][n]
@@ -299,7 +263,9 @@ def fibonacci_k(n: int, k: int) -> int:
     # interrupted step leaves no window that disagrees with its index.
     _FIB.pop(k, None)
     if window is None or n < m:  # seed F(1..2), or F(2) alone for k = 0
-        m, window = 2, deque([1, 1] if k else [0], k + 1)
+        # A deque holds at most sys.maxsize values, and a window of that many
+        # is never filled, so the cap leaves every step as it is.
+        m, window = 2, deque([1, 1] if k else [0], min(k + 1, sys.maxsize))
     # Until the window is full it starts at F(1), and F(i - 1 - k) = 0.
     for _ in range(m, n):
         window.append(2 * window[-1] - (window[0] if len(window) > k else 0))
@@ -336,74 +302,50 @@ _AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
 
 
 def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
-    """Extend ``rows[r]`` to length ``n + 1``; the table is ``a_k``'s for ``k``.
-
-    Row 0 is ``fibonacci_k(i + 1, k)``, read by ascending calls, so it is
-    the only kept copy of these values.  Row ``r >= 1`` is the
-    ``(r + 1)``-fold convolution of row 0, so it is computed as row
-    ``h = (r - 1) // 2`` convolved with row ``r - 1 - h``, both extended
-    first: a fill to row ``r`` touches the O(log r) rows of these halvings
-    only, and leaves the rows between them as they were.  For odd ``r`` the
-    two halves are one row and the row is its square: each pair of unequal
-    indices is multiplied once and doubled, and the middle term's square is
-    added.  Only the entries from the row's current length on are computed,
-    and the rule is called only for a row shorter than ``n + 1``, so no
-    entry is computed twice.
-    """
     row = rows[r]
+    if not row:
+        row.append(1)
     j = len(row)
     if r == 0:
         row.extend([fibonacci_k(i + 1, k) for i in range(j, n + 1)])
         return
-    h = (r - 1) // 2
-    low, high = rows[h], rows[r - 1 - h]
-    if len(low) <= n:
-        _ak_fill(rows, h, n, k)
-    if len(high) <= n:
-        _ak_fill(rows, r - 1 - h, n, k)
-    back = high[n::-1]  # back[n - i] = high[i]
-    if low is high:
-        row.extend([
-            2 * sum(map(mul, low[:(i + 1) // 2], back[n - i:]))
-            + (0 if i % 2 else low[i // 2] ** 2)
-            for i in range(j, n + 1)])
-    else:
-        row.extend([sum(map(mul, low, back[n - i:])) for i in range(j, n + 1)])
+    above = rows[r - 1]
+    append = row.append
+    last = row[-1]
+    for i in range(j, n + 1):
+        last = above[i] + 2 * last - above[i - 1]
+        if i > k:
+            last -= row[i - 1 - k]
+        append(last)
 
 
 def a_k(r: int, n: int, k: int) -> int:
     """Tilings with ``r`` reds and white lengths restricted to ``1..k``.
 
-    Computed as the r-th convolution of the bounded-part composition
-    counts: ``a_k(0, n, k) = fibonacci_k(n+1, k)`` and
-    ``a_k(r, n, k) = sum_j a_k(r-1, n-j, k) * a_k(0, j, k)``, with no
-    generating function.  Convolution is associative, so row ``r`` is
-    filled as ``sum_j a_k(h, n-j, k) * a_k(r-1-h, j, k)`` for
-    ``h = (r-1) // 2`` (:func:`_ak_fill`), the same exact integers.
-    ``k = 0`` forbids white tiles entirely.
+    Row 0 is the bounded-part composition counts,
+    ``a_k(0, n, k) = fibonacci_k(n+1, k)``, and ``a_k(r, 0, k) = 1``.  A
+    tiling ends in a red square or in a white tile of length ``j <= k``, so
+    ``a_k(r, n) = a_k(r-1, n) + sum_{j=1..k} a_k(r, n-j)``; with the
+    sliding sum, for ``n >= 1``,
+    ``a_k(r, n) = a_k(r-1, n) + 2 a_k(r, n-1) - a_k(r-1, n-1) - a_k(r, n-1-k)``,
+    the last term 0 while ``n <= k``.  This is :func:`a`'s rule with one
+    more term, from the tiling's definition and with no generating
+    function.  ``k = 0`` forbids white tiles entirely.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if r < 0 or n < 0:
         return 0
-    rows = _AK_TABLES.setdefault(k, [])
-    try:
-        return rows[r][n]
-    except IndexError:
-        refuse_past_bounds(r, r, n)
-    rows.extend([] for _ in range(len(rows), r + 1))
-    _ak_fill(rows, r, n, k)
-    return rows[r][n]
+    return _grow(_AK_TABLES.setdefault(k, []), r, n, _ak_fill, k)
 
 
 def fibonacci_k_conv(n: int, k: int, r: int) -> int:
     """r-th convolution of the k-step Fibonacci sequence.
 
-    Alias of :func:`a_k` under the index shift ``F(n+1, k, r) = a_k(r, n, k)``;
-    the zeroth convolution is :func:`fibonacci_k` itself, and the r-th is
-    filled as the convolution of the ``h``-th and ``(r-1-h)``-th for
-    ``h = (r-1) // 2``, so one call to a large ``r`` computes O(log r)
-    convolutions.  Nonpositive ``n`` gives 0.
+    Alias of :func:`a_k` under the index shift ``F(n+1, k, r) = a_k(r, n, k)``
+    (a tiling with ``r`` reds splits into ``r + 1`` bounded-part
+    compositions); the zeroth convolution is :func:`fibonacci_k` itself.
+    Nonpositive ``n`` gives 0.
     """
     return a_k(r, n - 1, k)
 

@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tilingkit import cli, identities, tables
+from tilingkit import compstats as cs
 from tilingkit import sequences as seq
+from tilingkit import series as ser
 from tilingkit.sequences import a, a_s
 
 
@@ -415,16 +417,37 @@ class TestModuleEntryPoint:
             "tilingkit: table scale exceeded: 100000000000000000000 x 1"
             " entries pass the bound of 2000000000\n")
 
-    def test_convolution_past_the_work_bound_is_refused_before_it_fills(self):
-        # Unbounded, this fill takes about 20 s.
+    def test_far_convolution_fill_matches_its_series(self):
+        # A far fill of few rows: 13 x 3001 entries, within the table bound.
         proc = run_module("seq", "ak", "--r", "12", "--k", "3",
                           "--range", "3000..3000", timeout=60,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        value = ser.expand(ser.gf_bounded_two_tone(12, 3), 3000)[3000]
+        assert value.denominator == 1
+        assert proc.stdout == f"3000 {value.numerator}\n"
+        assert proc.stderr == ""
+
+    def test_convolution_past_the_table_bound_is_refused_before_it_fills(self):
+        proc = run_module("seq", "ak", "--r", "12", "--k", "3",
+                          "--range", "13000..13000", timeout=60,
                           preexec_fn=_one_gigabyte_address_space)
         assert proc.returncode == 3, proc.stderr[-500:]
         assert proc.stdout == ""
         assert proc.stderr == (
-            "tilingkit: table work exceeded: 13 rows of up to 3001 entries"
-            " pass the bound of 10000000000\n")
+            "tilingkit: table scale exceeded: 13 x 13001 entries"
+            " pass the bound of 2000000000\n")
+
+    @pytest.mark.parametrize("k", [10**9, 10**18])
+    def test_runs_at_a_huge_k_answer_at_once(self, k):
+        # A value j > n has no run, so the sum over j stops at n; summed to
+        # k, the range takes minutes at 10**9 and never ends at 10**18.
+        # It holds no memory, so only the timeout stops a regression.
+        proc = run_module("seq", "runs", "--k", str(k), "--range", "0..5",
+                          timeout=10, preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "".join(
+            f"{n} {cs.total_runs_restricted(n, 5)}\n" for n in range(6))
 
     def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):
         # Unbounded, 2**(n // 2) at this index needs about 6 GB.
@@ -636,27 +659,31 @@ def test_seq_and_table_argv_fuzz(capsys, argv):
 # exception that escapes ``cli.main`` ends the run with the argv it came
 # from on stderr.
 _ARGV_RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 from tilingkit import cli, sequences
 if len(sys.argv) > 1:
     sequences.TABLE_BOUND = int(sys.argv[1])
 for argv in json.load(sys.stdin):
     print(json.dumps(argv), file=sys.__stderr__, flush=True)
     err = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    print(json.dumps([code, "Traceback" in err.getvalue()]), flush=True)
+    print(json.dumps([code, "Traceback" in err.getvalue(),
+                      time.perf_counter() - start]), flush=True)
 """
 
 
-def _assert_exit_contract_in_a_limited_interpreter(argvs, table_bound=10 ** 6):
+def _assert_exit_contract_in_a_limited_interpreter(
+    argvs, table_bound=10 ** 6, codes=(0, 1, 2, 3), seconds=None
+):
     # The address-space limit and the timeout turn a runaway input into a
     # failure of the test, not of the host.  ``table_bound=None`` keeps the
-    # shipped bound.
+    # shipped bound; ``seconds``, if given, is each argv's wall budget.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, TILINGKIT_ORACLE_CEILING="2000")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -668,8 +695,9 @@ def _assert_exit_contract_in_a_limited_interpreter(argvs, table_bound=10 ** 6):
     assert proc.returncode == 0, proc.stderr[-2000:]
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(results) == len(argvs)
-    for argv, (code, traceback) in zip(argvs, results):
-        assert code in (0, 1, 2, 3) and not traceback, argv
+    for argv, (code, traceback, elapsed) in zip(argvs, results):
+        assert code in codes and not traceback, argv
+        assert seconds is None or elapsed < seconds, (argv, elapsed)
 
 
 _LARGE_ORACLE_ARGV = st.builds(
@@ -732,10 +760,36 @@ _CONVOLUTION_SEQ_ARGV = st.builds(
 @given(argvs=st.lists(_CONVOLUTION_SEQ_ARGV, min_size=16, max_size=16))
 @settings(max_examples=5, deadline=None)
 def test_convolution_seq_argv_fuzz_at_the_shipped_bounds(argvs):
-    # ak, fconv, Ep, Gr and runs read a_k's convolution rows and palhat
-    # reads a_s rows: at n up to 3000 each answers or exits 3 under the
-    # shipped TABLE_BOUND and its work bound.
+    # ak, fconv, Ep, Gr and runs read a_k rows and palhat reads a_s rows:
+    # at n up to 3000 each answers or exits 3 under the shipped
+    # TABLE_BOUND.
     _assert_exit_contract_in_a_limited_interpreter(argvs, table_bound=None)
+
+
+_HUGE_PARAMETER_SEQ_ARGV = st.builds(
+    lambda family, lo, width, params: [
+        "seq", family, "--range", f"{lo}..{lo + width}",
+        *(item for flag, value in params.items() for item in (flag, str(value))),
+    ],
+    family=st.sampled_from(sorted(cli.FAMILIES)),
+    lo=st.integers(-3, 40),
+    width=st.integers(0, 3),
+    # 2**63 is one past the largest C ssize_t, the length of a list or deque.
+    params=st.fixed_dictionaries({}, optional={
+        f"--{p}": st.one_of(st.sampled_from([10 ** 9, 10 ** 18, 2 ** 63]),
+                            st.integers(-3, 12))
+        for p in ("r", "s", "k", "m", "p", "j")
+    }),
+)
+
+
+@given(argvs=st.lists(_HUGE_PARAMETER_SEQ_ARGV, min_size=25, max_size=25))
+@settings(max_examples=8, deadline=None)
+def test_seq_argv_fuzz_at_huge_parameters(argvs):
+    # Each family at a huge r, s, k, m, p or j answers, is a usage error or
+    # is refused, each argv within a few seconds, under the shipped bound.
+    _assert_exit_contract_in_a_limited_interpreter(
+        argvs, table_bound=None, codes=(0, 2, 3), seconds=5)
 
 
 _VERIFY_ARGV = st.fixed_dictionaries({

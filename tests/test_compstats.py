@@ -125,9 +125,10 @@ class TestSpotValues:
 
     def test_allowed_parts_form_is_refused_before_its_first_fill(self, monkeypatch):
         # CF_allowed_parts_form(40, 3) fills a_k(j, 40 - 6j, 3) for
-        # j = 0..6.  Its first table, 1 x 41, measures 1,722; its second,
-        # 2 x 35, measures 2,590.  At a bound between them the first fill
-        # alone would pass, so the run must be refused before it.
+        # j = 0..6.  Its first table, 1 x 41, measures 1,722; the run's
+        # table, rows 0..6 as wide as the first call asks, 7 x 41, measures
+        # 13,776.  At a bound between them the first fill alone would pass,
+        # so the run must be refused before it.
         bound = sq.TABLE_BOUND
         monkeypatch.setattr(sq, "_AK_TABLES", {})
         expected = cs.CF_allowed_parts_form(40, 3)
@@ -136,7 +137,7 @@ class TestSpotValues:
         before = [list(row) for row in sq._AK_TABLES[3]]
         monkeypatch.setattr(sq, "TABLE_BOUND", 2000)
         with pytest.raises(sq.TableScaleError,
-                           match=r"^table scale exceeded: 2 x 35 entries"
+                           match=r"^table scale exceeded: 7 x 41 entries"
                                  " pass the bound of 2000$"):
             cs.CF_allowed_parts_form(40, 3)
         assert sq._AK_TABLES == {3: before}

@@ -464,9 +464,10 @@ class TestIndependentSides:
 
 def test_smaller_step_sum_is_refused_before_its_first_fill(monkeypatch):
     # step-fib-from-smaller-step's rhs at (40, 3) fills a_k(j, 39 - 3j, 2)
-    # for j = 0..13.  Its first table, 1 x 40, measures 1,640; its second,
-    # 2 x 37, measures 2,886.  At a bound between them the first fill alone
-    # would pass, so the run must be refused before it.
+    # for j = 0..13.  Its first table, 1 x 40, measures 1,640; the run's
+    # table, rows 0..13 as wide as the first call asks, 14 x 40, measures
+    # 30,240.  At a bound between them the first fill alone would pass, so
+    # the run must be refused before it.
     rhs = ident._record("step-fib-from-smaller-step").rhs
     monkeypatch.setattr(sq, "_AK_TABLES", {})
     monkeypatch.setattr(sq, "_FIB", {})
@@ -476,7 +477,7 @@ def test_smaller_step_sum_is_refused_before_its_first_fill(monkeypatch):
     bound = sq.TABLE_BOUND
     monkeypatch.setattr(sq, "TABLE_BOUND", 2000)
     with pytest.raises(sq.TableScaleError,
-                       match=r"^table scale exceeded: 2 x 37 entries"
+                       match=r"^table scale exceeded: 14 x 40 entries"
                              " pass the bound of 2000$"):
         rhs(40, 3)
     assert sq._AK_TABLES == {} and sq._FIB == {}

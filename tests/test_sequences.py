@@ -6,7 +6,6 @@ import tracemalloc
 from contextlib import contextmanager
 from functools import cache
 from itertools import accumulate
-from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -393,62 +392,34 @@ def test_fill_past_the_table_bound_is_refused_before_it_starts(
         assert fill() == expected
 
 
-@pytest.mark.parametrize("fill, lengths", [
-    (lambda: a_k(2, 20, 3), [21] * 3),
-    (lambda: a_k(1, 40, 2), [41] * 2),
-    # a_k(3, 12, 4) fills rows 0, 1 and 3, its halvings; row 2 stays empty.
-    (lambda: fibonacci_k_conv(13, 4, 3), [13, 13, 0, 13]),
+@pytest.mark.parametrize("fill, first, rows, columns", [
     # Runs of fills: a_k(j, 30 - j, 3) for j = 2..30, a_k(j, 24 - 2j, 3)
-    # for j = 1..12.
-    (lambda: cs.E_p(30, 1, 3, 2), [29] * 3 + list(range(28, 0, -1))),
-    (lambda: cs.L_p(24, 2, 3, 1), [23] * 2 + list(range(21, 0, -2))),
-    # a_k(j, 30 - j, 3) for j = 3..30: row 2 is charged at the first call's
-    # length, though a_k(3, 27, 3) skips it and a_k(4, 26, 3) fills it to 27.
-    (lambda: cs.E_p(30, 1, 3, 3), [28] * 4 + list(range(27, 0, -1))),
+    # for j = 1..12, a_k(j, 30 - j, 3) for j = 3..30.
+    (lambda: cs.E_p(30, 1, 3, 2), 2, 31, 29),
+    (lambda: cs.L_p(24, 2, 3, 1), 1, 13, 23),
+    (lambda: cs.E_p(30, 1, 3, 3), 3, 31, 28),
 ])
-def test_convolution_fill_past_the_work_bound_is_refused_before_it_starts(
-    monkeypatch, fill, lengths
+def test_run_of_fills_past_the_table_bound_is_refused_before_its_first_fill(
+    monkeypatch, fill, first, rows, columns
 ):
-    # ``lengths`` are the row lengths the work bound charges: those of the
-    # a_k table a single call leaves, 0 for a row its halvings skip, and
-    # for a run each row as long as the first call that may fill it asks.
-    # Each row past row 0 costs c * c * (rows + c), against 5 * TABLE_BOUND.
+    # The run is held to the bound as one table, its bounding box: rows
+    # 0..last, as wide as the first call asks.  At the largest bound that
+    # refuses the box, the first call's own table would still fit, so the
+    # run is refused before it and keeps nothing.
     with _empty_tables():
         expected = fill()
-    rows = len(lengths)
-    work = sum(c * c * (rows + c) for c in lengths[1:])
-    bound = (work - 1) // 5  # the largest bound whose work bound refuses
+    size = rows * columns * (rows + columns)
+    assert (first + 1) * columns * (first + 1 + columns) < size
     with _empty_tables():
-        monkeypatch.setattr(sq, "TABLE_BOUND", bound)
+        monkeypatch.setattr(sq, "TABLE_BOUND", size - 1)
         before = _entries()
         with pytest.raises(sq.TableScaleError,
-                           match=f"^table work exceeded: {rows} rows of up to"
-                                 f" {lengths[0]} entries pass the bound of"
-                                 f" {5 * bound}$"):
+                           match=f"^table scale exceeded: {rows} x {columns}"
+                                 f" entries pass the bound of {size - 1}$"):
             fill()
         assert _entries() == before
-        monkeypatch.setattr(sq, "TABLE_BOUND", bound + 1)
+        monkeypatch.setattr(sq, "TABLE_BOUND", size)
         assert fill() == expected
-
-
-def test_single_convolution_fill_is_charged_only_for_the_rows_it_fills(
-    monkeypatch
-):
-    # a_k(12, 30, 3) fills rows 0, 1, 2, 3, 5, 6 and 12.  At the smallest
-    # bound that admits their work, charging every row 1..12 would refuse it.
-    rows, c = 13, 31
-    work = 6 * c * c * (rows + c)
-    bound = -(-work // 5)
-    assert 12 * c * c * (rows + c) > 5 * bound
-    with _empty_tables():
-        monkeypatch.setattr(sq, "TABLE_BOUND", bound - 1)
-        with pytest.raises(sq.TableScaleError, match="^table work exceeded"):
-            a_k(12, 30, 3)
-        assert sq._AK_TABLES.get(3, []) == []
-        monkeypatch.setattr(sq, "TABLE_BOUND", bound)
-        assert a_k(12, 30, 3) == _plain_tilings(3)[12][30]
-        assert [r for r, row in enumerate(sq._AK_TABLES[3]) if row] == [
-            0, 1, 2, 3, 5, 6, 12]
 
 
 # -- Pell: one kept pair --------------------------------------------------------
@@ -625,20 +596,22 @@ def test_fibonacci_k_at_a_large_index_holds_its_window():
     assert peak < 10**6, peak
 
 
-def test_fibonacci_k_at_a_huge_k_holds_only_the_indices_stepped_to():
+@pytest.mark.parametrize("k", [10**9, 2**63])
+def test_fibonacci_k_at_a_huge_k_holds_only_the_indices_stepped_to(k):
     # Until the window is k + 1 values long it starts at F(1), so small
-    # indices at k = 10**9 hold a few values, not a window of k + 1.
+    # indices at k = 10**9 hold a few values, not a window of k + 1; and
+    # k + 1 past the largest deque length is no error.
     with _empty_tables():
         tracemalloc.start()
         try:
-            values = [fibonacci_k(n, 10**9) for n in range(6)]
-            multiples = cs.C_multiples(5, 10**9)
-            conv = fibonacci_k_conv(5, 10**9, 2)
-            neg = neg_fibonacci_k(-3, 10**9), neg_fibonacci_k(5, 10**9)
+            values = [fibonacci_k(n, k) for n in range(6)]
+            multiples = cs.C_multiples(5, k)
+            conv = fibonacci_k_conv(5, k, 2)
+            neg = neg_fibonacci_k(-3, k), neg_fibonacci_k(5, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _window(10**9) == (6, [1, 1, 2, 4, 8, 16])
+        assert _window(k) == (6, [1, 1, 2, 4, 8, 16])
     assert values == [0, 1, 1, 2, 4, 8]
     assert multiples == 16
     assert conv == _plain_tilings(6)[2][4]
@@ -696,6 +669,7 @@ _RULE_QUERIES = [(3, 10), (6, 10), (6, 14), (2, 12), (7, 4), (5, 20), (5, 20)]
 @pytest.mark.parametrize("name, value, table", [
     ("_a_fill", a, lambda: sq._A_ROWS),
     ("_as_fill", lambda s, n: a_s(s, 2, n), lambda: sq._AS_TABLES.get(2, [])),
+    ("_ak_fill", lambda r, n: a_k(r, n, 3), lambda: sq._AK_TABLES.get(3, [])),
 ])
 def test_a_fill_calls_its_rule_only_for_rows_shorter_than_the_column(
     rule_calls, name, value, table
@@ -714,53 +688,6 @@ def test_a_fill_calls_its_rule_only_for_rows_shorter_than_the_column(
             assert all(len(row) > n for row in table()[:i + 1])
 
 
-@pytest.fixture
-def ak_fill_calls(monkeypatch):
-    """Record ``(row, n, entries before, entries after)`` per ``_ak_fill``
-    call, the rule's calls to itself included; check that each call keeps
-    the entries its row had, the same int objects, and computes none anew."""
-    calls = []
-    fill = sq._ak_fill
-
-    def recording_fill(rows, r, n, k):
-        before = list(rows[r])
-        fill(rows, r, n, k)
-        assert all(map(is_, before, rows[r]))
-        calls.append((r, n, len(before), len(rows[r])))
-
-    monkeypatch.setattr(sq, "_ak_fill", recording_fill)
-    return calls
-
-
-def test_a_k_fill_extends_each_row_from_its_length_once(ak_fill_calls):
-    with _empty_tables():
-        for i, n in _RULE_QUERIES:
-            del ak_fill_calls[:]
-            table = sq._AK_TABLES.get(3, [])
-            entries = sum(map(len, table))
-            short = i >= len(table) or len(table[i]) <= n
-            a_k(i, n, 3)
-            table = sq._AK_TABLES[3]
-            # A short row is filled by one call of its own, a long one
-            # is a hit, and every call extends a short row to n + 1.
-            assert [r for r, *_ in ak_fill_calls].count(i) == short, (i, n)
-            assert all(before <= m < after == m + 1
-                       for _, m, before, after in ak_fill_calls), (i, n)
-            assert len(table[i]) > n
-            # No entry is computed twice: the calls add the new entries.
-            assert entries + sum(after - before for *_, before, after
-                                 in ak_fill_calls) == sum(map(len, table))
-
-
-def test_a_k_jump_fills_only_the_rows_of_its_halvings(ak_fill_calls):
-    with _empty_tables():
-        assert a_k(19, 198, 3) == _plain_convolutions(3, 19, 198)[19][198]
-        table = sq._AK_TABLES[3]
-        assert [r for r, row in enumerate(table) if row] == [0, 1, 2, 4, 9, 19]
-        assert sorted(r for r, *_ in ak_fill_calls) == [0, 1, 2, 4, 9, 19]
-        assert sum(map(len, table)) == 6 * 199
-
-
 def _plain_convolutions(k, rows, n):
     """Rows ``0..rows`` of ``a_k`` to column ``n``, row by row: row 0 from
     plain k-step Fibonacci numbers, then row r as row r - 1 convolved with
@@ -776,9 +703,9 @@ def _plain_convolutions(k, rows, n):
 
 @pytest.mark.parametrize("k", range(6))
 def test_a_k_in_mixed_call_orders_matches_a_row_by_row_convolution(k):
-    # A jump leaves gaps between the rows of its halvings; descending r
-    # fills them, squares (odd r) and unequal halves (even r) alike, from
-    # rows already as long; ascending n then extends rows from one column.
+    # The recurrence against the convolution, a second route: a far call
+    # fills rows 0..24, descending r reads them, and ascending n then
+    # extends every row from one column.
     plain = _plain_convolutions(k, 24, 80)
     with _empty_tables():
         assert a_k(24, 60, k) == plain[24][60]
