@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal by
 a resource guard (the enumeration ceiling, the oracle's squares bound, the
 formula tables' bound, or the digit cap).  All big integers print in plain
 decimal, up to ``DIGIT_CAP`` digits; ``seq`` exits 3 with one line at the
-first longer value and computes none past it.
+first longer value and computes none past it.  ``seq`` holds a range's
+values until it prints them, so a range longer than one formula table row
+may be (44,720 values) exits 3 with nothing printed.
 The environment variable ``TILINGKIT_ORACLE_CEILING`` overrides the
 enumeration guard (an integer; empty means the default).
 """
@@ -258,6 +260,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
                       " digits, past the printing cap", file=sys.stderr)
                 return EXIT_ORACLE_SCALE
             values.append((i, value))
+            # The values are held until printed: as many as one table row.
+            seq._refuse_past_bound(1, len(values))
     except ValueError as exc:
         print(f"tilingkit seq: {exc}", file=sys.stderr)
         return EXIT_USAGE

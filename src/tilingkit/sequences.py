@@ -5,10 +5,10 @@ table of rows, ``rows[i][j]``, grown in place by a row rule that extends
 one row in a single loop: one table for ``a`` (rows by ``r``), one per
 ``r`` for ``a_s`` (rows by ``s``) and one per ``k`` for ``a_k`` (rows by
 ``r``).  All three grow through :func:`_grow`: each row is computed from
-the row above (``a_k`` by its last-tile recurrence, ``a``'s rule with one
-more term), a row is never longer than the row above it, and a fill calls
-the rule only for the rows from the first short one on.  Filling is not
-meant for concurrent callers.  A fill whose table would pass
+the row above (``a`` and ``a_k`` by one last-tile recurrence, row 0 from
+row -1, the empty strip's), a row is never longer than the row above it,
+and a fill calls the rule only for the rows from the first short one on.
+Filling is not meant for concurrent callers.  A fill whose table would pass
 :data:`TABLE_BOUND`, or a run of ``a_k`` fills whose table would
 (:func:`refuse_past_bounds`), is refused with :class:`TableScaleError`
 before it starts.
@@ -57,9 +57,10 @@ class TableScaleError(RuntimeError):
 # the product follows the table's memory and not only its number of entries:
 # a(999, 999) is at the bound (10^6 entries, about 200 MB), and a single row
 # stops at about 44,700 entries.  A run of a_k fills is held to it as one
-# table (refuse_past_bounds).  fibonacci_k holds no table, only a window of
-# at most k + 1 values, but a step past n is refused as a 1 x (n + 1) table,
-# at the same index as when it kept the row F(0..n).
+# table (refuse_past_bounds).  The row -1 that a and a_k share, the empty
+# strip's, holds only 0s and 1s and is not counted.  fibonacci_k holds no
+# table, only a window of at most k + 1 values, but a step past n is refused
+# as a 1 x (n + 1) table, at the same index as when it kept the row F(0..n).
 TABLE_BOUND = 2 * 10**9
 
 def _refuse_past_bound(rows: int, columns: int) -> None:
@@ -100,21 +101,21 @@ def _require_integer(value: Fraction, what: str) -> int:
 # -- tables of rows ------------------------------------------------------------
 
 Rows = list[list[int]]
+_EMPTY_STRIP = [1]  # row -1 of a and a_k: 1 at column 0, grown with 0s
 
 
-def _grow(
-    rows: Rows, r: int, n: int, fill: Callable[[Rows, int, int, int], None],
-    key: int = 0,
-) -> int:
+def _grow(rows: Rows, r: int, n: int,
+          fill: Callable[[Rows, int, int, int], None], key: int) -> int:
     """Grow ``rows[0..r]`` in place to length ``n + 1``; return ``rows[r][n]``.
 
-    ``a``, ``a_s`` and ``a_k`` grow here, each by its own row rule
+    ``a`` and ``a_k`` grow here by one row rule and ``a_s`` by its own,
     ``fill(rows, i, n, key)``: it extends ``rows[i]`` to length ``n + 1``
     from the entries before them in that row and from rows ``0..i-1``,
     which are grown first; ``key`` is the parameter that picked the table
-    (``r`` for ``a_s``, ``k`` for ``a_k``).  So no row is longer than the
-    row above it, and the rows shorter than ``n + 1`` are those from the
-    first short one on: the rule is called for these rows only, once each.
+    (``r`` for ``a_s``, ``k`` for ``a_k``, and for ``a`` a ``k`` that no
+    column reaches).  So no row is longer than the row above it, and the
+    rows shorter than ``n + 1`` are those from the first short one on: the
+    rule is called for these rows only, once each.
     """
     try:
         return rows[r][n]
@@ -130,25 +131,25 @@ def _grow(
     return rows[r][n]
 
 
-# -- a(r, n): tilings with r red unit squares and white total n --------------
-
-_A_ROWS: Rows = []  # _A_ROWS[r][n] = a(r, n)
-
-
-def _a_fill(rows: Rows, r: int, n: int, _key: int) -> None:
+def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
     row = rows[r]
     if not row:
         row.append(1)
     j = len(row)
-    if r == 0:
-        row.extend([1 << (i - 1) for i in range(j, n + 1)])
-        return
-    above = rows[r - 1]
+    above = rows[r - 1] if r else _EMPTY_STRIP
+    above.extend([0] * (n + 1 - len(above)))  # only row -1 is ever short
     append = row.append
     last = row[-1]
-    for up_left, up in zip(above[j - 1:n], above[j:n + 1]):
-        last = up + 2 * last - up_left
+    for i in range(j, n + 1):
+        last = above[i] + 2 * last - above[i - 1]
+        if i > k:
+            last -= row[i - 1 - k]
         append(last)
+
+
+# -- a(r, n): tilings with r red unit squares and white total n --------------
+
+_A_ROWS: Rows = []  # _A_ROWS[r][n] = a(r, n)
 
 
 def a(r: int, n: int) -> int:
@@ -156,12 +157,12 @@ def a(r: int, n: int) -> int:
 
     Boundary values: ``a(r, 0) = 1`` and ``a(0, n) = 2**(n-1)`` for
     ``n >= 1``; elsewhere the three-term recurrence
-    ``a(r, n) = a(r-1, n) + 2 a(r, n-1) - a(r-1, n-1)``.  Negative ``n``
-    (or ``r``) gives 0.
+    ``a(r, n) = a(r-1, n) + 2 a(r, n-1) - a(r-1, n-1)``: :func:`a_k`'s
+    rule at a ``k`` no column reaches.  Negative ``n`` (or ``r``) gives 0.
     """
     if r < 0 or n < 0:
         return 0
-    return _grow(_A_ROWS, r, n, _a_fill)
+    return _grow(_A_ROWS, r, n, _ak_fill, sys.maxsize)
 
 
 def a_explicit(r: int, n: int) -> int:
@@ -301,36 +302,18 @@ def neg_fibonacci_k(n: int, k: int) -> int:
 _AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
 
 
-def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
-    row = rows[r]
-    if not row:
-        row.append(1)
-    j = len(row)
-    if r == 0:
-        row.extend([fibonacci_k(i + 1, k) for i in range(j, n + 1)])
-        return
-    above = rows[r - 1]
-    append = row.append
-    last = row[-1]
-    for i in range(j, n + 1):
-        last = above[i] + 2 * last - above[i - 1]
-        if i > k:
-            last -= row[i - 1 - k]
-        append(last)
-
-
 def a_k(r: int, n: int, k: int) -> int:
     """Tilings with ``r`` reds and white lengths restricted to ``1..k``.
 
-    Row 0 is the bounded-part composition counts,
-    ``a_k(0, n, k) = fibonacci_k(n+1, k)``, and ``a_k(r, 0, k) = 1``.  A
-    tiling ends in a red square or in a white tile of length ``j <= k``, so
-    ``a_k(r, n) = a_k(r-1, n) + sum_{j=1..k} a_k(r, n-j)``; with the
+    A tiling ends in a red square or in a white tile of length ``j <= k``,
+    so ``a_k(r, n) = a_k(r-1, n) + sum_{j=1..k} a_k(r, n-j)``; with the
     sliding sum, for ``n >= 1``,
     ``a_k(r, n) = a_k(r-1, n) + 2 a_k(r, n-1) - a_k(r-1, n-1) - a_k(r, n-1-k)``,
-    the last term 0 while ``n <= k``.  This is :func:`a`'s rule with one
-    more term, from the tiling's definition and with no generating
-    function.  ``k = 0`` forbids white tiles entirely.
+    the last term 0 while ``n <= k``, and ``a_k(r, 0) = 1``.  Row -1 is the
+    empty strip's (1 at ``n = 0``, else 0), so row 0, the bounded-part
+    composition counts ``fibonacci_k(n+1, k)``, follows the same rule.
+    :func:`a` is the rule with no bound on the white length; neither uses
+    a generating function.  ``k = 0`` forbids white tiles entirely.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -449,6 +449,21 @@ class TestModuleEntryPoint:
         assert proc.stdout == "".join(
             f"{n} {cs.total_runs_restricted(n, 5)}\n" for n in range(6))
 
+    @pytest.mark.parametrize("stop", [10**8, 10**18])
+    @pytest.mark.parametrize("family", ["Rk", "S", "L"])
+    def test_long_range_is_refused_past_one_table_row(self, family, stop):
+        # At a huge k these values stay small and need no table, so only the
+        # values held until printed grow; unbounded, the range ends in a
+        # MemoryError under the limit.  It is refused at one row's bound.
+        proc = run_module("seq", family, "--k", str(10**12),
+                          "--range", f"0..{stop}", timeout=10,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 3, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "tilingkit: table scale exceeded: 1 x 44721 entries"
+            " pass the bound of 2000000000\n")
+
     def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):
         # Unbounded, 2**(n // 2) at this index needs about 6 GB.
         proc = run_module("seq", "pal", "--range", "99999999999..99999999999",
@@ -594,15 +609,18 @@ def _assert_exit_contract(capsys, argv):
     assert "Traceback" not in err
 
 
-_ORACLE_OPTIONS = st.fixed_dictionaries({}, optional={
+_ORACLE_INTEGER_OPTIONS = {
     "--r": st.integers(-1, 4),
     "--max-white": st.integers(-1, 5),
     "--forbid-white": st.integers(-1, 5),
     "--suffix-white": st.integers(-1, 3),
     "--max": st.integers(-1, 5),
     "--forbid": st.integers(-1, 5),
-    "--allowed": st.sampled_from(["1,2,5", "2", "0", "-1,3", "x", "3,,4", ""]),
     "--no-multiple-of": st.integers(-1, 3),
+}
+_ORACLE_OPTIONS = st.fixed_dictionaries({}, optional={
+    **_ORACLE_INTEGER_OPTIONS,
+    "--allowed": st.sampled_from(["1,2,5", "2", "0", "-1,3", "x", "3,,4", ""]),
 })
 
 
@@ -790,6 +808,36 @@ def test_seq_argv_fuzz_at_huge_parameters(argvs):
     # is refused, each argv within a few seconds, under the shipped bound.
     _assert_exit_contract_in_a_limited_interpreter(
         argvs, table_bound=None, codes=(0, 2, 3), seconds=5)
+
+
+_HUGE_VALUES = st.sampled_from([2 ** 63, -2 ** 63, 10 ** 9, 10 ** 18])
+_HUGE_PARAMETER_ORACLE_ARGV = st.builds(
+    lambda kind, n, options, count_only: [
+        "oracle", kind, "--n", str(n),
+        *(item for flag, value in options.items() for item in (flag, str(value))),
+        *(["--count-only"] if count_only else []),
+    ],
+    kind=st.sampled_from(["tilings", "compositions", "palindromes"]),
+    n=st.integers(-2, 12),
+    options=st.fixed_dictionaries({}, optional={
+        **{flag: st.one_of(_HUGE_VALUES, values)
+           for flag, values in _ORACLE_INTEGER_OPTIONS.items()},
+        "--allowed": st.lists(st.one_of(_HUGE_VALUES, st.integers(-1, 5)),
+                              min_size=1, max_size=4).map(
+            lambda parts: ",".join(map(str, parts))),
+    }),
+    count_only=st.booleans(),
+)
+
+
+@given(argvs=st.lists(_HUGE_PARAMETER_ORACLE_ARGV, min_size=25, max_size=25))
+@settings(max_examples=8, deadline=None)
+def test_oracle_argv_fuzz_at_huge_parameters(argvs):
+    # Each oracle option, and the parts of --allowed, at a huge value:
+    # every argv answers, is a usage error or is refused within a few
+    # seconds.
+    _assert_exit_contract_in_a_limited_interpreter(
+        argvs, codes=(0, 2, 3), seconds=5)
 
 
 _VERIFY_ARGV = st.fixed_dictionaries({

@@ -548,8 +548,8 @@ def test_c_multiples_reads_the_ends_of_one_window(fib_steps):
 
 def test_fibonacci_k_below_its_window_restarts_from_the_seed(fib_steps):
     # After a far call each path below the window matches the plain
-    # recurrence: a read of F, a_k's row 0 read upward from F(1), and
-    # neg_fibonacci_k's seed read downward from F(k + 1).
+    # recurrence: a read of F and neg_fibonacci_k's seed read downward from
+    # F(k + 1).  An a_k fill between them leaves the window where it was.
     with _empty_tables():
         value = fibonacci_k(9000, 4)
         last = [0, 0, 0, 1]  # F(-2..1) mod 10**9
@@ -560,11 +560,11 @@ def test_fibonacci_k_below_its_window_restarts_from_the_seed(fib_steps):
         assert fibonacci_k(10, 4) == _plain_fibonacci(4)[10]
         assert _window(4) == (10, _plain_fibonacci(4)[6:11])
         assert a_k(3, 50, 4) == _plain_tilings(4)[3][50]
-        assert _window(4) == (51, _plain_fibonacci(4)[47:52])
+        assert _window(4) == (10, _plain_fibonacci(4)[6:11])
         assert neg_fibonacci_k(-40, 4) == _plain_negative_fibonacci(4)[-40]
         assert _window(4) == (5, _plain_fibonacci(4)[1:6])
-        # The far call, then one restart each for F(10), the row and F(5).
-        assert fib_steps == {"seeds": 4, "steps": 8998 + 8 + 49 + 3}
+        # The far call, then one restart each for F(10) and F(5).
+        assert fib_steps == {"seeds": 3, "steps": 8998 + 8 + 3}
 
 
 def test_fibonacci_k_step_past_the_table_bound_is_refused(monkeypatch):
@@ -619,6 +619,18 @@ def test_fibonacci_k_at_a_huge_k_holds_only_the_indices_stepped_to(k):
     assert peak < 10**6, peak
 
 
+@pytest.mark.parametrize("k, last", [
+    (0, 3000), (1, 3000), (2, 3000), (3, 3000), (22, 3000),
+    (10**9, 40), (2**63, 40),
+])
+def test_a_k_row_zero_matches_fibonacci_k(k, last):
+    # Row 0 comes from a_k's own rule and row -1, and F from its window:
+    # the two routes share no code.
+    with _empty_tables():
+        assert [a_k(0, n, k) for n in range(last + 1)] == [
+            fibonacci_k(n + 1, k) for n in range(last + 1)]
+
+
 def test_fibonacci_k_interrupted_step_leaves_no_window(monkeypatch):
     # A step that raises partway leaves no entry for k, so the next call
     # reseeds instead of reading a window that moved past its index.
@@ -667,7 +679,7 @@ _RULE_QUERIES = [(3, 10), (6, 10), (6, 14), (2, 12), (7, 4), (5, 20), (5, 20)]
 
 
 @pytest.mark.parametrize("name, value, table", [
-    ("_a_fill", a, lambda: sq._A_ROWS),
+    ("_ak_fill", a, lambda: sq._A_ROWS),
     ("_as_fill", lambda s, n: a_s(s, 2, n), lambda: sq._AS_TABLES.get(2, [])),
     ("_ak_fill", lambda r, n: a_k(r, n, 3), lambda: sq._AK_TABLES.get(3, [])),
 ])
