@@ -13,8 +13,8 @@ a resource guard (the enumeration ceiling, the oracle's squares bound, the
 formula tables' bound, or the digit cap).  All big integers print in plain
 decimal, up to ``DIGIT_CAP`` digits; ``seq`` exits 3 with one line at the
 first longer value and computes none past it.  ``seq`` holds a range's
-values until it prints them, so a range longer than one formula table row
-may be (44,720 values) exits 3 with nothing printed.
+values until it prints them, up to ``HOLD_CAP`` bytes; a range whose
+values take more exits 3 with one line and nothing printed.
 The environment variable ``TILINGKIT_ORACLE_CEILING`` overrides the
 enumeration guard (an integer; empty means the default).
 """
@@ -45,6 +45,12 @@ TABLE_FORMATS = ("csv", "json", "pretty-table")
 # on turning an int into a string.  A lower limit set for the interpreter
 # (``PYTHONINTMAXSTRDIGITS``) lowers the cap with it.
 DIGIT_CAP = 4300
+
+# The most bytes of values ``seq`` holds before it prints them, as
+# ``sys.getsizeof`` counts each held pair and its two ints: about 890,000
+# small values, or 50,000 at the digit cap.  The printed text takes about
+# as much again.
+HOLD_CAP = 10**8
 
 
 class _Family:
@@ -252,16 +258,24 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     cap = _digit_cap()
     past = 10 ** cap
     values = []
+    held = 0
     try:
-        for i in range(lo, hi + 1):  # stop at the first value past the cap
+        for i in range(lo, hi + 1):  # stop at the first value past a cap
             value = fam.fn(i, **params)
             if abs(value) >= past:
                 print(f"tilingkit seq: the value at n={i} has more than {cap}"
                       " digits, past the printing cap", file=sys.stderr)
                 return EXIT_ORACLE_SCALE
-            values.append((i, value))
-            # The values are held until printed: as many as one table row.
-            seq._refuse_past_bound(1, len(values))
+            entry = (i, value)
+            values.append(entry)
+            held += (sys.getsizeof(entry) + sys.getsizeof(i)
+                     + sys.getsizeof(value))
+            if held > HOLD_CAP:
+                print(f"tilingkit seq: the range {lo}..{hi} has {hi - lo + 1}"
+                      f" values; those up to n={i} take more than {HOLD_CAP}"
+                      " bytes held before printing, past the holding cap",
+                      file=sys.stderr)
+                return EXIT_ORACLE_SCALE
     except ValueError as exc:
         print(f"tilingkit seq: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -136,8 +136,9 @@ def _ak_fill(rows: Rows, r: int, n: int, k: int) -> None:
     if not row:
         row.append(1)
     j = len(row)
+    if not r:  # only row -1 is padded; a row above is grown first, by _grow
+        _EMPTY_STRIP.extend([0] * (n + 1 - len(_EMPTY_STRIP)))
     above = rows[r - 1] if r else _EMPTY_STRIP
-    above.extend([0] * (n + 1 - len(above)))  # only row -1 is ever short
     append = row.append
     last = row[-1]
     for i in range(j, n + 1):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -451,18 +452,38 @@ class TestModuleEntryPoint:
 
     @pytest.mark.parametrize("stop", [10**8, 10**18])
     @pytest.mark.parametrize("family", ["Rk", "S", "L"])
-    def test_long_range_is_refused_past_one_table_row(self, family, stop):
+    def test_long_range_is_refused_past_the_holding_cap(self, family, stop):
         # At a huge k these values stay small and need no table, so only the
         # values held until printed grow; unbounded, the range ends in a
-        # MemoryError under the limit.  It is refused at one row's bound.
+        # MemoryError under the limit.  It is refused once they pass
+        # HOLD_CAP bytes, near n = 890,000.
         proc = run_module("seq", family, "--k", str(10**12),
                           "--range", f"0..{stop}", timeout=10,
                           preexec_fn=_one_gigabyte_address_space)
         assert proc.returncode == 3, proc.stderr[-500:]
         assert proc.stdout == ""
-        assert proc.stderr == (
-            "tilingkit: table scale exceeded: 1 x 44721 entries"
-            " pass the bound of 2000000000\n")
+        assert re.fullmatch(
+            rf"tilingkit seq: the range 0\.\.{stop} has {stop + 1} values;"
+            r" those up to n=(\d+) take more than 100000000 bytes held"
+            r" before printing, past the holding cap\n", proc.stderr)
+
+    @pytest.mark.parametrize("family, params, lo", [
+        ("S", {"k": 10**12}, 0),
+        ("Rk", {"k": 10**12}, 0),
+        ("a", {"r": 1}, -50000),
+    ])
+    def test_long_range_of_small_values_within_the_holding_cap_prints(
+            self, family, params, lo):
+        # 50,001 small values take about 5.6 MB held: printed in full.
+        options = [item for p, v in params.items()
+                   for item in (f"--{p}", str(v))]
+        proc = run_module("seq", family, *options,
+                          f"--range={lo}..{lo + 50000}", timeout=10,
+                          preexec_fn=_one_gigabyte_address_space)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        fn = cli.FAMILIES[family].fn
+        assert proc.stdout == "".join(
+            f"{n} {fn(n, **params)}\n" for n in range(lo, lo + 50001))
 
     def test_pal_past_the_table_bound_is_refused_before_it_is_built(self):
         # Unbounded, 2**(n // 2) at this index needs about 6 GB.
