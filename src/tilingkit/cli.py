@@ -332,7 +332,7 @@ def _cmd_verify(args: argparse.Namespace, id_filter: str | None) -> int:
     return EXIT_OK if report.all_match else EXIT_VERIFY_FAILED
 
 
-def _oracle_ceiling() -> int | None:
+def _oracle_ceiling() -> int:
     raw = os.environ.get("TILINGKIT_ORACLE_CEILING", "").strip()
     if not raw:
         return oracle.DEFAULT_CEILING

@@ -86,9 +86,6 @@ class Defect:
     def __eq__(self, other: object) -> bool:
         return False
 
-    def __hash__(self) -> int:
-        return hash(("defect", self.reason))
-
     def __repr__(self) -> str:
         return f"<defect: {self.reason}>"
 

@@ -75,23 +75,23 @@ walk starts.  The functions that take no ``ceiling``
 ``DEFAULT_CEILING``, read when they are called.
 
 Each family is walked once per process, into one of two module-level
-stores: its count by ``(reds, white, lengths)`` in ``_COUNTS``, and each
+stores: its count by ``(reds, white, lengths, s)`` in ``_COUNTS``, and each
 census by ``(statistic, reds, white, top)`` in ``_CENSUSES``, over the
 white lengths 1..top, in the form its row of ``_STATISTICS`` keeps (used
 lengths, part fold, white tiles, largest part, runs): the part fold
 unpacked per part and multiplicity, every other census as walked.  Readers
 sum kept cells, and a public census is a copy of the kept one.  Every count
-reads a census: a family with allowed lengths A and a white suffix of ``s``
-tiles (0 but for :func:`count_tilings`) is the sum of the cells of its
-*parent*, the unrestricted family of its reds and white total, with no used
-length outside A and at least ``s`` trailing white tiles.  A palindrome or
-suffix family reads one parent per block.  The parent rule: after the
-family's own floor, a parent that is not kept is tallied under the call's
-ceiling (``DEFAULT_CEILING``, read when it is called, when the ceiling is
-None) unless its roof, its exact size, passes that ceiling; the family then
-walks its own leaves.  No tally refuses a parent, and a refused one keeps
-nothing.  So a family under the ceiling whose parent is far past it is
-still counted, and the rule reads only the ceiling and the roof.  A kept
+is :func:`_count`'s, and reads a census: a family with allowed lengths A
+and a white suffix of ``s`` tiles (0 but for :func:`count_tilings`) is the
+sum of the cells of its *parent*, the unrestricted family of its reds and
+white total, with no used length outside A and at least ``s`` trailing
+white tiles.  A palindrome family reads one parent per block.  The parent
+rule: after the family's own floor, a parent that is not kept is tallied
+under the call's ceiling unless its roof, its exact size, passes that
+ceiling; the family then walks its own leaves, a suffix family one block
+per tail.  No tally refuses a parent, and a refused one keeps nothing.
+So a family under the ceiling whose parent is far past it is still
+counted, and the rule reads only the ceiling and the roof.  A kept
 count refuses exactly where its walk would have, against the ceiling of the
 call that reads it, and a census helper counts its family that way before
 it reads a kept census, unless its roof is already at most that ceiling.
@@ -106,7 +106,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import chain, repeat
-from math import gcd, inf
+from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CEILING = 10_000_000
@@ -306,10 +306,9 @@ def _walk(reds: int, white: int, lengths: tuple[int, ...]) -> Iterator[Codes]:
 
 
 # The exact leaf count of every family :func:`_count` has read or walked,
-# keyed by ``(reds, white, lengths)``, and of every unrestricted family
-# :func:`count_tilings` has read.  An entry is only ever a count of visited
-# leaves.
-_COUNTS: dict[tuple[int, int, tuple[int, ...]], int] = {}
+# keyed by ``(reds, white, lengths, s)``, ``s`` its least number of trailing
+# white tiles.  An entry is only ever a count of visited leaves.
+_COUNTS: dict[tuple[int, int, tuple[int, ...], int], int] = {}
 
 # Every census a walk has filled, keyed by ``(statistic, reds, white, top)``:
 # its row of ``_STATISTICS`` and the tilings with ``reds`` red squares and
@@ -322,10 +321,10 @@ def _refusal(ceiling: int) -> OracleScaleError:
     return OracleScaleError(f"oracle scale exceeded: more than {ceiling} objects")
 
 
-def _kept(total: int, ceiling: int | None, seen: int = 0) -> int:
+def _kept(total: int, ceiling: int, seen: int = 0) -> int:
     """A kept count, refused exactly where its walk would have been: when
     ``seen`` plus a nonzero ``total`` passes ``ceiling``."""
-    if ceiling is not None and total and seen + total > ceiling:
+    if total and seen + total > ceiling:
         raise _refusal(ceiling)
     return total
 
@@ -334,7 +333,7 @@ def _refuse_past_floor(
     reds: int,
     white: int,
     lengths: tuple[int, ...],
-    ceiling: int | None,
+    ceiling: int,
     seen: int = 0,
 ) -> None:
     """Refuse the tilings with ``reds`` red squares and white tiles of the
@@ -354,7 +353,7 @@ def _refuse_past_floor(
 
     passes the room.  An unrefused family is still walked or read off a
     census, so no count comes from the bound."""
-    if ceiling is None or white and lengths[:1] != (1,):
+    if white and lengths[:1] != (1,):
         return
     room = ceiling - seen
     if _roof(reds, white, room) <= room:
@@ -412,31 +411,39 @@ def _count(
     reds: int,
     white: int,
     lengths: tuple[int, ...],
-    ceiling: int | None,
+    ceiling: int,
     seen: int = 0,
+    s: int = 0,
 ) -> int:
-    """Number of leaves :func:`_walk` yields; refuses as soon as ``seen``,
-    the objects counted before, plus that number passes ``ceiling``.
+    """Number of leaves :func:`_walk` yields that end in at least ``s``
+    white tiles; refuses as soon as ``seen``, the objects counted before,
+    plus that number passes ``ceiling``.
 
-    Each family is counted once per process: its floor refuses first, then
-    it is read off its parent's census (see :func:`_parent`), or walked by
-    :func:`_count_leaves` when its roof refuses the parent.  With every
-    length allowed and a ceiling, the family is its parent and its floor
-    refuses it past that roof, so it passes its own floor only when its
-    parent is read.
+    Each family is counted once per process: the floor of its body ``(reds,
+    white - s)`` refuses first (for ``s > 0`` only when 1 is allowed, so that
+    a body followed by ``s`` unit tiles is a leaf), then it is read off its
+    parent's census (see :func:`_parent`), or, when its roof refuses the
+    parent, walked by :func:`_count_leaves`, a suffix family one block per
+    tail.  With every length allowed and ``s`` 0, the family is its parent
+    and its floor refuses it past that roof, so it passes its own floor
+    only when its parent is read.
     The count is kept in ``_COUNTS``, and a later call reads it and refuses
     exactly when the walk would have.  A refused count keeps nothing."""
     if lengths and white % gcd(*lengths):
         return 0  # no leaf, as in _walk
-    key = (reds, white, lengths)
+    key = (reds, white, lengths, s)
     total = _COUNTS.get(key)
     if total is None:
-        _refuse_past_floor(reds, white, lengths, ceiling, seen)
+        if not s or lengths[:1] == (1,):
+            _refuse_past_floor(reds, white - s, lengths, ceiling, seen)
         census = _parent(reds, white, ceiling)
-        if census is None:
-            total = _count_leaves(reds, white, lengths, ceiling, seen)
+        if census is not None:
+            total = _kept(_read(census, white, lengths, s), ceiling, seen)
+        elif s:
+            blocks = _suffix_blocks(reds, white, s, lengths)
+            total = _kept(_counted(blocks, lengths, ceiling), ceiling, seen)
         else:
-            total = _kept(_read(census, white, lengths), ceiling, seen)
+            total = _count_leaves(reds, white, lengths, ceiling, seen)
         _COUNTS[key] = total
         return total
     return _kept(total, ceiling, seen)
@@ -446,14 +453,13 @@ def _count_leaves(
     reds: int,
     white: int,
     lengths: tuple[int, ...],
-    ceiling: int | None,
+    ceiling: int,
     seen: int,
 ) -> int:
     """The walk behind :func:`_count` when the parent is refused: the
     family's own leaves, tallied under constant marks."""
     try:
-        tally = _tally(reds, white, lengths, _same,
-                       None if ceiling is None else ceiling - seen)
+        tally = _tally(reds, white, lengths, _same, ceiling - seen)
     except OracleScaleError:
         raise _refusal(ceiling) from None
     return tally.get(0, 0)
@@ -465,20 +471,16 @@ def _same(marks: int, code: int) -> int:
 
 
 def _parent(
-    reds: int, white: int, ceiling: int | None
+    reds: int, white: int, ceiling: int
 ) -> dict[int, int] | None:
     """The used-lengths census of every tiling with ``reds`` red squares
     and white total ``white``, any white length allowed, or None when it
-    passes ``ceiling`` (``DEFAULT_CEILING``, read when it is called, when
-    ``ceiling`` is None).  A kept census is read as kept; otherwise its
-    roof, the family's exact size, decides first, so the tally never
-    refuses, and a refused parent keeps nothing."""
+    passes ``ceiling``, the asking count's.  A kept census is read as kept;
+    otherwise its roof, the family's exact size, decides first, so the
+    tally never refuses, and a refused parent keeps nothing."""
     census = _CENSUSES.get(("used", reds, white, white))
-    if census is None:
-        limit = DEFAULT_CEILING if ceiling is None else ceiling
-        if _roof(reds, white, limit) > limit:
-            return None
-        census = _census("used", reds, white, white, limit)
+    if census is None and _roof(reds, white, ceiling) <= ceiling:
+        census = _census("used", reds, white, white, ceiling)
     return census
 
 
@@ -520,7 +522,7 @@ def _tally(
     white: int,
     lengths: tuple[int, ...],
     step: Callable[[int, int], int],
-    ceiling: int | None,
+    ceiling: int,
 ) -> dict[int, int]:
     """The leaves of the tree :func:`_walk` walks, counted per final
     marks, a nonnegative int: the root's are 0, a child's
@@ -532,7 +534,6 @@ def _tally(
     Refuses as soon as the leaves pass ``ceiling``."""
     shift = white + 1
     size = (reds + 1) * shift  # every state is below it
-    limit = inf if ceiling is None else ceiling
     kept: dict[int, list[list[int]]] = {}
     rows: dict[int, tuple[list[int], list[list[int]]]] = {}
     total = 0
@@ -549,7 +550,7 @@ def _tally(
             for cell in ends:
                 cell[0] += 1
             total += len(ends)
-            if total > limit:
+            if total > ceiling:
                 raise _refusal(ceiling)
         if not stack:
             # A leaf's cell is kept under its node, of state 0.
@@ -769,7 +770,7 @@ _STATISTICS: dict[str, tuple[Callable[[int], Callable] | None, Callable | None]]
 
 
 def _census(
-    statistic: str, reds: int, white: int, top: int, ceiling: int | None = None
+    statistic: str, reds: int, white: int, top: int, ceiling: int
 ) -> Any:
     """The census ``statistic`` of the tilings with ``reds`` red squares
     and white tiles of lengths 1..``top`` totalling ``white``, in its row's
@@ -838,7 +839,7 @@ def _suffix_blocks(
 
 
 def _sizes(
-    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int
 ) -> Iterator[tuple[Block, int]]:
     """Each block with its number of objects, counted by :func:`_count`;
     refuses as soon as the running total passes ``ceiling``."""
@@ -850,26 +851,23 @@ def _sizes(
 
 
 def _counted(
-    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int
 ) -> int:
     """Number of objects of the blocks."""
     return sum(size for _block, size in _sizes(blocks, lengths, ceiling))
 
 
 def _admitted(
-    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
-) -> Iterable[Block]:
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int
+) -> list[Block]:
     """The blocks of a listing or a census, admitted without a count when
     the sum of their roofs, each block's exact size with every length
-    allowed (see :func:`_roof`), is at most ``ceiling`` (or there is no
-    ceiling).  The roofs are summed block by block; once they pass
-    ``ceiling``, the blocks seen so far and the rest of the stream are
-    counted by :func:`_sizes` instead, which refuses a family past
-    ``ceiling`` before any object is built, and only the blocks with
-    objects are kept.  With a ceiling, the stream is drawn, and a family
-    past it refused, before this returns."""
-    if ceiling is None:
-        return blocks
+    allowed (see :func:`_roof`), is at most ``ceiling``.  The roofs are
+    summed block by block; once they pass ``ceiling``, the blocks seen so
+    far and the rest of the stream are counted by :func:`_sizes` instead,
+    which refuses a family past ``ceiling`` before any object is built, and
+    only the blocks with objects are kept.  The stream is drawn, and a
+    family past ``ceiling`` refused, before this returns."""
     blocks = iter(blocks)
     seen: list[Block] = []
     room = ceiling
@@ -883,7 +881,7 @@ def _admitted(
 
 
 def _listing(
-    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int | None
+    blocks: Iterable[Block], lengths: tuple[int, ...], ceiling: int
 ) -> list[Codes]:
     """Every object of the blocks, sorted.  The family is admitted by its
     roof, or counted, before it is walked, so a family past ``ceiling`` is
@@ -926,7 +924,7 @@ def _uncollected(listing: Callable[..., list]) -> Callable[..., list]:
 # ---------------------------------------------------------------------------
 
 def _tiling_blocks(
-    r: int, n: int, filter: TilingFilter | None, ceiling: int | None
+    r: int, n: int, filter: TilingFilter | None, ceiling: int
 ) -> tuple[Iterable[Block], tuple[int, ...]]:
     if r < 0 or n < 0:
         raise ValueError("r and n must be nonnegative")
@@ -952,7 +950,7 @@ def enumerate_tilings(
     n: int,
     filter: TilingFilter | None = None,
     *,
-    ceiling: int | None = DEFAULT_CEILING,
+    ceiling: int = DEFAULT_CEILING,
 ) -> list[TwoTonedTiling]:
     """All tilings with ``r`` red squares and white total ``n``, each once.
 
@@ -969,41 +967,36 @@ def count_tilings(
     n: int,
     filter: TilingFilter | None = None,
     *,
-    ceiling: int | None = DEFAULT_CEILING,
+    ceiling: int = DEFAULT_CEILING,
 ) -> int:
     """Number of tilings :func:`enumerate_tilings` would return.
 
     The count is produced by walking the same enumeration tree leaf by
     leaf, never by a formula, so it is usable as an independent oracle.
-    Unless palindromic, it is read off the census of its parent ``(r, n +
-    s)``: its leaves whose white lengths all pass the filter and that end
-    in at least ``s`` white tiles.  When the parent's exact floor refuses
-    it, or the count is palindromic, its blocks are counted one by one
-    (see :func:`_count`); only an unrestricted count is kept in ``_COUNTS``.
+    Unless palindromic, it is the family ``(r, n + s)`` counted by
+    :func:`_count`: the leaves of its parent's census whose white lengths
+    all pass the filter and that end in at least ``s`` white tiles, or,
+    when the parent is refused, its own walk.  A palindromic count sums
+    its blocks, each counted by :func:`_count`.  Every count is kept in
+    ``_COUNTS``.
     """
     blocks, lengths = _tiling_blocks(r, n, filter, ceiling)
     f = filter or TilingFilter()
-    if f == TilingFilter():
-        return _count(r, n, lengths, ceiling)
-    if not f.palindromic:
-        s = f.suffix_white_tiles
-        if lengths and (n + s) % gcd(*lengths):
-            return 0  # no leaf, as in _walk: no parent to start
-        census = _parent(r, n + s, ceiling)
-        if census is not None:
-            return _kept(_read(census, n + s, lengths, s), ceiling)
-    return _counted(blocks, lengths, ceiling)
+    if f.palindromic:
+        return _counted(blocks, lengths, ceiling)
+    s = f.suffix_white_tiles
+    return _count(r, n + s, lengths, ceiling, s=s)
 
 
 def enumerate_palindromic_tilings(
-    r: int, n: int, *, ceiling: int | None = DEFAULT_CEILING
+    r: int, n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> list[TwoTonedTiling]:
     """Tilings with ``r`` reds and white total ``n`` that read the same both ways."""
     return enumerate_tilings(r, n, TilingFilter(palindromic=True), ceiling=ceiling)
 
 
 def count_palindromic_tilings(
-    r: int, n: int, *, ceiling: int | None = DEFAULT_CEILING
+    r: int, n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> int:
     return count_tilings(r, n, TilingFilter(palindromic=True), ceiling=ceiling)
 
@@ -1021,7 +1014,7 @@ def _part_lengths(
     *,
     reds: int = 0,
     floor: tuple[int, int] | None = None,
-    ceiling: int | None = None,
+    ceiling: int,
 ) -> tuple[int, ...]:
     """The parts a composition of ``n`` may use, ascending; every given
     constraint applies.  Rejects arguments no walk can honour.
@@ -1076,7 +1069,7 @@ def enumerate_compositions(
     forbidden_part: int | None = None,
     allowed_parts: Iterable[int] | None = None,
     no_multiple_of: int | None = None,
-    ceiling: int | None = DEFAULT_CEILING,
+    ceiling: int = DEFAULT_CEILING,
 ) -> list[Composition]:
     """Compositions of ``n`` under the given constraints, in lexicographic order."""
     lengths = _part_lengths(n, max_part, forbidden_part, allowed_parts,
@@ -1091,7 +1084,7 @@ def count_compositions(
     forbidden_part: int | None = None,
     allowed_parts: Iterable[int] | None = None,
     no_multiple_of: int | None = None,
-    ceiling: int | None = DEFAULT_CEILING,
+    ceiling: int = DEFAULT_CEILING,
 ) -> int:
     lengths = _part_lengths(n, max_part, forbidden_part, allowed_parts,
                             no_multiple_of, floor=(0, n), ceiling=ceiling)
@@ -1103,7 +1096,7 @@ def enumerate_palindromic_compositions(
     n: int,
     *,
     forbidden_part: int | None = None,
-    ceiling: int | None = DEFAULT_CEILING,
+    ceiling: int = DEFAULT_CEILING,
 ) -> list[Composition]:
     """Palindromic compositions of ``n``, built as half + optional center."""
     lengths = _part_lengths(n, forbidden_part=forbidden_part,
@@ -1139,7 +1132,7 @@ def _family_census(
     lengths = _part_lengths(n, max_part, reds=reds, floor=(reds, n),
                             ceiling=ceiling)
     _admitted([(reds, n, (), False)], lengths, ceiling)
-    return _census(statistic, reds, n, len(lengths))
+    return _census(statistic, reds, n, len(lengths), ceiling)
 
 
 def _part_histogram(

@@ -22,9 +22,8 @@ index ``m`` it stepped to; each step costs O(1) big-int operations, and an
 index below the window restarts from the seed.
 
 The Pell numbers keep no table, only the pair ``P(m), P(m + 1)`` of the
-last index asked: :func:`pell` steps it to ``m + 1`` and jumps further by
-index doubling on the gap, so one large index costs O(log n)
-multiplications and holds two ints.
+last index asked: :func:`pell` jumps from it by index doubling on the gap,
+so one large index costs O(log n) multiplications and holds two ints.
 
 Conventions used throughout:
 
@@ -275,29 +274,24 @@ def fibonacci_k(n: int, k: int) -> int:
     return window[-1]
 
 
-_NEG_FIB: dict[int, list[int]] = {}  # _NEG_FIB[k][t] = f(k + 1 - t)
-
-
 def neg_fibonacci_k(n: int, k: int) -> int:
     """k-step Fibonacci extended to all integer indices.
 
     Seeds: value 1 at index 1 and 0 at ``0, -1, ..., -(k-2)``.  Forward it
     agrees with :func:`fibonacci_k`; backward it follows the rearranged
-    recurrence ``f(n-k) = f(n) - f(n-1) - ... - f(n-k+1)``, filled as
-    ``f(i) = 2 f(i+k) - f(i+k+1)``.
+    recurrence ``f(n-k) = f(n) - f(n-1) - ... - f(n-k+1)``, stepped as
+    ``f(i) = 2 f(i+k) - f(i+k+1)`` from the seeds ``f(1-k)..f(1)``; it keeps
+    nothing and reads no F, so :func:`fibonacci_k`'s window stays put.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if n > 1 - k:
         return fibonacci_k(n, k)
     _refuse_past_bound(1, k + 2 - n)
-    if k not in _NEG_FIB:
-        _NEG_FIB[k] = [fibonacci_k(i, k) for i in range(k + 1, 1 - k, -1)]
-    down = _NEG_FIB[k]
-    while len(down) <= k + 1 - n:
-        t = len(down)
-        down.append(2 * down[t - k] - down[t - k - 1])
-    return down[k + 1 - n]
+    window = deque([1] + [0] * (k - 1) + [1], k + 1)  # f(1-k)..f(1)
+    for _ in range(1 - k - n):
+        window.appendleft(2 * window[-2] - window[-1])
+    return window[0]
 
 
 _AK_TABLES: dict[int, Rows] = {}  # _AK_TABLES[k][r][n] = a_k(r, n, k)
@@ -353,14 +347,13 @@ def pell(n: int) -> int:
     """Pell numbers: ``P(0)=0, P(1)=1, P(n) = 2 P(n-1) + P(n-2)``.
 
     Only the pair ``P(m), P(m + 1)`` of the last index ``m`` asked is kept.
-    The next index ``m + 1`` is one step of the recurrence.  An index
-    further on is reached in one jump: ``(P(d), P(d + 1))`` for the gap
-    ``d = n - m`` by index doubling, ``P(2k) = P(k) (2 P(k+1) - 2 P(k))``
+    Any other index is reached in one jump: ``(P(d), P(d + 1))`` for the
+    gap ``d = n - m`` by index doubling, ``P(2k) = P(k) (2 P(k+1) - 2 P(k))``
     and ``P(2k+1) = P(k+1)^2 + P(k)^2`` (the binary method for powers,
     Knuth, TAOCP vol. 2, 4.6.3), then ``P(m + d) = P(m+1) P(d) + P(m) P(d-1)``.
     An index below ``m`` jumps from ``P(0), P(1)``.  So one large index
-    costs O(log n) multiplications and holds two ints, and an ascending
-    range one step per value.
+    costs O(log n) multiplications and holds two ints, and each index of
+    an ascending range is a jump by d = 1, a few multiplications.
     """
     if n < 0:
         return 0
@@ -368,9 +361,6 @@ def pell(n: int) -> int:
     if n == m:
         return low
     _refuse_past_bound(1, n + 1)
-    if n == m + 1:
-        _PELL[:] = n, high, 2 * high + low
-        return high
     if n < m:
         m, low, high = 0, 0, 1
     now, after = _pell_pair(n - m)

@@ -734,8 +734,8 @@ def _refusal_message(walk) -> str:
 
 
 def test_stored_count_refuses_just_past_the_ceiling(store):
-    exact = count_tilings(2, 6, ceiling=None)
-    assert store == {(2, 6, (1, 2, 3, 4, 5, 6)): exact}
+    exact = count_tilings(2, 6, ceiling=orc.DEFAULT_CEILING)
+    assert store == {(2, 6, (1, 2, 3, 4, 5, 6), 0): exact}
     store.clear()
     walked = _refusal_message(lambda: count_tilings(2, 6, ceiling=exact - 1))
     assert walked == f"oracle scale exceeded: more than {exact - 1} objects"
@@ -749,7 +749,7 @@ def test_stored_count_refuses_just_past_the_ceiling(store):
 
 def test_stored_count_refuses_through_the_objects_seen_before(store):
     lengths = (1, 2, 3)
-    size = orc._count(1, 5, lengths, None)
+    size = orc._count(1, 5, lengths, orc.DEFAULT_CEILING)
     assert size > 1
     for seen in (0, 1, size):
         assert orc._count(1, 5, lengths, seen + size, seen) == size
@@ -827,19 +827,21 @@ def test_refused_walk_and_dead_family_are_not_stored(store):
                                               forbidden_white_len=1)) == 0
     assert store == {}
     assert orc._CENSUSES == {}  # each parent was refused or never tried
-    # A suffix family is read off its parent's census and stores no count.
-    # Once that parent (28 tilings of (1, 4)) is refused, the family counts
-    # its blocks, and one refused in its last block keeps those it finished.
+    # A suffix family is read off its parent's census and keeps its count
+    # under its s.  Once that parent (28 tilings of (1, 4)) is refused, the
+    # family counts its blocks, and one refused in its last block keeps
+    # those it finished, but no count of the family.
     suffix = TilingFilter(suffix_white_tiles=1)
-    exact = count_tilings(1, 3, suffix, ceiling=None)
-    assert exact == 20 and store == {}
+    lengths = (1, 2, 3, 4)
+    exact = count_tilings(1, 3, suffix, ceiling=orc.DEFAULT_CEILING)
+    assert exact == 20 and store == {(1, 4, lengths, 1): 20}
+    store.clear()
     orc._CENSUSES.clear()
     with pytest.raises(OracleScaleError, match="more than 19 objects"):
         count_tilings(1, 3, suffix, ceiling=exact - 1)
     assert (1, 4) not in _parents()
-    lengths = (1, 2, 3, 4)
-    assert store == {(1, 3, lengths): 12, (1, 2, lengths): 5,
-                     (1, 1, lengths): 2}
+    assert store == {(1, 3, lengths, 0): 12, (1, 2, lengths, 0): 5,
+                     (1, 1, lengths, 0): 2}
 
 
 @pytest.mark.parametrize("count, seen", [
@@ -855,7 +857,7 @@ def test_ceiling_holds_at_the_exact_size(store, count, seen):
     # Every length is allowed, so the floor is the exact size and refuses
     # the family before its walk: just past the size, with one message, on
     # a miss and on a kept count.
-    exact = count(None)
+    exact = count(orc.DEFAULT_CEILING)
     store.clear()
     orc._CENSUSES.clear()
     for _ in range(2):
@@ -889,15 +891,17 @@ def test_unrestricted_family_past_its_lower_bound_is_not_walked(store):
 
 def test_stored_empty_family_refuses_nothing(store):
     empty = TilingFilter(max_white_len=1, forbidden_white_len=1)
-    # Read off the census of (0, 2): no leaf uses no white length.
+    # Read off the census of (0, 2) and kept as 0: no leaf uses no white
+    # length.
     assert count_tilings(0, 2, empty) == 0
-    assert store == {} and _parents() == {(0, 2)}
+    assert store == {(0, 2, (), 0): 0} and _parents() == {(0, 2)}
     # Under a ceiling its parent passes, the empty family is walked and
     # stored as 0, which refuses nothing.
+    store.clear()
     orc._CENSUSES.clear()
     for _ in range(2):
         assert count_tilings(0, 2, empty, ceiling=-5) == 0
-        assert store == {(0, 2, ()): 0}
+        assert store == {(0, 2, (), 0): 0}
     assert orc._CENSUSES == {}
     assert enumerate_tilings(0, 2, empty, ceiling=-5) == []
 
@@ -920,11 +924,13 @@ def test_count_matches_the_walk_on_a_miss_and_on_a_hit(families, lengths):
             if exact > 2:  # a refused walk leaves the count to walk again
                 with pytest.raises(OracleScaleError):
                     orc._count(reds, white, lengths, exact // 2)
-            assert orc._count(reds, white, lengths, None) == exact
+            assert orc._count(reds, white, lengths,
+                              orc.DEFAULT_CEILING) == exact
         for reds, white in families:
             exact = sum(1 for _ in orc._walk(reds, white, lengths))
             assert orc._count(reds, white, lengths, exact) == exact
-            assert orc._count(reds, white, lengths, None) == exact
+            assert orc._count(reds, white, lengths,
+                              orc.DEFAULT_CEILING) == exact
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +982,7 @@ def test_used_lengths_census_and_its_reads_match_the_listing(store, squares):
     for reds in range(squares + 1):
         white = squares - reds
         leaves = list(orc._walk(reds, white, tuple(range(1, white + 1))))
-        assert orc._parent(reds, white, None) == Counter(
+        assert orc._parent(reds, white, orc.DEFAULT_CEILING) == Counter(
             map(_used_marks(white), leaves))
         with patch.object(orc, "_count_leaves", _no_count):
             for k, s in ((2, 0), (2, 1), (3, 2), (None, 3), (1, white)):
@@ -1012,7 +1018,8 @@ def test_tile_total_is_read_off_the_white_tile_census(store, reds):
     for white in range(12 - reds):
         lengths = tuple(range(1, white + 1))
         leaves = list(orc._walk(reds, white, lengths))
-        assert orc._tally(reds, white, lengths, orc._white_step, None) == \
+        assert orc._tally(reds, white, lengths, orc._white_step,
+                          orc.DEFAULT_CEILING) == \
             Counter(len(codes) - codes.count(0) for codes in leaves)
         with patch.object(orc, "_walk", _no_count):
             assert orc.tile_count_total(reds, white) == sum(map(len, leaves))
@@ -1049,7 +1056,8 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
     for reds in range(squares + 1):
         white = squares - reds
         lengths = tuple(range(1, white + 1))
-        assert orc._tally(reds, white, lengths, orc._used_step(white), None) \
+        assert orc._tally(reds, white, lengths, orc._used_step(white),
+                          orc.DEFAULT_CEILING) \
             == Counter(map(_used_marks(white), orc._walk(reds, white, lengths)))
     n = squares
     # Lengths (1,) fill the widest field: part 1 with n copies.
@@ -1057,7 +1065,8 @@ def test_tally_matches_a_naive_count_over_the_listing(squares):
                     (2, 3)):
         for step, marks in ((orc._fold_step(n), _fold_marks(n)),
                             (orc._largest_step(n), _largest_marks(n))):
-            assert orc._tally(0, n, lengths, step, None) == Counter(
+            assert orc._tally(0, n, lengths, step,
+                              orc.DEFAULT_CEILING) == Counter(
                 map(marks, orc._walk(0, n, lengths))), (lengths, step)
 
 
@@ -1066,7 +1075,7 @@ def test_unrestricted_count_refuses_one_below_its_size(store, r, n, inside):
     # The root of (2, 3) is a kept node itself; that of (3, 7) is above the
     # kept nodes.  Both floors are the exact size, so neither is walked.
     assert (r + n <= orc._KEPT_SQUARES) == inside
-    exact = count_tilings(r, n, ceiling=None)
+    exact = count_tilings(r, n, ceiling=orc.DEFAULT_CEILING)
     store.clear()
     orc._CENSUSES.clear()
     with pytest.raises(OracleScaleError, match=f"more than {exact - 1} objects"):
@@ -1079,16 +1088,21 @@ def test_unrestricted_count_refuses_one_below_its_size(store, r, n, inside):
 
 def _check_census_reads(cells):
     """Each filtered count of ``cells`` read off its parent's census equals
-    the count of its own walk."""
+    the count of its own walk, and is kept under its own key."""
     parents = {(r, n + f.suffix_white_tiles) for r, n, f in cells}
+    keys = {cell: (cell[0], cell[1] + cell[2].suffix_white_tiles,
+                   orc._tiling_blocks(*cell, orc.DEFAULT_CEILING)[1],
+                   cell[2].suffix_white_tiles) for cell in cells}
     # With every parent refused, each filtered count walks its own blocks.
     with patch.object(orc, "_parent", lambda reds, white, ceiling: None):
-        walked = {cell: count_tilings(*cell, ceiling=None) for cell in cells}
+        walked = {cell: count_tilings(*cell, ceiling=orc.DEFAULT_CEILING)
+                  for cell in cells}
     assert orc._CENSUSES == {}
     orc._COUNTS.clear()
-    # A filtered count starts its parent's census and reads it.
+    # A filtered count starts its parent's census, reads it and keeps it.
     assert {cell: count_tilings(*cell) for cell in cells} == walked
-    assert orc._COUNTS == {}  # every filtered count was read, none walked
+    # Every filtered count was read, none walked: no block's count is kept.
+    assert orc._COUNTS == {keys[cell]: walked[cell] for cell in cells}
     assert _parents() == parents
 
 
@@ -1138,7 +1152,7 @@ def test_refused_parent_is_refused_by_its_floor_and_never_tallied(
     for _ in range(2):
         assert count_tilings(0, 24, bounded, ceiling=10 ** 5) == 75_025
         assert orc._CENSUSES == {}
-        assert store == {(0, 24, (1, 2)): 75_025}
+        assert store == {(0, 24, (1, 2), 0): 75_025}
         assert tallied == [(0, 24, "own")]
     # The parent of (3, 12), 230,656 tilings, passes the single bounds
     # (55,440 at most) but not its exact floor: no family of it tallies it.
@@ -1175,15 +1189,46 @@ def test_filtered_count_without_a_census_walks_its_own_family(store):
     TilingFilter(max_white_len=3, suffix_white_tiles=1),
 ])
 def test_census_read_refuses_just_past_the_ceiling(store, f):
-    r, n = 2, 6
+    # The first round reads the kept census of the parent, the second the
+    # count the first one kept.
+    r, n, s = 2, 6, f.suffix_white_tiles
     exact = count_tilings(r, n, f)
-    count_tilings(r, n + f.suffix_white_tiles)
+    count_tilings(r, n + s)
     store.clear()
     for _ in range(2):
         with pytest.raises(OracleScaleError, match=f"more than {exact - 1} objects"):
             count_tilings(r, n, f, ceiling=exact - 1)
         assert count_tilings(r, n, f, ceiling=exact) == exact
-    assert store == {}
+    lengths = orc._tiling_blocks(r, n, f, exact)[1]
+    assert store == {(r, n + s, lengths, s): exact}
+
+
+@pytest.mark.parametrize("r, n, f, ceiling", [
+    (2, 6, TilingFilter(suffix_white_tiles=2), orc.DEFAULT_CEILING),
+    (2, 6, TilingFilter(max_white_len=2), orc.DEFAULT_CEILING),
+    # Read off no census: the parent (0, 24) has 2**23 tilings, so the
+    # suffix count sums its blocks and the bounded count walks its leaves.
+    (0, 22, TilingFilter(max_white_len=2, suffix_white_tiles=2), 10 ** 5),
+    (0, 24, TilingFilter(max_white_len=2), 10 ** 5),
+])
+def test_kept_filtered_count_refuses_one_below_its_size(store, r, n, f, ceiling):
+    # A kept suffix or bounded-white count answers alone, as an unrestricted
+    # one does (test_stored_count_refuses_just_past_the_ceiling): with no
+    # census kept and nothing walked, it refuses one below its size, with
+    # the walk's message, and answers at its size.
+    exact = count_tilings(r, n, f, ceiling=ceiling)
+    s = f.suffix_white_tiles
+    lengths = orc._tiling_blocks(r, n, f, ceiling)[1]
+    assert store[r, n + s, lengths, s] == exact
+    orc._CENSUSES.clear()
+    with patch.object(orc, "_tally", _no_count), \
+            patch.object(orc, "_walk", _no_count):
+        for _ in range(2):
+            assert _refusal_message(
+                lambda: count_tilings(r, n, f, ceiling=exact - 1)) == \
+                f"oracle scale exceeded: more than {exact - 1} objects"
+            assert count_tilings(r, n, f, ceiling=exact) == exact
+    assert orc._CENSUSES == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1277,7 +1322,7 @@ def test_roof_bounds_every_walked_family(lengths):
     for reds in range(7):
         for white in range(11):
             allowed = _lengths_for(white, lengths)
-            size = orc._count(reds, white, allowed, None)
+            size = orc._count(reds, white, allowed, orc.DEFAULT_CEILING)
             roof = orc._roof(reds, white, 10 ** 18)
             assert size <= roof, (reds, white, allowed)
             # Worked out only until it passes the room: past it exactly when
@@ -1295,7 +1340,8 @@ def test_roof_bounds_every_palindrome_and_suffix_block_sum(lengths):
             families += [list(orc._suffix_blocks(reds, n + s, s, allowed))
                          for s in range(1, 4)]
             for blocks in families:
-                sizes = [orc._count(r, w, allowed, None) for r, w, _, _ in blocks]
+                sizes = [orc._count(r, w, allowed, orc.DEFAULT_CEILING)
+                         for r, w, _, _ in blocks]
                 roofs = [orc._roof(r, w, 10 ** 18) for r, w, _, _ in blocks]
                 assert all(map(int.__le__, sizes, roofs))
                 assert sum(sizes) <= sum(roofs)
@@ -1351,7 +1397,7 @@ _UNDER_THE_ROOF = [
     lambda: enumerate_tilings(4, 8, TilingFilter(palindromic=True,
                                                  forbidden_white_len=1)),
     lambda: enumerate_compositions(12, forbidden_part=2),
-    lambda: enumerate_compositions(10, ceiling=None),
+    lambda: enumerate_compositions(10, ceiling=512),  # at its roof, 2**9
     lambda: enumerate_palindromic_compositions(16, forbidden_part=3),
     lambda: orc.part_occurrences(9, 2),
     lambda: orc.part_multiplicity_census(9),
@@ -1384,7 +1430,7 @@ def test_listing_and_census_under_the_roof_never_count(store, walk):
 def test_family_just_past_its_roof_refuses_at_the_ceiling(
     store, listing, count, args, family
 ):
-    size = count(*args, ceiling=None)
+    size = count(*args, ceiling=orc.DEFAULT_CEILING)
     assert orc._roof(*family, 10 ** 18) == size
     with patch.object(orc, "_count_leaves", _no_count):
         assert len(listing(*args, ceiling=size)) == size
@@ -1408,7 +1454,7 @@ def test_listing_past_its_roof_is_counted_before_it_is_built(store, monkeypatch)
 
     monkeypatch.setattr(orc, "_walk", recorded)
     assert len(enumerate_compositions(10, max_part=2, ceiling=511)) == 89
-    assert store == {(0, 10, (1, 2)): 89}
+    assert store == {(0, 10, (1, 2), 0): 89}
     built.clear()
     store.clear()
     for _ in range(2):
@@ -1428,7 +1474,7 @@ def test_listing_past_its_roof_is_counted_before_it_is_built(store, monkeypatch)
 
     monkeypatch.setattr(orc, "_palindrome_blocks", drawing)
     size = len(enumerate_palindromic_compositions(20, forbidden_part=1,
-                                                  ceiling=None))
+                                                  ceiling=orc.DEFAULT_CEILING))
     drawn.clear()
     built.clear()
     store.clear()
@@ -1445,7 +1491,7 @@ def test_filtered_floor_is_a_lower_bound(lengths):
     # and for the first one or two of them.
     for reds in range(6):
         for white in range(13):
-            size = orc._count(reds, white, lengths, None)
+            size = orc._count(reds, white, lengths, orc.DEFAULT_CEILING)
             for head in (lengths, lengths[:2], lengths[:1]):
                 orc._refuse_past_floor(reds, white, head, size)
                 orc._refuse_past_floor(reds, white, head, size + 4, 4)
@@ -1461,7 +1507,7 @@ def test_unrestricted_floor_is_a_lower_bound(store):
     for reds in range(8):
         for white in range(1, 15 - reds):
             every = tuple(range(1, white + 1))
-            size = orc._count(reds, white, every, None)
+            size = orc._count(reds, white, every, orc.DEFAULT_CEILING)
             orc._refuse_past_floor(reds, white, every, size)
             orc._refuse_past_floor(reds, white, every, size + 4, 4)
             with pytest.raises(OracleScaleError):
@@ -1494,7 +1540,7 @@ def test_unrestricted_floor_refuses_large_parents_before_any_tally(
         for reds, white in ((3, 20), (2, 22), (5, 17), (4, 18), (2, 20)):
             assert _refusal_message(lambda: count_tilings(reds, white)) == \
                 "oracle scale exceeded: more than 10000000 objects"
-            assert orc._parent(reds, white, None) is None
+            assert orc._parent(reds, white, orc.DEFAULT_CEILING) is None
     assert orc._CENSUSES == {}  # a refused parent keeps nothing
     # A small family of a refused parent walks only its own leaves.
     tallied = _recorded_tallies(monkeypatch)
@@ -1614,11 +1660,11 @@ def test_objects_past_the_squares_bound_are_refused(monkeypatch):
             f"oracle scale exceeded: more than {orc.SQUARES_BOUND} squares"
     monkeypatch.setattr(orc, "SQUARES_BOUND", 40)
     assert enumerate_compositions(40, max_part=1) == [(1,) * 40]
-    assert count_tilings(3, 37, TilingFilter(max_white_len=1), ceiling=None) \
-        == 9880
+    assert count_tilings(3, 37, TilingFilter(max_white_len=1),
+                         ceiling=orc.DEFAULT_CEILING) == 9880
     for refused in (lambda: enumerate_compositions(41, max_part=1),
                     lambda: count_tilings(3, 38, TilingFilter(max_white_len=1),
-                                          ceiling=None),
+                                          ceiling=orc.DEFAULT_CEILING),
                     lambda: orc.run_census(41, max_part=1)):
         assert _refusal_message(refused) == \
             "oracle scale exceeded: more than 40 squares"

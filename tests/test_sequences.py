@@ -291,9 +291,9 @@ def _plain_fibonacci(k):
 
 
 @cache
-def _plain_negative_fibonacci(k):
+def _plain_negative_fibonacci(k, depth=_FIB_N):
     f = {1: 1, **{i: 0 for i in range(2 - k, 1)}}
-    for i in range(1 - k, -_FIB_N - 1, -1):
+    for i in range(1 - k, -depth - 1, -1):
         # f(i + k) = f(i + k - 1) + ... + f(i), solved for f(i)
         f[i] = f[i + k] - sum(f[i + k - j] for j in range(1, k))
     return f
@@ -327,7 +327,7 @@ _QUERY = st.one_of(
     st.tuples(st.just("neg_fibonacci_k"), st.integers(-_FIB_N, 30),
               st.integers(2, _K)),
 )
-_TABLES = ("_A_ROWS", "_AS_TABLES", "_AK_TABLES", "_FIB", "_NEG_FIB")
+_TABLES = ("_A_ROWS", "_AS_TABLES", "_AK_TABLES", "_FIB")
 
 
 @contextmanager
@@ -358,8 +358,7 @@ def _entries() -> int:
     """Entries held by the memo tables and the ``_FIB`` windows."""
     tables = [sq._A_ROWS, *sq._AS_TABLES.values(), *sq._AK_TABLES.values()]
     return (sum(len(row) for table in tables for row in table)
-            + sum(len(window) for _, window in sq._FIB.values())
-            + sum(map(len, sq._NEG_FIB.values())))
+            + sum(len(window) for _, window in sq._FIB.values()))
 
 
 @pytest.mark.parametrize("fill, rows, columns", [
@@ -547,9 +546,9 @@ def test_c_multiples_reads_the_ends_of_one_window(fib_steps):
 
 
 def test_fibonacci_k_below_its_window_restarts_from_the_seed(fib_steps):
-    # After a far call each path below the window matches the plain
-    # recurrence: a read of F and neg_fibonacci_k's seed read downward from
-    # F(k + 1).  An a_k fill between them leaves the window where it was.
+    # After a far call a read of F below the window matches the plain
+    # recurrence.  An a_k fill and a neg_fibonacci_k call after it leave the
+    # window where it was: neither reads F.
     with _empty_tables():
         value = fibonacci_k(9000, 4)
         last = [0, 0, 0, 1]  # F(-2..1) mod 10**9
@@ -562,9 +561,21 @@ def test_fibonacci_k_below_its_window_restarts_from_the_seed(fib_steps):
         assert a_k(3, 50, 4) == _plain_tilings(4)[3][50]
         assert _window(4) == (10, _plain_fibonacci(4)[6:11])
         assert neg_fibonacci_k(-40, 4) == _plain_negative_fibonacci(4)[-40]
-        assert _window(4) == (5, _plain_fibonacci(4)[1:6])
-        # The far call, then one restart each for F(10) and F(5).
-        assert fib_steps == {"seeds": 3, "steps": 8998 + 8 + 3}
+        assert _window(4) == (10, _plain_fibonacci(4)[6:11])
+        # The far call, one restart for F(10), and neg_fibonacci_k's own
+        # window, stepped down by appendleft, which is not counted.
+        assert fib_steps == {"seeds": 3, "steps": 8998 + 8}
+
+
+def test_neg_fibonacci_k_far_below_reads_no_f_and_keeps_nothing():
+    # Every index of the seed window and below it, then sparser down to
+    # -3000, against the plain recurrence solved downward.
+    with _empty_tables():
+        for k in range(2, 7):
+            plain = _plain_negative_fibonacci(k, 3000)
+            for n in (*range(1 - k, -60, -1), *range(-60, -3001, -157), -3000):
+                assert neg_fibonacci_k(n, k) == plain[n], (n, k)
+        assert sq._FIB == {}
 
 
 def test_fibonacci_k_step_past_the_table_bound_is_refused(monkeypatch):
